@@ -12,8 +12,6 @@ fails.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,30 +40,6 @@ class AuditReport:
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        if not self.rows:
-            raise ValueError("no rows to write")
-        keys = list(self.rows[0].keys())
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for row in self.rows:
-                writer.writerow([_format_cell(row.get(k)) for k in keys])
-
-    def json_summary(self) -> dict:
-        return {"name": self.name, "summary": self.summary, "config": self.config}
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.json_summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return format(v, ".17e")
-    return v
 
 
 def doubling_profile_model(model, centers, radii) -> AuditReport:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics
+from . import numerics, spectral2d
 
 __all__ = [
     "BaseDomain",
@@ -253,50 +253,14 @@ def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int
     nt, nph = len(theta), len(phi)
     sin_phi = np.sin(phi)
     sin_half = np.sin(lo + hp * (np.arange(N) + 0.5))  # at phi half-points
-
-    m = nt * nph
-
-    def pid(it, ip):
-        return it * nph + ip
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(m)
-    mass = np.zeros(m)
-    for it in range(nt):
-        for ip in range(nph):
-            p = pid(it, ip)
-            mass[p] = sin_phi[ip] * ht * hp
-            c_theta = hp / (sin_phi[ip] * ht)
-            for dt in (-1, 1):
-                jt = it + dt
-                diag[p] += c_theta
-                if 0 <= jt < nt:
-                    rows.append(p)
-                    cols.append(pid(jt, ip))
-                    vals.append(-c_theta)
-            for dp in (-1, 1):
-                jp = ip + dp
-                c_phi = sin_half[ip + (1 if dp == 1 else 0)] * ht / hp
-                diag[p] += c_phi
-                if 0 <= jp < nph:
-                    rows.append(p)
-                    cols.append(pid(it, jp))
-                    vals.append(-c_phi)
-    import scipy.sparse as sparse
-
-    K = sparse.csr_matrix(
-        (vals + list(diag), (rows + list(range(m)), cols + list(range(m)))), shape=(m, m)
-    )
-    d_half = 1.0 / np.sqrt(mass)
-    L = sparse.diags(d_half) @ K @ sparse.diags(d_half)
-    L = (L + L.T) / 2.0
-    op = numerics.SparseSymmetricOperator.from_matrix(L)
-    vals_, vecs_ = numerics.sparse_smallest_eigenpairs(op, 1, shift=0.0)
-    g = (d_half * vecs_[:, 0]).reshape(nt, nph)
-    if g.sum() < 0:
-        g = -g
+    # axis 0 is theta, axis 1 is phi; every grid node lies inside
+    cond_theta = np.broadcast_to(hp / (sin_phi * ht), (nt + 1, nph))
+    cond_phi = np.broadcast_to(sin_half * ht / hp, (nt, nph + 1))
+    mass = np.broadcast_to(sin_phi * ht * hp, (nt, nph))
+    lam, phis = spectral2d._assemble_and_solve(
+        np.ones((nt, nph), dtype=bool), cond_theta, cond_phi, mass, False, 1)
     # L2(sin phi) normalization: sum g^2 * mass = |psi|^2 = 1 already by construction
-    return float(vals_[0]), theta, phi, g
+    return float(lam[0]), theta, phi, phis[0]
 
 
 class _RectangleSampler:

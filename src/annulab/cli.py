@@ -3,7 +3,7 @@
 One subcommand per solver/audit; every run writes `<out>/<command>.csv`
 (17-significant-digit scientific notation, a `#` config-echo line, then the
 header row) and `<out>/<command>_summary.json` (schema-versioned, sorted
-keys).  Outputs are byte-identical for identical (config, seed) pairs.
+keys).  Outputs are byte-identical for identical configs.
 `report` aggregates previously written JSON summaries into one pass/fail
 table.
 
@@ -41,6 +41,13 @@ __all__ = ["main", "run"]
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
+
+
+def _time_list(text: str) -> list[float]:
+    times = _float_list(text)
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise ValueError(f"--t needs positive finite times, got {text!r}")
+    return times
 
 
 def _fmt(v):
@@ -223,7 +230,7 @@ def _sample_points_annulus(spec, count=5):
 
 
 def _cmd_heat_kernel(args, config):
-    t_grid = _float_list(args.t)
+    t_grid = _time_list(args.t)
     if args.domain == "box":
         box = heatkernel.Box(tuple(_float_list(args.half_widths)))
         spectrum = heatkernel.box_spectrum(box, args.modes)
@@ -242,7 +249,7 @@ def _cmd_heat_kernel(args, config):
 
 def _cmd_box_kernel(args, config):
     box = heatkernel.Box(tuple(_float_list(args.half_widths)))
-    audit = heatkernel.box_kernel_bounds_check(box, _float_list(args.t))
+    audit = heatkernel.box_kernel_bounds_check(box, _time_list(args.t))
     ok = audit["deviation_constant"] <= 10.0
     checks = [_check("deviation_envelope", "pass" if ok else "fail",
                      constant=audit["deviation_constant"], bound=10.0)]
@@ -352,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="output directory (default $OUT_DIR or .)")
     p.add_argument("--config", default=None, help="key = value config file overriding defaults")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed into outputs")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="radial shell eigenvalues")
@@ -488,7 +494,7 @@ def run(argv: list[str]) -> int:
             rows, checks, results = _cmd_report(args, config, out_dir)
         else:
             rows, checks, results = _DISPATCH[args.command](args, config)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (numerics.NonConvergenceError, heatkernel.InsufficientSpectrumError,

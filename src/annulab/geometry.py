@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.csgraph import shortest_path
 
 from . import bases, radial
 
@@ -38,7 +37,6 @@ __all__ = [
     "surrogate_distance",
     "annulus_model",
     "interval_model",
-    "ball_measure",
     "build_net",
     "verify_net",
     "export_net",
@@ -152,9 +150,6 @@ class AnnulusModel:
 
     def ball_measure(self, center, radius: float) -> float:
         return float(self.node_measure[self.ball_ids(center, radius)].sum())
-
-    def total_mass(self) -> float:
-        return float(self.node_measure.sum())
 
     def grid_edges(self):
         """Adjacent-node edges with weighted conductances and the node masses.
@@ -279,15 +274,6 @@ def interval_model(a: float, b: float, density: Callable[[np.ndarray], np.ndarra
     return IntervalModel(a=a, b=b, x=x, h=h, node_measure=d * h, density=d, tag=tag)
 
 
-def ball_measure(spec: radial.AnnularDomainSpec, weight: WeightFunction,
-                 center, radius: float, quad_grid: tuple[int, int]) -> float:
-    """Weighted measure of the sigma-ball; quadrature on a (nr, ntheta) grid."""
-    if radius <= 0:
-        raise ValueError("need radius > 0")
-    model = annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
-    return model.ball_measure(center, radius)
-
-
 @dataclass
 class WeightedNet:
     """A maximal eps-separated net with edges at distance <= 2 eps.
@@ -315,9 +301,6 @@ class WeightedNet:
         data = np.ones(len(self.edges))
         A = sparse.coo_matrix((data, (i, j)), shape=(m, m))
         return (A + A.T).tocsr()
-
-    def graph_distances(self, source: int) -> np.ndarray:
-        return shortest_path(self.adjacency(), unweighted=True, indices=source)
 
     def max_degree(self) -> int:
         if len(self.edges) == 0:

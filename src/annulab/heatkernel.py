@@ -30,7 +30,6 @@ __all__ = [
     "InsufficientSpectrumError",
     "box_spectrum",
     "interval_spectrum",
-    "box_principal",
     "images_kernel_interval",
     "kernel_eval",
     "kernel_matrix",
@@ -123,9 +122,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod([2.0 * a for a in self.half_widths]))
 
-    def principal_eigenvalue(self) -> float:
-        return float(sum((math.pi / (2.0 * a)) ** 2 for a in self.half_widths))
-
 
 def _axis_mode(a: float, j: int):
     amp = 1.0 / math.sqrt(a)
@@ -134,17 +130,6 @@ def _axis_mode(a: float, j: int):
         return amp * np.sin(j * math.pi * (np.asarray(x, dtype=float) + a) / (2.0 * a))
 
     return mode
-
-
-def box_principal(box: Box):
-    """Exact normalized principal eigenfunction sampler of a box."""
-    half = np.asarray(box.half_widths)
-
-    def phi(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.prod(np.cos(math.pi * pts / (2.0 * half)) / np.sqrt(half), axis=1)
-
-    return phi
 
 
 def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:

@@ -3,7 +3,8 @@
 Two solvers: a polar-grid solver for domains bounded by radial functions
 r_min(theta) < r < r_max(theta) (optionally wrapping the full circle), and a
 Cartesian solver for indicator-defined domains sandwiched between boxes.
-Both use vertex-centered second-order stencils in self-adjoint form; the
+Both, and the S^2 rectangles of `bases`, run through one masked-grid eigensolver
+with vertex-centered second-order stencils in self-adjoint form; the
 boundary is handled by node masking (staircase), so audits should trim a
 margin of cells before taking eigenfunction ratios, and eigenvalues can be
 sharpened by Richardson extrapolation over two resolutions.
@@ -118,12 +119,15 @@ class GridSpectrum:
 
 
 def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
-    """Masked 5-point operator in self-adjoint form.
+    """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
 
+    The one eigensolver for every structured grid: polar, Cartesian and
+    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).
     cond_0[i, j]: conductance between nodes (i, j) and (i+1, j), length n0+1
     along axis 0 so index i is the face below node i (virtual boundary rows
     included); similarly cond_1 for axis 1 with wrap support.  Dirichlet
-    walls sit at masked-out neighbor nodes.
+    walls sit at masked-out neighbor nodes.  Returns the eigenvalues and the
+    eigenfunctions as (n0, n1) arrays normalized in the `mass` weights.
     """
     n0, n1 = mask.shape
     idx = -np.ones((n0, n1), dtype=np.int64)
@@ -189,7 +193,7 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
         if j == 0 and phi.sum() < 0:
             phi = -phi
         phis.append(phi)
-    return lam, phis, idx, mu
+    return lam, phis
 
 
 def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> GridSpectrum:
@@ -214,20 +218,8 @@ def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> Grid
         raise ValueError("grid too coarse: fewer than 8 radial cells across min thickness")
     r = rlo + hr * np.arange(1, Nr)
     mask = (r[:, None] > rmins[None, :]) & (r[:, None] < rmaxs[None, :])
-
-    n0, n1 = mask.shape
-    r_faces = rlo + hr * (np.arange(Nr) + 0.5)  # face between node i and i+1
-    cond_r = np.broadcast_to((r_faces * ht / hr)[:, None], (n0 + 1, n1)).copy()
-    cond_t = np.broadcast_to((hr / (r * ht))[:, None], (n0, n1 + 1)).copy()
-    mass = np.broadcast_to((r * hr * ht)[:, None], (n0, n1)).copy()
-
-    lam, phis, _, _ = _assemble_and_solve(mask, cond_r, cond_t, mass, domain.wrap, k)
-    return GridSpectrum(
-        eigenvalues=lam, values=phis, axes=(r, th), mask=mask,
-        cell_measure=mass * mask, kind="polar", wrap=domain.wrap,
-        meta={"hr": hr, "ht": ht, "r_range": (rlo, rhi),
-              "theta_range": (domain.theta_lo, domain.theta_hi)},
-    )
+    return solve_polar_mask(mask, (rlo, rhi), (domain.theta_lo, domain.theta_hi),
+                            domain.wrap, k)
 
 
 def solve_polar_mask(mask: np.ndarray, r_range: tuple[float, float],
@@ -245,7 +237,7 @@ def solve_polar_mask(mask: np.ndarray, r_range: tuple[float, float],
     cond_r = np.broadcast_to((r_faces * ht / hr)[:, None], (n0 + 1, n1)).copy()
     cond_t = np.broadcast_to((hr / (r * ht))[:, None], (n0, n1 + 1)).copy()
     mass = np.broadcast_to((r * hr * ht)[:, None], (n0, n1)).copy()
-    lam, phis, _, _ = _assemble_and_solve(mask, cond_r, cond_t, mass, wrap, k)
+    lam, phis = _assemble_and_solve(mask, cond_r, cond_t, mass, wrap, k)
     return GridSpectrum(
         eigenvalues=lam, values=phis, axes=(r, th), mask=mask,
         cell_measure=mass * mask, kind="polar", wrap=wrap,
@@ -275,7 +267,7 @@ def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpec
     cond_0 = np.full((n0 + 1, n1), hy / hx)
     cond_1 = np.full((n0, n1 + 1), hx / hy)
     mass = np.full((n0, n1), hx * hy)
-    lam, phis, _, _ = _assemble_and_solve(mask, cond_0, cond_1, mass, False, k)
+    lam, phis = _assemble_and_solve(mask, cond_0, cond_1, mass, False, k)
     return GridSpectrum(
         eigenvalues=lam, values=phis, axes=(x, y), mask=mask,
         cell_measure=mass * mask, kind="cartesian", wrap=False,

@@ -136,22 +136,6 @@ def test_sector_contrast_with_thin_annulus():
     assert sector >= 100.0 * annulus_max
 
 
-def test_audit_report_serialization(tmp_path):
-    model = interval_sin2_model(512)
-    report = auditors.doubling_profile_model(model, [0.5], [0.25])
-    csv_path = tmp_path / "audit.csv"
-    json_path = tmp_path / "audit.json"
-    report.to_csv(csv_path)
-    report.write_json(json_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].split(",")[0] == "center"
-    assert len(lines) == 2
-    import json
-
-    doc = json.loads(json_path.read_text())
-    assert doc["name"] == "volume_doubling"
-
-
 def test_sector_rejects_bad_beta():
     with pytest.raises(ValueError):
         auditors.sector_counterexample([0.7])

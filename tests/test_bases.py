@@ -140,6 +140,41 @@ def test_sphere_rectangle_normalization_and_coarse_error():
         bases.solve_sphere_rectangle(1.0, (0.4, 1.2), 8)
 
 
+def sphere_rectangle_loop_reference(theta1, phi_range, N):
+    """Node-by-node stencil of the S^2 rectangle operator, solved densely."""
+    from scipy.linalg import eigh
+
+    lo, hi = phi_range
+    ht, hp = theta1 / N, (hi - lo) / N
+    m = N - 1
+    K = np.zeros((m * m, m * m))
+    mass = np.zeros(m * m)
+    for it in range(m):
+        for ip in range(m):
+            p = it * m + ip
+            s = math.sin(lo + hp * (ip + 1))
+            mass[p] = s * ht * hp
+            for jt in (it - 1, it + 1):
+                K[p, p] += hp / (s * ht)
+                if 0 <= jt < m:
+                    K[p, jt * m + ip] -= hp / (s * ht)
+            for jp, face in ((ip - 1, ip), (ip + 1, ip + 1)):
+                c = math.sin(lo + hp * (face + 0.5)) * ht / hp
+                K[p, p] += c
+                if 0 <= jp < m:
+                    K[p, it * m + jp] -= c
+    vals, vecs = eigh(K, np.diag(mass), subset_by_index=(0, 0))
+    g = vecs[:, 0] if vecs[:, 0].sum() > 0 else -vecs[:, 0]
+    return vals[0], g.reshape(m, m)
+
+
+def test_sphere_rectangle_matches_loop_reference():
+    lam, _, _, g = bases.solve_sphere_rectangle(1.0, (0.4, 1.2), 20)
+    lam_ref, g_ref = sphere_rectangle_loop_reference(1.0, (0.4, 1.2), 20)
+    assert lam == pytest.approx(lam_ref, rel=1e-11)
+    assert np.max(np.abs(g - g_ref)) <= 1e-8 * np.max(np.abs(g_ref))
+
+
 def test_rectangle_eigendata_sampler():
     base = bases.sphere_rectangle(math.pi, (1e-9, math.pi / 2.0))
     data = bases.base_eigendata(base, N=48)

@@ -52,14 +52,36 @@ def test_unknown_subcommand_exit_code(tmp_path):
     assert run(["--out", str(tmp_path), "no-such-command"]) == 1
 
 
-def test_outputs_deterministic(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["hadamard", "--n", "3", "--t", "0.5,1.0", "--grid", "256"],
+    ["perturb-box", "--h", "0.03125"],
+    ["perturb-annulus", "--nr", "24", "--ntheta", "128"],
+    ["pi-audit", "--eps", "0.2"],
+], ids=lambda argv: argv[0])
+def test_outputs_deterministic(tmp_path, argv):
+    # two runs in one process: the eigensolver start vector must not drift
     d1 = tmp_path / "run1"
     d2 = tmp_path / "run2"
     for d in (d1, d2):
-        assert run(["--out", str(d), "hadamard", "--n", "3", "--t", "0.5,1.0",
-                    "--grid", "256"]) == 0
-    assert (d1 / "hadamard.csv").read_bytes() == (d2 / "hadamard.csv").read_bytes()
-    assert (d1 / "hadamard_summary.json").read_bytes() == (d2 / "hadamard_summary.json").read_bytes()
+        assert run(["--out", str(d), *argv]) == 0
+    stem = argv[0].replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}_summary.json"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["perturb-box", "--scenario", "no-such.scenario"], id="missing-scenario"),
+    pytest.param(["--config", "no-such.cfg", "solve"], id="missing-config"),
+    pytest.param(["heat-kernel", "--t", "0"], id="heat-kernel-t0"),
+    pytest.param(["box-kernel", "--t", "0"], id="box-kernel-t0"),
+    pytest.param(["box-kernel", "--t", "1,-2"], id="box-kernel-negative-t"),
+])
+def test_input_errors_exit_one(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_config_file_overrides_defaults(tmp_path):

@@ -74,7 +74,8 @@ def test_net_invariants_and_degree_bound():
 def test_ball_measure_saturates_to_total_mass():
     spec = thin_spec(0.1)
     weight = geometry.dirichlet_weight(spec, N=512)
-    v = geometry.ball_measure(spec, weight, (1.05, 0.0), 4.0, quad_grid=(16, 256))
+    model = geometry.annulus_model(spec, weight, nr=16, ntheta=256)
+    v = model.ball_measure((1.05, 0.0), 4.0)
     assert v == pytest.approx(1.0, abs=5e-3)
 
 

@@ -104,19 +104,10 @@ def test_sparse_kronecker_sum_additivity():
     assert lam_sum == pytest.approx(lam_a + lam_b, rel=1e-8)
 
 
-def test_sparse_apply_only_path_uses_cg():
-    op1, _ = dirichlet_tridiag(64)
-    mat = op1.to_sparse()
-    op = numerics.SparseSymmetricOperator(dimension=mat.shape[0], apply=lambda v: mat @ v)
-    vals, _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=0.0)
-    ref, _ = numerics.tridiag_smallest_eigenpairs(op1, 2)
-    assert vals == pytest.approx(ref, rel=1e-8)
-
-
 def test_sparse_rejects_nonsymmetric():
     mat = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        numerics.SparseSymmetricOperator(dimension=2, apply=lambda v: mat @ v)
+        numerics.SparseSymmetricOperator.from_matrix(mat)
 
 
 def test_integrate_samples_rules():
