@@ -129,7 +129,7 @@ def _symmetrized_gap(K: sparse.spmatrix, mass: np.ndarray) -> tuple[float, float
         return float(vals[0]), float(vals[1])
     scale = float(np.max(L.diagonal()))
     op = numerics.SparseSymmetricOperator.from_matrix(L)
-    vals, _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=-1e-3 * scale)
+    vals, _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=-1e-6 * scale)
     return float(vals[0]), float(vals[1])
 
 

@@ -471,6 +471,12 @@ def _apply_config_file(args, parser):
             setattr(args, key, int(val))
         elif isinstance(current, float):
             setattr(args, key, float(val))
+        elif isinstance(current, (tuple, list)):
+            parts = val.split()
+            if len(parts) != len(current):
+                raise ValueError(f"config key {key!r} takes {len(current)} values, "
+                                 f"got {len(parts)}")
+            setattr(args, key, tuple(type(c)(v) for c, v in zip(current, parts)))
         else:
             setattr(args, key, val)
     return args

@@ -129,10 +129,18 @@ def sparse_smallest_eigenpairs(
 ):
     """k smallest eigenpairs of a sparse symmetric operator.
 
-    Shift-invert Lanczos about `shift` with a direct factorization, started
-    from a fixed pseudo-random vector so that repeated calls return the same
-    pairs (a constant start would be orthogonal to antisymmetric modes).
-    Each returned pair satisfies |Av - lambda v| <=
+    Contract: `shift` lies strictly below the spectrum, so A - shift*I is
+    symmetric positive definite.  It is factored once, with a symmetric
+    minimum-degree ordering and diagonal pivots (stable for SPD matrices),
+    and the factorization serves every step of shift-invert Lanczos.  The
+    closer `shift` sits below lambda_1, the fewer steps are needed.  A
+    returned eigenvalue at or below `shift` raises NonConvergenceError; a
+    shift inside the spectrum is caught whenever an eigenvalue below it is
+    among the k nearest.
+
+    Lanczos starts from a fixed pseudo-random vector so that repeated calls
+    return the same pairs (a constant start would be orthogonal to
+    antisymmetric modes).  Each returned pair satisfies |Av - lambda v| <=
     residual_tol * max(|lambda|, lambda_max_computed).
     """
     n = op.dimension
@@ -141,7 +149,12 @@ def sparse_smallest_eigenpairs(
     if maxiter is None:
         maxiter = 20 * n
     v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM", maxiter=maxiter, v0=v0)
+    lu = spla.splu((op.matrix - shift * sparse.identity(n, format="csr")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    vals, vecs = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM", OPinv=op_inv,
+                            maxiter=maxiter, v0=v0, tol=0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -149,6 +162,11 @@ def sparse_smallest_eigenpairs(
     scale = np.max(np.abs(vals))
     for i, lam in enumerate(vals):
         res = np.linalg.norm(op.matrix @ vecs[:, i] - lam * vecs[:, i])
+        if lam <= shift:
+            raise NonConvergenceError(
+                f"eigenvalue {i} (lambda={lam:.6g}) is not above the shift {shift:.6g}; "
+                "the shift must lie below the spectrum", res
+            )
         if res > residual_tol * max(abs(lam), scale):
             raise NonConvergenceError(
                 f"eigenpair {i} (lambda={lam:.6g}) missed the residual target", res

@@ -82,7 +82,10 @@ class GridSpectrum:
 
     values[k] is a (n0, n1) array, zero outside the mask, normalized so that
     sum(values^2 * cell_measure) = 1.  axes holds the node coordinates of
-    the two grid directions.
+    the two grid directions.  Within a degenerate eigenspace (for k >= 2 on
+    rotationally symmetric domains, where the angular modes cos and sin
+    share an eigenvalue) only the eigenvalues are well defined: the values
+    are a repeatable but arbitrary orthonormal basis of the eigenspace.
     """
 
     eigenvalues: np.ndarray
@@ -118,6 +121,44 @@ class GridSpectrum:
         return m
 
 
+# relative margin of the shift below the hull eigenvalue; it covers rounding
+# when the mask fills its hull and lambda_1 equals lambda_hull
+_HULL_SHIFT_MARGIN = 1e-6
+
+
+def _hull_eigenvalue(cond_0, cond_1, mass, wrap):
+    """Smallest eigenvalue of the 5-point operator on the full (n0, n1) grid.
+
+    The coefficients vary along one axis only (r on polar grids, phi on S^2,
+    neither on Cartesian grids), so the hull operator separates: a
+    tridiagonal problem along that axis plus tau_min times the conductance
+    across it, where tau_min is the smallest eigenvalue of the second
+    difference along the constant axis (0 when that axis wraps).  A masked
+    operator is a principal submatrix of the hull operator in the same
+    symmetrized form, so by Cauchy interlacing the result is a lower bound
+    of its spectrum.
+    """
+    n0, n1 = mass.shape
+
+    def constant_along(axis):
+        return all(np.all(a == a.take([0], axis=axis)) for a in (cond_0, cond_1, mass))
+
+    if constant_along(1):
+        along, across, mu, n_const, const_wraps = (
+            cond_0[:, 0], cond_1[:, 0], mass[:, 0], n1, wrap)
+    elif constant_along(0) and not wrap:
+        along, across, mu, n_const, const_wraps = (
+            cond_1[0, :], cond_0[0, :], mass[0, :], n0, False)
+    else:
+        raise ValueError("grid coefficients must vary along one non-periodic axis only")
+    tau_min = 0.0 if const_wraps else 2.0 - 2.0 * math.cos(math.pi / (n_const + 1))
+    diag = (along[:-1] + along[1:] + tau_min * across) / mu
+    offdiag = -along[1:-1] / np.sqrt(mu[:-1] * mu[1:])
+    vals, _ = numerics.tridiag_smallest_eigenpairs(
+        numerics.TridiagonalOperator(diag, offdiag), 1)
+    return float(vals[0])
+
+
 def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
 
@@ -126,8 +167,10 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     cond_0[i, j]: conductance between nodes (i, j) and (i+1, j), length n0+1
     along axis 0 so index i is the face below node i (virtual boundary rows
     included); similarly cond_1 for axis 1 with wrap support.  Dirichlet
-    walls sit at masked-out neighbor nodes.  Returns the eigenvalues and the
-    eigenfunctions as (n0, n1) arrays normalized in the `mass` weights.
+    walls sit at masked-out neighbor nodes.  Shift-invert Lanczos runs from
+    just below the hull eigenvalue (see _hull_eigenvalue).  Returns the
+    eigenvalues and the eigenfunctions as (n0, n1) arrays normalized in the
+    `mass` weights.
     """
     n0, n1 = mask.shape
     idx = -np.ones((n0, n1), dtype=np.int64)
@@ -184,7 +227,8 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     L = sparse.diags(d_half) @ K @ sparse.diags(d_half)
     L = (L + L.T) / 2.0
     op = numerics.SparseSymmetricOperator.from_matrix(L)
-    lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=0.0)
+    shift = (1.0 - _HULL_SHIFT_MARGIN) * _hull_eigenvalue(cond_0, cond_1, mass, wrap)
+    lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
     phis = []
     for j in range(k):
         phi = np.zeros(n0 * n1)
@@ -200,7 +244,11 @@ def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> Grid
     """k smallest Dirichlet eigenpairs on a polar-grid domain.
 
     Vertex-centered discretization of (1/r) d_r(r d_r) + (1/r^2) d^2_theta in
-    self-adjoint form; eigenfunctions normalized in L^2(r dr dtheta).
+    self-adjoint form; eigenfunctions normalized in L^2(r dr dtheta).  For
+    k >= 2 on a rotationally symmetric domain the angular modes come in
+    degenerate pairs; only their eigenvalues are well defined, and the
+    returned eigenfunctions are a repeatable but arbitrary orthonormal basis
+    of each eigenspace.
     """
     window = domain.theta_hi - domain.theta_lo
     ht = window / Ntheta

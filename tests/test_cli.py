@@ -94,6 +94,26 @@ def test_config_file_overrides_defaults(tmp_path):
     assert doc["results"]["lambda"] == pytest.approx(math.pi**2 / 0.25, rel=1e-6)
 
 
+def test_config_file_sets_two_value_window(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 0.001 100\n")
+    code = run(["--out", str(tmp_path), "--config", str(cfg), "pi-audit", "--eps", "0.4"])
+    assert code == 0
+    doc = read_summary(tmp_path, "pi_audit")
+    assert doc["config"]["window"] == [0.001, 100.0]
+    assert (doc["checks"][0]["lo"], doc["checks"][0]["hi"]) == (0.001, 100.0)
+
+
+def test_config_file_wrong_value_count_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 0.001\n")
+    code = run(["--out", str(tmp_path / "out"), "--config", str(cfg), "pi-audit",
+                "--eps", "0.4"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'window'" in err[0]
+
+
 def test_out_dir_env_honored(tmp_path, monkeypatch):
     monkeypatch.setenv("OUT_DIR", str(tmp_path / "envout"))
     code = run(["bounds", "--n", "3", "--a", "1", "--b", "2"])

@@ -134,3 +134,12 @@ def test_sparse_residual_target_enforced():
     op = numerics.SparseSymmetricOperator.from_matrix(op1.to_sparse())
     with pytest.raises(numerics.NonConvergenceError):
         numerics.sparse_smallest_eigenpairs(op, 2, shift=0.0, residual_tol=1e-30)
+
+
+def test_sparse_shift_inside_spectrum_raises():
+    op1, _ = dirichlet_tridiag(64)
+    op = numerics.SparseSymmetricOperator.from_matrix(op1.to_sparse())
+    lam1 = discrete_interval_eigenvalue(1, 64)
+    lam2 = discrete_interval_eigenvalue(2, 64)
+    with pytest.raises(numerics.NonConvergenceError, match="below the spectrum"):
+        numerics.sparse_smallest_eigenpairs(op, 2, shift=lam1 + 0.25 * (lam2 - lam1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from annulab import bases, numerics, radial, spectral2d
 
@@ -116,3 +117,87 @@ def test_interior_mask_erosion():
     inner = sol.interior_mask(2)
     assert inner.sum() < sol.mask.sum()
     assert np.all(sol.mask[inner])
+
+
+@pytest.fixture
+def hull_eigenvalues(monkeypatch):
+    """Every hull eigenvalue the grid driver computes, in call order."""
+    seen = []
+    hull = spectral2d._hull_eigenvalue
+
+    def record(*args):
+        seen.append(hull(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(spectral2d, "_hull_eigenvalue", record)
+    return seen
+
+
+def notched_box_domain(notch):
+    return spectral2d.CartesianDomain2D(
+        indicator=lambda X, Y: ~((X > 1.0 - notch) & (Y > 1.0 - notch)),
+        bbox=(-1.0, 1.0, -1.0, 1.0),
+    )
+
+
+def _notched_box():
+    return spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0).eigenvalues[0]
+
+
+def _perturbed_annulus():
+    dom = spectral2d.PolarDomain2D(
+        r_min=lambda th: 1.0 + 0.05 * np.sin(8.0 * th),
+        r_max=lambda th: 1.4 + 0.05 * np.cos(5.0 * th),
+    )
+    return spectral2d.solve_polar(dom, 48, 256).eigenvalues[0]
+
+
+def _perturbed_sector():
+    dom = spectral2d.PolarDomain2D(
+        r_min=lambda th: np.full_like(th, 1.0),
+        r_max=lambda th: 1.5 + 0.1 * np.sin(3.0 * th),
+        theta_lo=0.0, theta_hi=0.75 * math.pi, wrap=False,
+    )
+    return spectral2d.solve_polar(dom, 48, 128).eigenvalues[0]
+
+
+def _sphere_rectangle():
+    return bases.solve_sphere_rectangle(math.pi / 2.0, (math.pi / 4.0, 3.0 * math.pi / 4.0), 32)[0]
+
+
+@pytest.mark.parametrize("solve", [_notched_box, _perturbed_annulus, _perturbed_sector,
+                                   _sphere_rectangle],
+                         ids=["notched-box", "perturbed-annulus", "sector", "sphere-rectangle"])
+def test_hull_eigenvalue_bounds_lambda1(hull_eigenvalues, solve):
+    lam1 = solve()
+    assert len(hull_eigenvalues) == 1
+    # interlacing holds up to rounding, which shows when the mask fills its
+    # hull (every S^2 rectangle); the shift margin sits far beyond it
+    assert 0.0 < hull_eigenvalues[0] <= lam1 * (1.0 + 1e-12)
+    assert (1.0 - spectral2d._HULL_SHIFT_MARGIN) * hull_eigenvalues[0] < lam1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: spectral2d.solve_cartesian(box_domain(1.0, 0.5), 1.0 / 32.0).eigenvalues[0],
+    lambda: spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128).eigenvalues[0],
+    lambda: spectral2d.solve_polar(
+        spectral2d.annulus_domain(1.0, 1.5, 0.0, math.pi, wrap=False), 32, 64).eigenvalues[0],
+    _sphere_rectangle,
+], ids=["box", "annulus", "sector", "sphere-rectangle"])
+def test_hull_eigenvalue_is_lambda1_on_a_full_grid(hull_eigenvalues, solve):
+    lam1 = solve()
+    assert hull_eigenvalues[0] == pytest.approx(lam1, rel=1e-12)
+
+
+def test_notched_grid_matches_dense_eigh(monkeypatch):
+    operators = []
+    solver = numerics.sparse_smallest_eigenpairs
+
+    def record(op, *args, **kwargs):
+        operators.append(op.matrix)
+        return solver(op, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "sparse_smallest_eigenpairs", record)
+    sol = spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 16.0, k=3)
+    dense = eigh(operators[0].toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
