@@ -352,7 +352,7 @@ def _cmd_report(args, config, out_dir: Path):
     return rows, checks, {"n_pass": n_pass, "n_fail": n_fail}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = argparse.ArgumentParser(
         prog="annulab",
         description="Eigenpairs, heat kernels, and metric-measure audits on annular domains",
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=float, default=10.0)
 
     sub.add_parser("report", help="aggregate JSON summaries into a pass/fail table")
-    return p
+    return p, sub.choices
 
 
 _DISPATCH = {
@@ -449,8 +449,9 @@ _DISPATCH = {
 }
 
 
-def _apply_config_file(args, parser):
-    """key = value file entries override parser defaults (flags still win)."""
+def _apply_config_file(args, argv, parser, subcommands):
+    """key = value file entries become parser defaults, and argv is parsed
+    again over them, so flags still win."""
     if not args.config:
         return args
     overrides = {}
@@ -461,36 +462,40 @@ def _apply_config_file(args, parser):
                 continue
             key, val = (s.strip() for s in line.split("=", 1))
             overrides[key.replace("-", "_")] = val
+    defaults = {}
     for key, val in overrides.items():
-        if not hasattr(args, key):
+        if key in ("config", "command") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(args, key)
         if isinstance(current, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
+            defaults[key] = val.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
-            setattr(args, key, int(val))
+            defaults[key] = int(val)
         elif isinstance(current, float):
-            setattr(args, key, float(val))
+            defaults[key] = float(val)
         elif isinstance(current, (tuple, list)):
             parts = val.split()
             if len(parts) != len(current):
                 raise ValueError(f"config key {key!r} takes {len(current)} values, "
                                  f"got {len(parts)}")
-            setattr(args, key, tuple(type(c)(v) for c, v in zip(current, parts)))
+            defaults[key] = tuple(type(c)(v) for c, v in zip(current, parts))
         else:
-            setattr(args, key, val)
-    return args
+            defaults[key] = val
+    if "out" in defaults:
+        parser.set_defaults(out=defaults.pop("out"))
+    subcommands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    out_dir = Path(args.out or os.environ.get("OUT_DIR", "."))
     try:
-        args = _apply_config_file(args, parser)
+        args = _apply_config_file(args, argv, parser, subcommands)
+        out_dir = Path(args.out or os.environ.get("OUT_DIR", "."))
         config = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("out", "config") and v is not None

@@ -1,12 +1,20 @@
 """Spectral Dirichlet heat kernels and their equilibration/envelope audits.
 
 The kernel is the truncated eigenfunction sum p(t,x,y) = sum e^{-lam_k t}
-phi_k(x) phi_k(y), with a tail estimate built from the growth of the
-computed eigenvalues: beyond the last computed mode the eigenvalues are
-modeled as lam_K + j*gamma (gamma = mean gap over the top half of the
-computed spectrum) with sup norms growing at most like (lam/lam_K)^(dim/2),
-which gives a convergent geometric-type majorant.  Evaluations whose
-majorant exceeds 1e-8 of the value are refused.
+phi_k(x) phi_k(y).  A Spectrum holds its modes as separable factors (sine
+tables per box axis; a radial table times an angular table for shells), so
+Spectrum.modes(points) builds the whole (K, m) mode table with array
+operations; it is built once per point set and reused across times, and
+each sum over modes is one matrix product.
+
+The tail estimate is built from the growth of the computed eigenvalues:
+beyond the last computed mode the eigenvalues are modeled as lam_K +
+j*gamma (gamma = mean gap over the top half of the computed spectrum) with
+sup norms growing at most like (lam/lam_K)^(dim/2), which gives a
+convergent geometric-type majorant.  Its summation stops when the terms
+have converged or their exponential has underflowed to 0.0; a series that
+does neither within TAIL_MAX_TERMS terms yields an infinite tail.
+Evaluations whose majorant exceeds 1e-8 of the value are refused.
 
 The normalized kernel e^(lam_1 t) p / (phi_1 phi_1) tends to 1; audits
 measure its sup deviation against time, the exact product envelopes
@@ -41,6 +49,7 @@ __all__ = [
 ]
 
 TAIL_RELATIVE_LIMIT = 1e-8
+TAIL_MAX_TERMS = 100_000
 
 
 class InsufficientSpectrumError(RuntimeError):
@@ -49,15 +58,18 @@ class InsufficientSpectrumError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Truncated spectrum with eigenfunction samplers.
+    """Truncated product spectrum held as eigenvalues plus mode-table factors.
 
-    eigenfunctions[k] maps an (m, d) array of points to (m,) values; they
-    are orthonormal in the domain's natural measure.  sup_norms are sup
-    estimates of |phi_k| used by the tail majorant.
+    factors holds one (table, index) pair per coordinate: table maps an (m,)
+    array of that coordinate's values to an (F, m) array of one-coordinate
+    eigenfunctions, and index (K,) picks the row each mode uses, so mode k
+    is prod_d table_d(x_d)[index_d[k]].  The modes are orthonormal in the
+    domain's natural measure.  sup_norms are sup estimates of |phi_k| used
+    by the tail majorant.
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: list
+    factors: tuple
     sup_norms: np.ndarray
     dim: int
     description: str = ""
@@ -71,6 +83,15 @@ class Spectrum:
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
+
+    def modes(self, points) -> np.ndarray:
+        """(K, m) table of every mode at the m points of an (m, d) array."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = None
+        for d, (table, index) in enumerate(self.factors):
+            rows = table(pts[:, d])[index]
+            out = rows if out is None else out * rows
+        return out
 
     def spectral_gap(self) -> float:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
@@ -86,22 +107,29 @@ class Spectrum:
     def tail_bound(self, t: float, reference: float = 0.0) -> float:
         """Majorant for sum_{k > K} e^(-(lam_k - reference) t) |phi_k|_inf^2
         under the growth model; pass reference = lam_1 for normalized sums
-        (the factored form avoids underflow when lam_1 t is huge)."""
+        (the factored form avoids underflow when lam_1 t is huge).
+
+        Stops at the first term whose exponential underflows to 0.0: the
+        model eigenvalues grow with j, so every later term is 0.0 as well.
+        A series still not converged after TAIL_MAX_TERMS terms has no
+        majorant here, and the result is inf.
+        """
         gamma = self.tail_growth()
         if gamma <= 0.0:
             return math.inf
         lam_k = self.eigenvalues[-1]
         c = float(np.max(self.sup_norms[self.count // 2:]) ** 2)
         total = 0.0
-        j = 1
-        while True:
+        for j in range(1, TAIL_MAX_TERMS + 1):
             lam = lam_k + j * gamma
-            term = c * (lam / lam_k) ** (self.dim / 2.0) * math.exp(-(lam - reference) * t)
+            decay = math.exp(-(lam - reference) * t)
+            if decay == 0.0:
+                return total
+            term = c * (lam / lam_k) ** (self.dim / 2.0) * decay
             total += term
-            if term < 1e-4 * total or j > 100000:
-                break
-            j += 1
-        return total
+            if term < 1e-4 * total:
+                return total
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -123,49 +151,36 @@ class Box:
         return float(np.prod([2.0 * a for a in self.half_widths]))
 
 
-def _axis_mode(a: float, j: int):
+def _sine_table(a: float, count: int):
+    """Table of the first `count` Dirichlet modes of (-a, a), one row each."""
+    jpi = np.arange(1, count + 1) * math.pi
     amp = 1.0 / math.sqrt(a)
 
-    def mode(x):
-        return amp * np.sin(j * math.pi * (np.asarray(x, dtype=float) + a) / (2.0 * a))
+    def table(x):
+        return amp * np.sin(jpi[:, None] * (x + a) / (2.0 * a))
 
-    return mode
+    return table
 
 
 def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
     """Exact product spectrum of a box, ascending, truncated per axis."""
     if modes_per_axis < 1:
         raise ValueError("need at least one mode per axis")
-    axes_modes = []
-    for a in box.half_widths:
-        lam = [(j * math.pi / (2.0 * a)) ** 2 for j in range(1, modes_per_axis + 1)]
-        fns = [_axis_mode(a, j) for j in range(1, modes_per_axis + 1)]
-        axes_modes.append((lam, fns, a))
     idx_grid = np.stack(
         np.meshgrid(*[np.arange(modes_per_axis) for _ in box.half_widths], indexing="ij"),
         axis=-1,
     ).reshape(-1, box.dim)
-    eigenvalues = []
-    samplers = []
-    sups = []
-    for multi in idx_grid:
-        lam = sum(axes_modes[d][0][multi[d]] for d in range(box.dim))
-
-        def sampler(points, multi=tuple(multi)):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            out = np.ones(pts.shape[0])
-            for d, j in enumerate(multi):
-                out = out * axes_modes[d][1][j](pts[:, d])
-            return out
-
-        eigenvalues.append(lam)
-        samplers.append(sampler)
-        sups.append(float(np.prod([1.0 / math.sqrt(a) for a in box.half_widths])))
+    eigenvalues = 0
+    for d, a in enumerate(box.half_widths):
+        axis_lam = (np.arange(1, modes_per_axis + 1) * math.pi / (2.0 * a)) ** 2
+        eigenvalues = eigenvalues + axis_lam[idx_grid[:, d]]
     order = np.argsort(eigenvalues)
+    sup = float(np.prod([1.0 / math.sqrt(a) for a in box.half_widths]))
     return Spectrum(
-        eigenvalues=np.asarray(eigenvalues)[order],
-        eigenfunctions=[samplers[i] for i in order],
-        sup_norms=np.asarray(sups)[order],
+        eigenvalues=eigenvalues[order],
+        factors=tuple((_sine_table(a, modes_per_axis), idx_grid[order, d])
+                      for d, a in enumerate(box.half_widths)),
+        sup_norms=np.full(len(order), sup),
         dim=box.dim,
         description=f"box {box.half_widths}",
     )
@@ -196,6 +211,19 @@ def images_kernel_interval(a: float, t: float, x: float, y: float) -> float:
     return total
 
 
+def _certify(tail: float, scale: float, t: float) -> None:
+    """Refuse a kernel evaluation whose tail majorant is not negligible."""
+    if not math.isfinite(tail) or tail > TAIL_RELATIVE_LIMIT * max(scale, 1e-300):
+        raise InsufficientSpectrumError(
+            f"tail {tail:.3e} too large for kernel scale {scale:.3e} at t={t}"
+        )
+
+
+def _mode_sum(phis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k phi_k(x_i) phi_k(x_j) over all pairs of table columns, as one GEMM."""
+    return (phis * weights[:, None]).T @ phis
+
+
 def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
     """Truncated spectral kernel value with its certified tail estimate.
 
@@ -206,63 +234,72 @@ def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
         raise ValueError("need t > 0")
     xp = np.atleast_2d(np.asarray(x, dtype=float))
     yp = np.atleast_2d(np.asarray(y, dtype=float))
-    lam = spectrum.eigenvalues
-    phix = np.array([f(xp)[0] for f in spectrum.eigenfunctions])
-    phiy = np.array([f(yp)[0] for f in spectrum.eigenfunctions])
-    value = float(np.sum(np.exp(-lam * t) * phix * phiy))
+    phix, phiy = spectrum.modes(np.vstack([xp[0], yp[0]])).T
+    value = float(np.sum(np.exp(-spectrum.eigenvalues * t) * phix * phiy))
     tail = spectrum.tail_bound(t)
-    if not math.isfinite(tail) or tail > TAIL_RELATIVE_LIMIT * max(abs(value), 1e-300):
-        raise InsufficientSpectrumError(
-            f"tail {tail:.3e} too large for kernel value {value:.3e} at t={t}"
-        )
+    _certify(tail, abs(value), t)
     return value, tail
 
 
 def kernel_matrix(spectrum: Spectrum, t: float, points: np.ndarray) -> np.ndarray:
     """Kernel on all pairs of the given points (vectorized spectral sum)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = spectrum.eigenvalues
-    phis = np.stack([f(pts) for f in spectrum.eigenfunctions], axis=0)  # (K, m)
+    phis = spectrum.modes(points)
     tail = spectrum.tail_bound(t)
-    weights = np.exp(-lam * t)
-    P = np.einsum("k,km,kn->mn", weights, phis, phis)
-    scale = float(np.max(np.abs(P)))
-    if not math.isfinite(tail) or tail > TAIL_RELATIVE_LIMIT * max(scale, 1e-300):
-        raise InsufficientSpectrumError(
-            f"tail {tail:.3e} too large for kernel scale {scale:.3e} at t={t}"
-        )
+    P = _mode_sum(phis, np.exp(-spectrum.eigenvalues * t))
+    _certify(tail, float(np.max(np.abs(P))), t)
     return P
 
 
-def normalized_kernel_matrix(spectrum: Spectrum, t: float, points: np.ndarray) -> np.ndarray:
+def normalized_kernel_matrix(spectrum: Spectrum, t, points: np.ndarray):
     """e^(lam_1 t) p(t,x,y) / (phi_1(x) phi_1(y)) on all pairs of points.
 
     Computed in factored form with weights e^(-(lam_k - lam_1) t), which
     stays finite even when lam_1 t itself is far beyond the exponent range.
+    t may be a sequence of times: the mode table is then evaluated once and
+    a list with one matrix per time is returned, each certified on its own.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = spectrum.eigenvalues
-    lam1 = lam[0]
-    phis = np.stack([f(pts) for f in spectrum.eigenfunctions], axis=0)
+    phis = spectrum.modes(points)
     phi1 = phis[0]
     if np.any(phi1 == 0):
         raise ValueError("sample points must avoid the zero set of the ground state")
-    weights = np.exp(-(lam - lam1) * t)
-    P = np.einsum("k,km,kn->mn", weights, phis, phis)
-    tail = spectrum.tail_bound(t, reference=lam1)
-    scale = float(np.max(np.abs(P)))
-    if not math.isfinite(tail) or tail > TAIL_RELATIVE_LIMIT * max(scale, 1e-300):
-        raise InsufficientSpectrumError(
-            f"normalized tail {tail:.3e} too large at t={t}"
-        )
-    return P / np.outer(phi1, phi1)
+    lam = spectrum.eigenvalues
+    ground = np.outer(phi1, phi1)
+    out = []
+    for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        P = _mode_sum(phis, np.exp(-(lam - lam[0]) * tk))
+        _certify(spectrum.tail_bound(tk, reference=lam[0]), float(np.max(np.abs(P))), tk)
+        out.append(P / ground)
+    return out if np.ndim(t) else out[0]
 
 
-def normalized_kernel_value(spectrum: Spectrum, t: float, x, y) -> float:
-    """Factored-form e^(lam_1 t) p(t,x,y) / (phi_1(x) phi_1(y)) for one pair."""
-    R = normalized_kernel_matrix(spectrum, t, np.vstack([np.atleast_2d(x),
-                                                         np.atleast_2d(y)]))
-    return float(R[0, 1])
+def normalized_kernel_value(spectrum: Spectrum, t, x, y):
+    """Factored-form e^(lam_1 t) p(t,x,y) / (phi_1(x) phi_1(y)) for one pair.
+
+    With a sequence of n times and n-row point arrays x and y, evaluates
+    the pairs (x_i, y_i) at t_i from one mode table and returns an (n,)
+    array.  Each pair is certified on its own at its time, against the
+    largest of |p(t,x,x)|, |p(t,x,y)| and |p(t,y,y)|.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    xp = np.atleast_2d(np.asarray(x, dtype=float))
+    yp = np.atleast_2d(np.asarray(y, dtype=float))
+    n = len(ts)
+    if len(xp) != n or len(yp) != n:
+        raise ValueError(f"need one x and one y per time, got {len(xp)} and {len(yp)} for {n}")
+    phis = spectrum.modes(np.vstack([xp, yp]))
+    phix, phiy = phis[:, :n], phis[:, n:]
+    if np.any(phix[0] == 0) or np.any(phiy[0] == 0):
+        raise ValueError("sample points must avoid the zero set of the ground state")
+    lam = spectrum.eigenvalues
+    w = np.exp(-np.outer(lam - lam[0], ts))
+    pxy = np.sum(w * phix * phiy, axis=0)
+    scale = np.max(np.abs([np.sum(w * phix * phix, axis=0), pxy,
+                           np.sum(w * phiy * phiy, axis=0)]), axis=0)
+    tails = {tk: spectrum.tail_bound(tk, reference=lam[0]) for tk in dict.fromkeys(ts.tolist())}
+    for tk, s in zip(ts.tolist(), scale.tolist()):
+        _certify(tails[tk], s, tk)
+    R = pxy / (phix[0] * phiy[0])
+    return R if np.ndim(t) else float(R[0])
 
 
 def _fit_decay_rate(ts, devs):
@@ -283,10 +320,9 @@ def equilibration_audit(spectrum: Spectrum, t_grid: Sequence[float],
     the tail of the decay is fitted log-linearly and compared with the
     spectral gap, which is the exact asymptotic rate of the spectral sum.
     """
-    rows = []
-    for t in sorted(t_grid):
-        R = normalized_kernel_matrix(spectrum, t, points)
-        rows.append({"t": float(t), "sup_dev": float(np.max(np.abs(R - 1.0)))})
+    ts = sorted(t_grid)
+    rows = [{"t": float(t), "sup_dev": float(np.max(np.abs(R - 1.0)))}
+            for t, R in zip(ts, normalized_kernel_matrix(spectrum, ts, points))]
     fitted = _fit_decay_rate([r["t"] for r in rows], [r["sup_dev"] for r in rows])
     gap = spectrum.spectral_gap()
     return {
@@ -310,9 +346,9 @@ def box_kernel_bounds_check(box: Box, t_grid: Sequence[float],
     grids = [np.linspace(-a, a, n_sample + 2)[1:-1] for a in half]
     pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
     t_equil = float(np.max(half) ** 2)
+    ts = sorted(t_grid)
     rows = []
-    for t in sorted(t_grid):
-        R = normalized_kernel_matrix(spectrum, t, pts)
+    for t, R in zip(ts, normalized_kernel_matrix(spectrum, ts, pts)):
         up_env = float(np.prod(1.0 + (half / math.sqrt(t)) ** 3))
         low_env = float(np.prod(1.0 - (half / math.sqrt(t)) ** 3))
         dev_env = float(np.sum((half / math.sqrt(t)) ** 3))
@@ -380,21 +416,24 @@ def gaussian_hke_audit(spec: radial.AnnularDomainSpec, t_grid: Sequence[float],
         model = geometry.annulus_model(spec, weight, resolve=min(eps, math.sqrt(min(t_grid))))
     else:
         model = geometry.annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
+    samples = [(t, x, y) for t in sorted(t_grid)
+               for x, y in (default_pair_sample(spec, t) if pairs is None else pairs)]
+    if not samples:
+        return {"rows": [], "degenerate": True}
+    ts, xs, ys = zip(*samples)
+    ptilde = normalized_kernel_value(spectrum, list(ts), np.array(xs), np.array(ys))
     rows = []
-    for t in sorted(t_grid):
+    for (t, x, y), ptil in zip(samples, ptilde.tolist()):
         rad = math.sqrt(t)
-        t_pairs = default_pair_sample(spec, t) if pairs is None else pairs
-        for x, y in t_pairs:
-            sig = geometry.surrogate_distance(x, y, spec)
-            ptil = normalized_kernel_value(spectrum, t, x, y)
-            vx = model.ball_measure(x, rad)
-            vy = model.ball_measure(y, rad)
-            rows.append({
-                "t": float(t), "r1": x[0], "th1": x[1], "r2": y[0], "th2": y[1],
-                "sigma": sig, "q": sig * sig / t,
-                "ptilde": ptil, "vx": vx, "vy": vy,
-                "R": ptil * math.sqrt(vx * vy),
-            })
+        sig = geometry.surrogate_distance(x, y, spec)
+        vx = model.ball_measure(x, rad)
+        vy = model.ball_measure(y, rad)
+        rows.append({
+            "t": float(t), "r1": x[0], "th1": x[1], "r2": y[0], "th2": y[1],
+            "sigma": sig, "q": sig * sig / t,
+            "ptilde": ptil, "vx": vx, "vy": vy,
+            "R": ptil * math.sqrt(vx * vy),
+        })
     q = np.array([r["q"] for r in rows])
     R = np.array([r["R"] for r in rows])
     good = R > 0

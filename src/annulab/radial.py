@@ -173,6 +173,27 @@ def solve_radial_weighted(
     return eig(N)
 
 
+def _radial_table(grid: np.ndarray, rows: np.ndarray):
+    """Table of radial eigenfunctions sampled on grid, interpolated linearly.
+
+    Radial coordinates outside [a, b] = [grid[0], grid[-1]] are refused
+    rather than clamped onto the boundary values.
+    """
+    a, b = grid[0], grid[-1]
+
+    def table(r):
+        if np.any((r < a) | (r > b)):
+            raise ValueError(f"radial coordinates must lie in [a, b] = [{a:g}, {b:g}]")
+        return np.stack([np.interp(r, grid, f) for f in rows])
+
+    return table
+
+
+def _angular_table(samplers):
+    """Table of the base eigenfunctions, one row per sampler."""
+    return lambda theta: np.stack([g(theta) for g in samplers])
+
+
 def assemble_spectrum(
     spec: AnnularDomainSpec,
     M_base: int,
@@ -185,36 +206,42 @@ def assemble_spectrum(
     For each base level (value lambda0_m, multiplicity mult) and each radial
     index j <= K_radial, emits the product eigenpairs with eigenfunctions
     f_{m,j}(r) g_m(theta); output ascending.  Returns a heatkernel.Spectrum
-    with a tail-growth estimate for truncation control.
+    whose mode table is one radial table (a row per f_{m,j}) times one
+    angular table (a row per base eigenfunction g), with a tail-growth
+    estimate for truncation control.
     """
     from .heatkernel import Spectrum
 
     levels = bases.base_spectrum(spec.base, M_base)
-    eigenvalues = []
-    samplers = []
-    sup_norms = []
+    angular = _angular_table([g for level in levels for g in level.samplers])
     th_probe = np.linspace(0.0, 2.0 * math.pi, 721)
     if spec.base.kind == "arc":
         th_probe = np.linspace(0.0, spec.base.theta1, 721)
+    g_sups = np.max(np.abs(angular(th_probe)), axis=1).tolist()
+    eigenvalues = []
+    radial_index = []
+    angular_index = []
+    sup_norms = []
+    radial_rows = []
+    first_g = 0
     for level in levels:
         radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=K_radial, refine=refine)
         for res in radials:
-            f_interp = res.f_sampler()
             f_sup = float(np.max(np.abs(res.f)))
-            for g in level.samplers:
-                g_sup = float(np.max(np.abs(g(th_probe))))
-
-                def sampler(points, f_interp=f_interp, g=g):
-                    pts = np.atleast_2d(np.asarray(points, dtype=float))
-                    return f_interp(pts[:, 0]) * g(pts[:, 1])
-
+            for gi in range(first_g, first_g + len(level.samplers)):
                 eigenvalues.append(res.lam)
-                samplers.append(sampler)
-                sup_norms.append(f_sup * g_sup)
+                radial_index.append(len(radial_rows))
+                angular_index.append(gi)
+                sup_norms.append(f_sup * g_sups[gi])
+            radial_rows.append(res.f)
+        first_g += len(level.samplers)
     order = np.argsort(eigenvalues)
     return Spectrum(
         eigenvalues=np.asarray(eigenvalues)[order],
-        eigenfunctions=[samplers[i] for i in order],
+        # every radial solve on (a, b) shares one grid
+        factors=((_radial_table(radials[0].grid, np.array(radial_rows)),
+                  np.asarray(radial_index)[order]),
+                 (angular, np.asarray(angular_index)[order])),
         sup_norms=np.asarray(sup_norms)[order],
         dim=spec.n,
         description=f"shell (a={spec.a:g}, b={spec.b:g}) x {spec.base.label()}",

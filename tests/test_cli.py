@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import annulab
 from annulab.cli import run
 
 
@@ -94,6 +97,19 @@ def test_config_file_overrides_defaults(tmp_path):
     assert doc["results"]["lambda"] == pytest.approx(math.pi**2 / 0.25, rel=1e-6)
 
 
+def test_config_file_yields_to_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nb = 1.5\n")
+    code = run(["--out", str(tmp_path / "flag"), "--config", str(cfg), "bounds", "--b", "3"])
+    assert code == 0
+    doc = read_summary(tmp_path / "flag", "bounds")
+    assert (doc["config"]["n"], doc["config"]["b"]) == (3, 3.0)
+    code = run(["--out", str(tmp_path / "file"), "--config", str(cfg), "bounds"])
+    assert code == 0
+    doc = read_summary(tmp_path / "file", "bounds")
+    assert (doc["config"]["n"], doc["config"]["b"]) == (3, 1.5)
+
+
 def test_config_file_sets_two_value_window(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("window = 0.001 100\n")
@@ -135,11 +151,15 @@ def test_report_aggregates(tmp_path):
 
 
 def test_cli_module_entrypoint(tmp_path):
+    # the child imports the same annulab as this test, whatever the caller's PYTHONPATH
+    src = str(Path(annulab.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cp = subprocess.run(
         [sys.executable, "-m", "annulab.cli", "--out", str(tmp_path),
          "caricature", "--kind", "thin", "--n", "2", "--a", "1", "--b", "1.1",
          "--points", "1.05"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert cp.returncode == 0
     lines = (tmp_path / "caricature.csv").read_text().splitlines()
