@@ -27,6 +27,7 @@ __all__ = [
     "BaseDomain",
     "BaseEigenData",
     "BaseLevel",
+    "BaseSpectrum",
     "UnsupportedBaseError",
     "full_sphere",
     "orthant_intersection",
@@ -124,11 +125,33 @@ class BaseEigenData:
 
 @dataclass(frozen=True)
 class BaseLevel:
-    """One eigenvalue level of a base: value, eigenfunction samplers, multiplicity."""
+    """One eigenvalue level of a base: value and multiplicity."""
 
     lambda0: float
-    samplers: tuple
     multiplicity: int
+
+
+@dataclass(frozen=True)
+class BaseSpectrum:
+    """The lowest eigenvalue levels of a circle or arc with their eigenfunctions.
+
+    Eigenfunction i is amp[i] * cos(freq[i] * theta / period) where is_cos[i],
+    else amp[i] * sin(...); the eigenfunctions of each level are the next
+    multiplicity rows, in level order.  next_lambda0 is the first eigenvalue
+    left out, a lower bound for every omitted level.
+    """
+
+    levels: tuple
+    next_lambda0: float
+    freq: np.ndarray
+    amp: np.ndarray
+    is_cos: np.ndarray
+    period: float = 1.0
+
+    def table(self, theta) -> np.ndarray:
+        """(G, m) table of every eigenfunction at the m angles theta."""
+        arg = self.freq[:, None] * np.asarray(theta, dtype=float)[None, :] / self.period
+        return self.amp[:, None] * np.where(self.is_cos[:, None], np.cos(arg), np.sin(arg))
 
 
 def dist_to_equator(points: np.ndarray, i: int) -> np.ndarray:
@@ -308,38 +331,33 @@ def base_eigendata(base: BaseDomain, N: int = 64) -> BaseEigenData:
     raise UnsupportedBaseError(f"unknown base kind {base.kind!r}")
 
 
-def base_spectrum(base: BaseDomain, count: int) -> list[BaseLevel]:
-    """Ascending eigenvalue levels of the base with eigenfunction samplers.
+def base_spectrum(base: BaseDomain, count: int) -> BaseSpectrum:
+    """The lowest `count` eigenvalue levels of the base, ascending.
 
     Available analytically for the circle (n=2 full sphere: values m^2 with
-    multiplicity 2 for m >= 1) and for arcs (values (j pi / theta1)^2,
-    simple).  Other variants raise UnsupportedBaseError.
+    multiplicity 2 for m >= 1, eigenfunctions cos(m theta) and sin(m
+    theta)) and for arcs (values (j pi / theta1)^2, simple, eigenfunctions
+    sin(j pi theta / theta1)).  Other variants raise UnsupportedBaseError.
     """
     if count < 1:
         raise ValueError("need count >= 1")
-    levels: list[BaseLevel] = []
     if base.kind == "full_sphere" and base.n == 2:
-        c0 = 1.0 / math.sqrt(2.0 * math.pi)
-        levels.append(BaseLevel(0.0, (lambda th: np.full(np.shape(np.asarray(th)), c0),), 1))
-        for m in range(1, count):
-            amp = 1.0 / math.sqrt(math.pi)
-
-            def mk(m=m, amp=amp):
-                return (
-                    lambda th: amp * np.cos(m * np.asarray(th, dtype=float)),
-                    lambda th: amp * np.sin(m * np.asarray(th, dtype=float)),
-                )
-
-            levels.append(BaseLevel(float(m * m), mk(), 2))
-        return levels
+        freq = np.repeat(np.arange(count), 2)[1:].astype(float)  # 0, 1, 1, 2, 2, ...
+        return BaseSpectrum(
+            levels=(BaseLevel(0.0, 1), *(BaseLevel(float(m * m), 2) for m in range(1, count))),
+            next_lambda0=float(count * count),
+            freq=freq,
+            amp=np.where(freq == 0, 1.0 / math.sqrt(2.0 * math.pi), 1.0 / math.sqrt(math.pi)),
+            is_cos=np.r_[True, np.tile([True, False], count - 1)],
+        )
     if base.kind == "arc":
         t1 = base.theta1
-        amp = math.sqrt(2.0 / t1)
-        for j in range(1, count + 1):
-
-            def mk(j=j):
-                return (lambda th: amp * np.sin(j * math.pi * np.asarray(th, dtype=float) / t1),)
-
-            levels.append(BaseLevel((j * math.pi / t1) ** 2, mk(), 1))
-        return levels
+        return BaseSpectrum(
+            levels=tuple(BaseLevel((j * math.pi / t1) ** 2, 1) for j in range(1, count + 1)),
+            next_lambda0=((count + 1) * math.pi / t1) ** 2,
+            freq=np.arange(1, count + 1) * math.pi,
+            amp=np.full(count, math.sqrt(2.0 / t1)),
+            is_cos=np.zeros(count, dtype=bool),
+            period=t1,
+        )
     raise UnsupportedBaseError(f"spectrum unavailable for base {base.label()}")

@@ -276,6 +276,8 @@ def _cmd_hke_fit(args, config):
 
 
 def _cmd_sector(args, config):
+    if args.nodes < 1:
+        raise ValueError(f"--nodes needs a positive count, got {args.nodes}")
     betas = _float_list(args.beta)
     report = auditors.sector_counterexample(betas, nodes=args.nodes)
     checks = [_check("ratio_increasing",
@@ -290,6 +292,8 @@ def _cmd_sector(args, config):
 
 
 def _cmd_perturb_box(args, config):
+    if not 0.0 < args.h < math.inf:
+        raise ValueError(f"--h needs a positive finite grid step, got {args.h}")
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:

@@ -70,15 +70,18 @@ def uniform_weight(spec: radial.AnnularDomainSpec) -> WeightFunction:
 
 
 def dirichlet_weight(spec: radial.AnnularDomainSpec, N: int = 1024) -> WeightFunction:
-    """Squared principal Dirichlet eigenfunction, in separated form f(r)^2 g(theta)^2."""
+    """Squared principal Dirichlet eigenfunction, in separated form f(r)^2 g(theta)^2.
+
+    The sampler refuses radii outside [a, b].
+    """
     _check_planar(spec)
     data = bases.base_eigendata(spec.base)
     res = radial.solve_radial(spec.n, spec.a, spec.b, data.lambda0, N=N)[0]
-    f = res.f_sampler()
+    f = radial._radial_table(res.grid, res.f[None])
     g = data.phi0
 
     def sampler(r, theta):
-        return f(r) ** 2 * g(theta) ** 2
+        return f(np.asarray(r, dtype=float))[0] ** 2 * g(theta) ** 2
 
     return WeightFunction("dirichlet_phi_squared", sampler)
 

@@ -7,14 +7,12 @@ Spectrum.modes(points) builds the whole (K, m) mode table with array
 operations; it is built once per point set and reused across times, and
 each sum over modes is one matrix product.
 
-The tail estimate is built from the growth of the computed eigenvalues:
-beyond the last computed mode the eigenvalues are modeled as lam_K +
-j*gamma (gamma = mean gap over the top half of the computed spectrum) with
-sup norms growing at most like (lam/lam_K)^(dim/2), which gives a
-convergent geometric-type majorant.  Its summation stops when the terms
-have converged or their exponential has underflowed to 0.0; a series that
-does neither within TAIL_MAX_TERMS terms yields an infinite tail.
-Evaluations whose majorant exceeds 1e-8 of the value are refused.
+The truncation tail is bounded by domination by the free Gaussian
+(Davies, Heat Kernels and Spectral Theory, 1989): with Lam a lower bound on
+every omitted eigenvalue, sum_{k>K} e^{-lam_k t} phi_k(x)^2 <= e^{-Lam(t-s)}
+(4 pi s)^{-d/2} for any s in (0, t], and off-diagonal terms follow by
+Cauchy-Schwarz.  Each spectrum stores its Lam.  Evaluations whose bound
+exceeds 1e-8 of the kernel scale are refused.
 
 The normalized kernel e^(lam_1 t) p / (phi_1 phi_1) tends to 1; audits
 measure its sup deviation against time, the exact product envelopes
@@ -49,7 +47,6 @@ __all__ = [
 ]
 
 TAIL_RELATIVE_LIMIT = 1e-8
-TAIL_MAX_TERMS = 100_000
 
 
 class InsufficientSpectrumError(RuntimeError):
@@ -64,19 +61,18 @@ class Spectrum:
     array of that coordinate's values to an (F, m) array of one-coordinate
     eigenfunctions, and index (K,) picks the row each mode uses, so mode k
     is prod_d table_d(x_d)[index_d[k]].  The modes are orthonormal in the
-    domain's natural measure.  sup_norms are sup estimates of |phi_k| used
-    by the tail majorant.
+    natural measure of the domain, a subset of R^dim.  omitted_floor is a
+    lower bound on every eigenvalue the truncation leaves out.
     """
 
     eigenvalues: np.ndarray
     factors: tuple
-    sup_norms: np.ndarray
+    omitted_floor: float
     dim: int
     description: str = ""
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.sup_norms = np.asarray(self.sup_norms, dtype=float)
         if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise ValueError("eigenvalues must be ascending")
 
@@ -96,40 +92,19 @@ class Spectrum:
     def spectral_gap(self) -> float:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
 
-    def tail_growth(self) -> float:
-        """Mean eigenvalue gap over the top half of the computed spectrum."""
-        k = self.count
-        half = k // 2
-        if k < 4 or self.eigenvalues[-1] <= self.eigenvalues[half]:
-            return 0.0
-        return float((self.eigenvalues[-1] - self.eigenvalues[half]) / (k - 1 - half))
-
     def tail_bound(self, t: float, reference: float = 0.0) -> float:
-        """Majorant for sum_{k > K} e^(-(lam_k - reference) t) |phi_k|_inf^2
-        under the growth model; pass reference = lam_1 for normalized sums
-        (the factored form avoids underflow when lam_1 t is huge).
+        """Bound on |sum_{k > K} e^(-(lam_k - reference) t) phi_k(x) phi_k(y)|
+        for all x, y; pass reference = lam_1 for normalized sums.
 
-        Stops at the first term whose exponential underflows to 0.0: the
-        model eigenvalues grow with j, so every later term is 0.0 as well.
-        A series still not converged after TAIL_MAX_TERMS terms has no
-        majorant here, and the result is inf.
+        With Lam = omitted_floor and any s in (0, t], the omitted diagonal
+        sum is at most e^(-Lam (t - s)) p(s,x,x) <= e^(-Lam (t - s)) (4 pi
+        s)^(-dim/2), least at s = dim / (2 Lam) if that lies in (0, t), else
+        at s = t.
         """
-        gamma = self.tail_growth()
-        if gamma <= 0.0:
-            return math.inf
-        lam_k = self.eigenvalues[-1]
-        c = float(np.max(self.sup_norms[self.count // 2:]) ** 2)
-        total = 0.0
-        for j in range(1, TAIL_MAX_TERMS + 1):
-            lam = lam_k + j * gamma
-            decay = math.exp(-(lam - reference) * t)
-            if decay == 0.0:
-                return total
-            term = c * (lam / lam_k) ** (self.dim / 2.0) * decay
-            total += term
-            if term < 1e-4 * total:
-                return total
-        return math.inf
+        lam, d = self.omitted_floor, self.dim
+        s = t if lam * t <= d / 2.0 else d / (2.0 * lam)
+        log_bound = reference * t - lam * (t - s) - d / 2.0 * math.log(4.0 * math.pi * s)
+        return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -163,24 +138,30 @@ def _sine_table(a: float, count: int):
 
 
 def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
-    """Exact product spectrum of a box, ascending, truncated per axis."""
+    """Exact product spectrum of a box, ascending, truncated per axis.
+
+    Its omitted_floor is the exact next eigenvalue: one axis at mode
+    modes_per_axis + 1 and every other axis at its ground mode.
+    """
     if modes_per_axis < 1:
         raise ValueError("need at least one mode per axis")
     idx_grid = np.stack(
         np.meshgrid(*[np.arange(modes_per_axis) for _ in box.half_widths], indexing="ij"),
         axis=-1,
     ).reshape(-1, box.dim)
+    axis_lams = [(np.arange(1, modes_per_axis + 2) * math.pi / (2.0 * a)) ** 2
+                 for a in box.half_widths]
     eigenvalues = 0
-    for d, a in enumerate(box.half_widths):
-        axis_lam = (np.arange(1, modes_per_axis + 1) * math.pi / (2.0 * a)) ** 2
+    for d, axis_lam in enumerate(axis_lams):
         eigenvalues = eigenvalues + axis_lam[idx_grid[:, d]]
     order = np.argsort(eigenvalues)
-    sup = float(np.prod([1.0 / math.sqrt(a) for a in box.half_widths]))
+    next_lam = min(sum(lam[modes_per_axis] if e == d else lam[0] for e, lam in enumerate(axis_lams))
+                   for d in range(box.dim))
     return Spectrum(
         eigenvalues=eigenvalues[order],
         factors=tuple((_sine_table(a, modes_per_axis), idx_grid[order, d])
                       for d, a in enumerate(box.half_widths)),
-        sup_norms=np.full(len(order), sup),
+        omitted_floor=float(next_lam),
         dim=box.dim,
         description=f"box {box.half_widths}",
     )

@@ -75,10 +75,6 @@ class RadialEigenResult:
     n: int
     lambda0: float
 
-    def f_sampler(self):
-        grid, f = self.grid, self.f
-        return lambda r: np.interp(np.asarray(r, dtype=float), grid, f)
-
 
 def radial_potential_coefficient(n: int) -> float:
     """alpha = (n-3)(n-1)/4, the centrifugal coefficient of the transform."""
@@ -189,11 +185,6 @@ def _radial_table(grid: np.ndarray, rows: np.ndarray):
     return table
 
 
-def _angular_table(samplers):
-    """Table of the base eigenfunctions, one row per sampler."""
-    return lambda theta: np.stack([g(theta) for g in samplers])
-
-
 def assemble_spectrum(
     spec: AnnularDomainSpec,
     M_base: int,
@@ -203,46 +194,47 @@ def assemble_spectrum(
 ):
     """Product spectrum of a shell whose base has an enumerable spectrum.
 
-    For each base level (value lambda0_m, multiplicity mult) and each radial
-    index j <= K_radial, emits the product eigenpairs with eigenfunctions
-    f_{m,j}(r) g_m(theta); output ascending.  Returns a heatkernel.Spectrum
-    whose mode table is one radial table (a row per f_{m,j}) times one
-    angular table (a row per base eigenfunction g), with a tail-growth
-    estimate for truncation control.
+    For each of the M_base lowest base levels (value lambda0, multiplicity
+    mult) and each radial index j <= K_radial, emits the product eigenpairs
+    with eigenfunctions f_{m,j}(r) g_m(theta); output ascending.  Returns a
+    heatkernel.Spectrum whose mode table is one radial table (a row per
+    f_{m,j}) times the base's angular table.  Its omitted_floor is the least
+    (j pi / (b - a))^2 + min over [a, b] of (alpha + lambda0) / r^2, a lower
+    bound on radial family j, over the omitted families: j = K_radial + 1 on
+    each kept level and j = 1 on the first omitted one.
     """
     from .heatkernel import Spectrum
 
-    levels = bases.base_spectrum(spec.base, M_base)
-    angular = _angular_table([g for level in levels for g in level.samplers])
-    th_probe = np.linspace(0.0, 2.0 * math.pi, 721)
-    if spec.base.kind == "arc":
-        th_probe = np.linspace(0.0, spec.base.theta1, 721)
-    g_sups = np.max(np.abs(angular(th_probe)), axis=1).tolist()
+    base = bases.base_spectrum(spec.base, M_base)
     eigenvalues = []
     radial_index = []
     angular_index = []
-    sup_norms = []
     radial_rows = []
     first_g = 0
-    for level in levels:
+    for level in base.levels:
         radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=K_radial, refine=refine)
         for res in radials:
-            f_sup = float(np.max(np.abs(res.f)))
-            for gi in range(first_g, first_g + len(level.samplers)):
+            for gi in range(first_g, first_g + level.multiplicity):
                 eigenvalues.append(res.lam)
                 radial_index.append(len(radial_rows))
                 angular_index.append(gi)
-                sup_norms.append(f_sup * g_sups[gi])
             radial_rows.append(res.f)
-        first_g += len(level.samplers)
+        first_g += level.multiplicity
+    alpha = radial_potential_coefficient(spec.n)
+
+    def family_floor(j, lambda0):
+        c = alpha + lambda0
+        return (j * math.pi / (spec.b - spec.a)) ** 2 + min(c / spec.a**2, c / spec.b**2)
+
     order = np.argsort(eigenvalues)
     return Spectrum(
         eigenvalues=np.asarray(eigenvalues)[order],
         # every radial solve on (a, b) shares one grid
         factors=((_radial_table(radials[0].grid, np.array(radial_rows)),
                   np.asarray(radial_index)[order]),
-                 (angular, np.asarray(angular_index)[order])),
-        sup_norms=np.asarray(sup_norms)[order],
+                 (base.table, np.asarray(angular_index)[order])),
+        omitted_floor=min([family_floor(K_radial + 1, level.lambda0) for level in base.levels]
+                          + [family_floor(1, base.next_lambda0)]),
         dim=spec.n,
         description=f"shell (a={spec.a:g}, b={spec.b:g}) x {spec.base.label()}",
     )

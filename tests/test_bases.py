@@ -90,19 +90,19 @@ def test_wedge_eigendata():
 
 
 def test_full_circle_spectrum():
-    levels = bases.base_spectrum(bases.full_sphere(2), 3)
+    spectrum = bases.base_spectrum(bases.full_sphere(2), 3)
+    levels = spectrum.levels
     assert [(lv.lambda0, lv.multiplicity) for lv in levels] == [(0.0, 1), (1.0, 2), (4.0, 2)]
     th = np.linspace(0.0, 2.0 * math.pi, 1001)
     w = numerics.trapezoid_weights(th)
-    for lv in levels:
-        for g in lv.samplers:
-            assert numerics.integrate_samples(g(th) ** 2, w) == pytest.approx(1.0, abs=1e-6)
+    for g in spectrum.table(th):
+        assert numerics.integrate_samples(g ** 2, w) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_arc_spectrum_values():
-    levels = bases.base_spectrum(bases.circle_arc(math.pi), 3)
+    levels = bases.base_spectrum(bases.circle_arc(math.pi), 3).levels
     assert levels[1].lambda0 == pytest.approx(4.0)
-    levels = bases.base_spectrum(bases.circle_arc(3.0 * math.pi / 4.0), 1)
+    levels = bases.base_spectrum(bases.circle_arc(3.0 * math.pi / 4.0), 1).levels
     assert levels[0].lambda0 == pytest.approx(16.0 / 9.0)
 
 

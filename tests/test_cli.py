@@ -56,13 +56,21 @@ def test_unknown_subcommand_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "256", "--count", "2"],
+    ["bounds"],
+    ["caricature", "--kind", "wide"],
     ["hadamard", "--n", "3", "--t", "0.5,1.0", "--grid", "256"],
+    ["vd-audit", "--eps", "0.4"],
+    ["pi-audit", "--eps", "0.2"],
+    ["heat-kernel", "--domain", "annulus", "--t", "2,4,8"],
+    ["box-kernel", "--half-widths", "1,0.5", "--t", "1,4"],
+    ["hke-fit", "--eps", "0.2"],
+    ["sector", "--nodes", "512"],
     ["perturb-box", "--h", "0.03125"],
     ["perturb-annulus", "--nr", "24", "--ntheta", "128"],
-    ["pi-audit", "--eps", "0.2"],
 ], ids=lambda argv: argv[0])
 def test_outputs_deterministic(tmp_path, argv):
-    # two runs in one process: the eigensolver start vector must not drift
+    # two runs in one process: no solver state may carry over between runs
     d1 = tmp_path / "run1"
     d2 = tmp_path / "run2"
     for d in (d1, d2):
@@ -78,6 +86,8 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["heat-kernel", "--t", "0"], id="heat-kernel-t0"),
     pytest.param(["box-kernel", "--t", "0"], id="box-kernel-t0"),
     pytest.param(["box-kernel", "--t", "1,-2"], id="box-kernel-negative-t"),
+    pytest.param(["sector", "--nodes", "0"], id="sector-nodes0"),
+    pytest.param(["perturb-box", "--h", "0"], id="perturb-box-h0"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]

@@ -79,6 +79,14 @@ def test_ball_measure_saturates_to_total_mass():
     assert v == pytest.approx(1.0, abs=5e-3)
 
 
+def test_dirichlet_weight_refuses_radii_outside_the_shell():
+    spec = thin_spec(0.1)
+    sampler = geometry.dirichlet_weight(spec, N=512).sampler
+    assert np.all(sampler(np.array([spec.a, spec.b]), np.array([0.3, 0.3])) == 0.0)
+    with pytest.raises(ValueError, match=r"\[a, b\]"):
+        sampler(spec.a - 0.1, 0.3)
+
+
 def test_uniform_ball_scaling_in_euclidean_regime():
     spec = thin_spec(0.1)
     weight = geometry.uniform_weight(spec)

@@ -206,47 +206,86 @@ def test_shell_modes_refuse_radii_outside_the_shell():
             heatkernel.normalized_kernel_value(spectrum, 1.0, (1.5, 0.3), (r, 0.3))
 
 
-def _capped_tail(spectrum, t, reference=0.0):
-    """The growth-model majorant summed term by term up to the 100001-term cap."""
-    gamma = spectrum.tail_growth()
-    if gamma <= 0.0:
-        return math.inf
-    lam_k = spectrum.eigenvalues[-1]
-    c = float(np.max(spectrum.sup_norms[spectrum.count // 2:]) ** 2)
-    total = 0.0
-    j = 1
-    while True:
-        lam = lam_k + j * gamma
-        term = c * (lam / lam_k) ** (spectrum.dim / 2.0) * math.exp(-(lam - reference) * t)
-        total += term
-        if term < 1e-4 * total or j > 100000:
-            break
-        j += 1
-    return total
+def _diagonal_sum(spectrum, t, pts):
+    """sum_k e^(-lam_k t) phi_k(x)^2 at each point, over the kept modes."""
+    return np.exp(-spectrum.eigenvalues * t) @ spectrum.modes(pts) ** 2
 
 
-@pytest.mark.parametrize("case", ["underflow", "underflow-after-terms", "converging"])
-def test_tail_bound_matches_capped_loop(case):
-    box2 = heatkernel.box_spectrum(heatkernel.Box((1.0, 1.0)), 80)
-    # e^-744 is a few multiples of the smallest subnormal
-    t_subnormal = 744.0 / (box2.eigenvalues[-1] + box2.tail_growth())
-    spectrum, t, reference, positive = {
-        "underflow": (box2, 1.0, box2.eigenvalues[0], False),
-        "underflow-after-terms": (box2, t_subnormal, 0.0, True),
-        "converging": (heatkernel.interval_spectrum(1.0, 60), 0.01, 0.0, True),
-    }[case]
-    tail = spectrum.tail_bound(t, reference)
-    assert tail == _capped_tail(spectrum, t, reference)
-    assert (tail > 0.0) == positive
+@pytest.mark.parametrize("count, t", [(6, 1e-9), (6, 1e-3), (6, 0.05), (20, 1e-3), (60, 1e-4)])
+def test_tail_bound_majorizes_interval_omitted_sum(count, t):
+    spectrum = heatkernel.interval_spectrum(1.0, count)
+    xs = np.linspace(-0.95, 0.95, 9)
+    full = np.array([heatkernel.images_kernel_interval(1.0, t, x, x) for x in xs])
+    omitted = full - _diagonal_sum(spectrum, t, xs[:, None])
+    tail = spectrum.tail_bound(t)
+    assert tail >= omitted.max() > 0.0
+    lam1 = spectrum.eigenvalues[0]
+    assert spectrum.tail_bound(t, lam1) == pytest.approx(math.exp(lam1 * t) * tail, rel=1e-12)
 
 
-def test_tail_bound_not_converged_is_infinite():
-    # in 30 dimensions the model's sup-norm growth (lam/lam_K)^15 keeps each
-    # term above 1e-4 of the partial sum for more than TAIL_MAX_TERMS terms
-    lam = np.arange(1.0, 9.0)
-    spectrum = heatkernel.Spectrum(eigenvalues=lam, factors=(), sup_norms=np.ones(8), dim=30)
-    assert math.isfinite(_capped_tail(spectrum, 1e-12))
-    assert spectrum.tail_bound(1e-12) == math.inf
+def _thin_shell_spectrum(M_base):
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.1, bases.full_sphere(2))
+    return radial.assemble_spectrum(spec, M_base=M_base, K_radial=3, N=256)
+
+
+def test_thin_shell_short_time_is_refused():
+    # the omitted family m = 8 starts near 1040, far below the last kept eigenvalue
+    spectrum = _thin_shell_spectrum(8)
+    assert spectrum.omitted_floor == pytest.approx(math.pi**2 / 0.1**2 + (64 - 0.25) / 1.1**2)
+    assert spectrum.omitted_floor < spectrum.eigenvalues[-1]
+    pts = np.array([(1.05, 0.3), (1.03, 1.0)])
+    with pytest.raises(heatkernel.InsufficientSpectrumError):
+        heatkernel.kernel_matrix(spectrum, 0.003, pts)
+
+
+@pytest.mark.parametrize("t", [0.003, 0.01, 0.03])
+def test_tail_bound_majorizes_thin_shell_omitted_sum(t):
+    small, large = _thin_shell_spectrum(8), _thin_shell_spectrum(128)
+    pts = np.array([(1.05, 0.3), (1.03, 1.0), (1.01, 4.0), (1.09, 2.0)])
+    omitted = _diagonal_sum(large, t, pts) - _diagonal_sum(small, t, pts)
+    assert small.tail_bound(t) >= omitted.max() > 0.0
+    # the larger spectrum certifies the entry the smaller one must refuse
+    assert heatkernel.kernel_matrix(large, t, pts[:1])[0, 0] == pytest.approx(
+        _diagonal_sum(large, t, pts[:1])[0])
+
+
+@pytest.mark.parametrize("half_widths, per_axis", [((1.0, 0.5), 6), ((0.7, 1.0, 1.3), 4)],
+                         ids=["2d", "3d"])
+def test_box_omitted_floor_is_next_eigenvalue(half_widths, per_axis):
+    spectrum = heatkernel.box_spectrum(heatkernel.Box(half_widths), per_axis)
+    omitted = [sum((j * math.pi / (2.0 * a)) ** 2 for j, a in zip(multi, half_widths))
+               for multi in itertools.product(range(1, 2 * per_axis + 1), repeat=len(half_widths))
+               if max(multi) > per_axis]
+    assert spectrum.omitted_floor == pytest.approx(min(omitted), rel=1e-14)
+
+
+@pytest.mark.parametrize("base, a, b", [
+    (bases.full_sphere(2), 1.0, 1.1), (bases.full_sphere(2), 1.0, 3.0),
+    (bases.circle_arc(math.pi / 2.0), 1.0, 1.5), (bases.circle_arc(1.5 * math.pi), 0.5, 2.0),
+], ids=["circle-thin", "circle-wide", "arc-thin", "arc-wide"])
+def test_shell_omitted_floor_below_omitted_families(base, a, b):
+    spec = radial.AnnularDomainSpec(2, a, b, base)
+    M_base, K_radial = 5, 2
+    spectrum = radial.assemble_spectrum(spec, M_base=M_base, K_radial=K_radial, N=128)
+    levels = bases.base_spectrum(base, M_base + 1).levels
+    firsts = [radial.solve_radial(2, a, b, lv.lambda0, N=128, k=K_radial + 1)[K_radial].lam
+              for lv in levels[:M_base]]
+    firsts.append(radial.solve_radial(2, a, b, levels[M_base].lambda0, N=128)[0].lam)
+    assert spectrum.omitted_floor <= min(firsts)
+    assert spectrum.omitted_floor > spectrum.eigenvalues[0]
+
+
+def test_tail_bound_refuses_when_floor_is_below_ground():
+    # a wide shell with one radial mode: the omitted family j = 2 of m = 0
+    # has a floor (2 pi / (b - a))^2 - 1 / (4 a^2) far below zero
+    spec = radial.AnnularDomainSpec(2, 0.01, 2.0, bases.full_sphere(2))
+    spectrum = radial.assemble_spectrum(spec, M_base=8, K_radial=1, N=64)
+    assert spectrum.omitted_floor < 0.0
+    # the normalized bound then grows like e^(lam_1 t) and leaves the float range
+    assert spectrum.tail_bound(1000.0, spectrum.eigenvalues[0]) == math.inf
+    for t in (1.0, 1000.0):
+        with pytest.raises(heatkernel.InsufficientSpectrumError):
+            heatkernel.normalized_kernel_matrix(spectrum, t, [[1.0, 0.3]])
 
 
 def test_kernel_sums_over_many_times_match_single_calls():
