@@ -39,13 +39,16 @@ SCHEMA_VERSION = "annulab.summary.v1"
 __all__ = ["main", "run"]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
+def _float_list(text: str, flag: str) -> list[float]:
+    values = [float(v) for v in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _time_list(text: str) -> list[float]:
-    times = _float_list(text)
-    if not times or not all(0.0 < t < math.inf for t in times):
+    times = _float_list(text, "--t")
+    if not all(0.0 < t < math.inf for t in times):
         raise ValueError(f"--t needs positive finite times, got {text!r}")
     return times
 
@@ -132,7 +135,7 @@ def _cmd_caricature(args, config):
         fn = estimates.wide_annulus_caricature(args.n, args.a, args.b)
     else:
         raise ValueError(f"unknown caricature kind {args.kind!r}")
-    radii = _float_list(args.points) if args.points else list(
+    radii = _float_list(args.points, "--points") if args.points else list(
         np.linspace(args.a, args.b, 17)[1:-1]
     )
     vals = estimates.caricature_eval(fn, np.asarray(radii))
@@ -141,7 +144,7 @@ def _cmd_caricature(args, config):
 
 
 def _cmd_hadamard(args, config):
-    rows = estimates.hadamard_scan(args.n, _float_list(args.t), N=args.grid)
+    rows = estimates.hadamard_scan(args.n, _float_list(args.t, "--t"), N=args.grid)
     checks = []
     if args.n == 3:
         target = 2.0 * math.pi**2
@@ -232,7 +235,7 @@ def _sample_points_annulus(spec, count=5):
 def _cmd_heat_kernel(args, config):
     t_grid = _time_list(args.t)
     if args.domain == "box":
-        box = heatkernel.Box(tuple(_float_list(args.half_widths)))
+        box = heatkernel.Box(tuple(_float_list(args.half_widths, "--half-widths")))
         spectrum = heatkernel.box_spectrum(box, args.modes)
         grids = [np.linspace(-a, a, 7)[1:-1] for a in box.half_widths]
         pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
@@ -248,7 +251,7 @@ def _cmd_heat_kernel(args, config):
 
 
 def _cmd_box_kernel(args, config):
-    box = heatkernel.Box(tuple(_float_list(args.half_widths)))
+    box = heatkernel.Box(tuple(_float_list(args.half_widths, "--half-widths")))
     audit = heatkernel.box_kernel_bounds_check(box, _time_list(args.t))
     ok = audit["deviation_constant"] <= 10.0
     checks = [_check("deviation_envelope", "pass" if ok else "fail",
@@ -278,7 +281,7 @@ def _cmd_hke_fit(args, config):
 def _cmd_sector(args, config):
     if args.nodes < 1:
         raise ValueError(f"--nodes needs a positive count, got {args.nodes}")
-    betas = _float_list(args.beta)
+    betas = _float_list(args.beta, "--beta")
     report = auditors.sector_counterexample(betas, nodes=args.nodes)
     checks = [_check("ratio_increasing",
                      "pass" if report.summary["ratio_increasing_as_beta_shrinks"] else "fail")]

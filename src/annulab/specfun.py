@@ -3,7 +3,9 @@
 Orders up to ~100 must stay usable, so the series for J_nu accumulates its
 terms from their logarithms with explicit sign tracking, and a companion
 log-magnitude variant is provided for quantities that underflow double
-precision.  An independent evaluation through the Poisson-type integral
+precision.  Where the series cancels, mpmath.besselj recomputes the value.
+First positive zeros come from a certified bracket refined by Brent's
+method.  An independent evaluation through the Poisson-type integral
 representation
 
     J_nu(r) = (r/2)^nu / (Gamma(nu+1/2) sqrt(pi)) * int_{-1}^{1} (1-t^2)^{nu-1/2} cos(rt) dt
@@ -18,6 +20,7 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "log_gamma",
@@ -32,7 +35,7 @@ __all__ = [
 _SERIES_CUTOFF_NATS = 40.0
 
 # When the alternating series loses more than ~10 digits to cancellation the
-# double-precision sum is recomputed with mpmath at 40 significant digits.
+# value is recomputed by mpmath.besselj at 40 significant digits.
 _CANCELLATION_LIMIT = 1e6
 
 
@@ -69,17 +72,17 @@ def _series_terms(nu: float, r: float):
     return np.asarray(logs), maxlog
 
 
-def _series_mpmath(nu: float, r: float, nterms: int) -> tuple[float, int]:
-    """(log|J|, sign) of the series summed at 40 digits; cancellation rescue."""
+def _series_mpmath(nu: float, r: float) -> tuple[float, int]:
+    """(log|J|, sign) from mpmath.besselj at 40 digits; cancellation rescue.
+
+    mpmath raises its own working precision when its series cancels, so the
+    result holds at large order where the double-precision terms do not.
+    """
     with mpmath.workdps(40):
-        s = mpmath.mpf(0)
-        lr2 = mpmath.log(mpmath.mpf(r) / 2)
-        for k in range(nterms + 8):
-            lt = (nu + 2 * k) * lr2 - mpmath.loggamma(k + 1) - mpmath.loggamma(k + nu + 1)
-            s += (-1) ** k * mpmath.e**lt
-        if s == 0:
+        value = mpmath.besselj(nu, r)
+        if value == 0:
             return -math.inf, 1
-        return float(mpmath.log(abs(s))), (1 if s > 0 else -1)
+        return float(mpmath.log(abs(value))), (1 if value > 0 else -1)
 
 
 def bessel_j_log(nu: float, r: float) -> tuple[float, int]:
@@ -99,7 +102,7 @@ def bessel_j_log(nu: float, r: float) -> tuple[float, int]:
     total = math.fsum(signs * scaled)
     gross = math.fsum(scaled)
     if total == 0.0 or gross / abs(total) > _CANCELLATION_LIMIT:
-        return _series_mpmath(nu, r, len(logs))
+        return _series_mpmath(nu, r)
     return maxlog + math.log(abs(total)), (1 if total > 0 else -1)
 
 
@@ -199,33 +202,27 @@ def bessel_j_integral(nu: float, r: float) -> float:
     return math.copysign(math.exp(log_pref + math.log(abs(prev))), prev) if prev != 0.0 else 0.0
 
 
-def first_positive_zero(nu: float, tol: float = 1e-10) -> float:
-    """Smallest alpha > 0 with J_nu(alpha) = 0.
+def _first_zero_bracket(nu: float) -> tuple[float, float]:
+    """The bracket (lo, hi) of first_positive_zero."""
+    lo = nu + 1.8557571 * nu ** (1.0 / 3.0)
+    hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
+    if nu > 0:
+        hi = min(hi, lo + 1.033150 * nu ** (-1.0 / 3.0))
+    return lo, hi
 
-    The zero is bracketed by a sign scan on [nu, nu + 4 nu^(1/3) + 6] (J_nu
-    is positive up to its first zero, which lies in this window for
-    nu in [0, 100]) and then refined by bisection to absolute tolerance.
+
+def first_positive_zero(nu: float) -> float:
+    """Smallest alpha > 0 with J_nu(alpha) = 0, to absolute 1e-12.
+
+    The zero lies in a proven bracket: lo = nu + 1.8557571 nu^(1/3) and, for
+    nu > 0, hi = lo + 1.033150 nu^(-1/3) (Qu & Wong, Trans. AMS 351, 1999;
+    DLMF 10.21(vii)), capped by sqrt(nu+1) (sqrt(nu+2) + 1) (Chambers,
+    Math. Comp. 38, 1982) near nu = 0, where the Qu-Wong term blows up.
+    J_nu(lo) > 0 > J_nu(hi) is checked at run time (J_0(0) = 1), and Brent's
+    method refines the bracket.  There is no tolerance knob.
     """
     _check_order(nu)
-    lo = nu
-    hi = nu + 4.0 * nu ** (1.0 / 3.0) + 6.0 if nu > 0 else 6.0
-    npts = 512
-    xs = np.linspace(lo, hi, npts)
-    prev_x, prev_v = xs[0], bessel_j(nu, xs[0]) if xs[0] > 0 else 1.0
-    bracket = None
-    for x in xs[1:]:
-        v = bessel_j(nu, x)
-        if prev_v > 0.0 >= v:
-            bracket = (prev_x, x)
-            break
-        prev_x, prev_v = x, v
-    if bracket is None:
+    lo, hi = _first_zero_bracket(nu)
+    if not bessel_j(nu, lo) > 0.0 > bessel_j(nu, hi):
         raise RuntimeError(f"failed to bracket the first zero of J_{nu} on [{lo}, {hi}]")
-    a, b = bracket
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if bessel_j(nu, m) > 0.0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return brentq(lambda x: bessel_j(nu, x), lo, hi, xtol=1e-12)

@@ -250,6 +250,8 @@ def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> Grid
     returned eigenfunctions are a repeatable but arbitrary orthonormal basis
     of each eigenspace.
     """
+    if Nr < 1 or Ntheta < 1:
+        raise ValueError(f"need positive grid sizes, got Nr={Nr}, Ntheta={Ntheta}")
     window = domain.theta_hi - domain.theta_lo
     ht = window / Ntheta
     if domain.wrap:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,12 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["box-kernel", "--t", "1,-2"], id="box-kernel-negative-t"),
     pytest.param(["sector", "--nodes", "0"], id="sector-nodes0"),
     pytest.param(["perturb-box", "--h", "0"], id="perturb-box-h0"),
+    pytest.param(["perturb-annulus", "--nr", "0"], id="perturb-annulus-nr0"),
+    pytest.param(["perturb-annulus", "--ntheta", "0"], id="perturb-annulus-ntheta0"),
+    pytest.param(["hadamard", "--t", ""], id="hadamard-empty-t"),
+    pytest.param(["sector", "--beta", ""], id="sector-empty-beta"),
+    pytest.param(["heat-kernel", "--half-widths", ""], id="heat-kernel-empty-half-widths"),
+    pytest.param(["box-kernel", "--half-widths", ""], id="box-kernel-empty-half-widths"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -95,6 +102,22 @@ def test_input_errors_exit_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_empty_list_error_names_the_flag(tmp_path, capsys):
+    for command, flag in (("hadamard", "--t"), ("sector", "--beta"),
+                          ("heat-kernel", "--half-widths"), ("box-kernel", "--half-widths")):
+        assert run(["--out", str(tmp_path), command, flag, ""]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+def test_perturb_annulus_zero_grid_warns_nothing(tmp_path):
+    # a warning would reach stderr ahead of the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--out", str(tmp_path), "perturb-annulus", "--nr", "0"])
+    assert code == 1
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_config_file_overrides_defaults(tmp_path):

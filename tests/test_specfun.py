@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -14,8 +15,6 @@ def test_log_gamma_exact_points():
 
 
 def test_log_gamma_relative_accuracy():
-    import mpmath
-
     for x in [0.5, 0.7, 1.0, 2.5, 17.0, 123.4, 5678.0, 1e4]:
         exact = float(mpmath.log(mpmath.gamma(x)))
         if exact != 0.0:
@@ -54,6 +53,14 @@ def test_bessel_against_scipy():
     for nu in (0.0, 0.5, 1.0, 3.0, 8.0, 12.5):
         for r in (0.1, 1.0, 4.0, 9.0, 20.0):
             assert specfun.bessel_j(nu, r) == pytest.approx(float(sp.jv(nu, r)), abs=2e-13, rel=1e-9)
+    # large orders on either side of the first zero, where the double-precision
+    # series cancels and the mpmath rescue carries the value
+    for order in (64, 80, 100):
+        j1 = float(sp.jn_zeros(order, 1)[0])
+        for r in (0.99 * j1, 1.01 * j1):
+            assert specfun.bessel_j(float(order), r) == pytest.approx(
+                float(sp.jv(order, r)), abs=2e-13, rel=1e-9
+            )
 
 
 def test_bessel_log_underflow_regime():
@@ -79,6 +86,19 @@ def test_first_zero_values():
         assert specfun.first_positive_zero(float(order)) == pytest.approx(
             float(sp.jn_zeros(order, 1)[0]), abs=1e-8
         )
+    # mpmath zeros at the sector orders and at large order
+    for nu in (3.003, 32.0, 64.0, 100.0):
+        assert specfun.first_positive_zero(nu) == pytest.approx(
+            float(mpmath.besseljzero(mpmath.mpf(nu), 1)), abs=1e-10
+        )
+
+
+def test_first_zero_bracket_changes_sign():
+    # the bracket's end signs checked with scipy, independent of the series
+    for nu in np.linspace(0.0, 200.0, 401):
+        lo, hi = specfun._first_zero_bracket(nu)
+        assert nu <= lo < hi
+        assert sp.jv(nu, lo) > 0.0 > sp.jv(nu, hi), (nu, lo, hi)
 
 
 def test_first_zero_monotone_in_order():
