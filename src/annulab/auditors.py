@@ -189,8 +189,7 @@ def net_graph_gap(net: geometry.WeightedNet, vertex_ids: np.ndarray) -> float:
 
 def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunction,
                      centers, radii, mode: str = "continuous_grid",
-                     epsilon: float | None = None,
-                     quad_grid: tuple[int, int] | None = None) -> AuditReport:
+                     epsilon: float | None = None) -> AuditReport:
     """Ball Poincare constants P(x, r) on a planar shell.
 
     continuous_grid: P = 1/(r^2 mu_2) with mu_2 the weighted zero-flux gap of
@@ -203,13 +202,8 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
     if mode not in ("continuous_grid", "discrete_net"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "continuous_grid":
-        min_r = min(radii)
-        if quad_grid is None:
-            model = geometry.annulus_model(spec, weight,
-                                           resolve=min(min_r, spec.b - spec.a))
-        else:
-            model = geometry.annulus_model(spec, weight,
-                                           nr=quad_grid[0], ntheta=quad_grid[1])
+        model = geometry.annulus_model(spec, weight,
+                                       resolve=min(min(radii), spec.b - spec.a))
         for c in centers:
             for r in radii:
                 ids = model.ball_ids(c, r)

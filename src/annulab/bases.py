@@ -119,7 +119,6 @@ class BaseEigenData:
     lambda0: float
     phi0: Callable[..., np.ndarray]
     measure: float
-    diam_lower: float
     norm_constant: float = 1.0
 
 
@@ -160,16 +159,15 @@ def dist_to_equator(points: np.ndarray, i: int) -> np.ndarray:
     return np.arcsin(np.clip(np.abs(points[:, i]), 0.0, 1.0))
 
 
-def _orthant_axis_integral(sin_pow: int, cos_pow: int, lo: float, hi: float,
-                           npts: int = 64) -> float:
-    x, w = np.polynomial.legendre.leggauss(npts)
+def _orthant_axis_integral(sin_pow: int, cos_pow: int, lo: float, hi: float) -> float:
+    x, w = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     return 0.5 * (hi - lo) * float(
         np.sum(w * np.sin(t) ** sin_pow * np.cos(t) ** cos_pow)
     )
 
 
-def orthant_norm_quadrature(n: int, k: int, npts: int = 64) -> float:
+def orthant_norm_quadrature(n: int, k: int) -> float:
     """||x_1...x_k||^2 over S^{n-1} cap {x_i > 0} by product Gauss quadrature.
 
     In hyperspherical coordinates (polar angles psi_1..psi_{n-2} over (0,pi),
@@ -194,7 +192,7 @@ def orthant_norm_quadrature(n: int, k: int, npts: int = 64) -> float:
             lo, hi = -math.pi / 2.0, math.pi / 2.0
         else:
             lo, hi = 0.0, 2.0 * math.pi
-        total *= _orthant_axis_integral(sin_pow, cos_pow, lo, hi, npts=npts)
+        total *= _orthant_axis_integral(sin_pow, cos_pow, lo, hi)
     return total
 
 
@@ -208,7 +206,7 @@ def _full_sphere_data(base: BaseDomain) -> BaseEigenData:
             shape = (shape[0],)
         return np.full(shape, c)
 
-    return BaseEigenData(base, 0.0, phi0, measure, math.pi)
+    return BaseEigenData(base, 0.0, phi0, measure)
 
 
 def _orthant_data(base: BaseDomain) -> BaseEigenData:
@@ -221,8 +219,7 @@ def _orthant_data(base: BaseDomain) -> BaseEigenData:
         return np.prod(points[:, :k], axis=1) / norm
 
     measure = surface_measure(n) / 2.0**k
-    diam_lower = math.pi if k <= n - 1 else math.pi / 2.0
-    return BaseEigenData(base, lam0, phi0, measure, diam_lower, norm_constant=norm)
+    return BaseEigenData(base, lam0, phi0, measure, norm_constant=norm)
 
 
 def _arc_data(base: BaseDomain) -> BaseEigenData:
@@ -234,7 +231,7 @@ def _arc_data(base: BaseDomain) -> BaseEigenData:
         theta = np.asarray(theta, dtype=float)
         return amp * np.sin(math.pi * theta / t1)
 
-    return BaseEigenData(base, lam0, phi0, t1, t1)
+    return BaseEigenData(base, lam0, phi0, t1)
 
 
 def _wedge_data(base: BaseDomain) -> BaseEigenData:
@@ -253,7 +250,7 @@ def _wedge_data(base: BaseDomain) -> BaseEigenData:
         psi = np.asarray(psi, dtype=float)
         return np.sin(p * theta) * np.sin(psi) ** p / norm
 
-    return BaseEigenData(base, lam0, phi0, 2.0 * alpha, math.pi, norm_constant=norm)
+    return BaseEigenData(base, lam0, phi0, 2.0 * alpha, norm_constant=norm)
 
 
 def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int):
@@ -311,9 +308,7 @@ def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:
     lam = numerics.richardson(lam_c, lam_f)
     lo, hi = base.phi_range
     measure = base.theta1 * (math.cos(lo) - math.cos(hi))
-    return BaseEigenData(
-        base, lam, _RectangleSampler(theta, phi, g), measure, hi - lo
-    )
+    return BaseEigenData(base, lam, _RectangleSampler(theta, phi, g), measure)
 
 
 def base_eigendata(base: BaseDomain, N: int = 64) -> BaseEigenData:

@@ -218,17 +218,16 @@ def _cmd_pi_audit(args, config):
 
 def _annulus_spectrum_for(eps: float, t_min: float):
     spec = _thin_spec(eps)
-    lam1 = (math.pi / eps) ** 2
     m_max = 8
     while m_max**2 * t_min < math.log(1e10) and m_max < 256:
         m_max *= 2
     return spec, radial.assemble_spectrum(spec, M_base=m_max, K_radial=3, N=256)
 
 
-def _sample_points_annulus(spec, count=5):
+def _sample_points_annulus(spec):
     eps = spec.b - spec.a
     radii = spec.a + eps * np.array([0.3, 0.5, 0.7])
-    angles = 2.0 * math.pi * np.arange(count) / count
+    angles = 2.0 * math.pi * np.arange(5) / 5
     return np.array([(r, th) for r in radii for th in angles])
 
 
@@ -461,16 +460,11 @@ def _apply_config_file(args, argv, parser, subcommands):
     again over them, so flags still win."""
     if not args.config:
         return args
-    overrides = {}
     with open(args.config, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, val = (s.strip() for s in line.split("=", 1))
-            overrides[key.replace("-", "_")] = val
+        entries = perturb.parse_key_values(fh.read(), "config")
     defaults = {}
-    for key, val in overrides.items():
+    for key, val in entries.items():
+        key = key.replace("-", "_")
         if key in ("config", "command") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(args, key)

@@ -67,11 +67,13 @@ class CaricatureFn:
 def thin_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
     """Tent profile for annuli with a/b in (1/2, 1):
     (1/a^(n/2+1)) min(|x|-a, b-|x|) / (b/a - 1)^(3/2)."""
+    radial.require_dimension(n)
     return CaricatureFn("thin_annulus", {"n": n, "a": a, "b": b})
 
 
 def wide_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
     """Profile for annuli with a/b <= 1/2; harmonic-in-|x| inner factor."""
+    radial.require_dimension(n)
     kind = "wide_annulus_2d" if n == 2 else "wide_annulus_nd"
     return CaricatureFn(kind, {"n": n, "a": a, "b": b})
 

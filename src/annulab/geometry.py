@@ -137,12 +137,6 @@ class AnnulusModel:
     node_measure: np.ndarray = field(repr=False)
     node_lebesgue: np.ndarray = field(repr=False)
 
-    @property
-    def diameter(self) -> float:
-        window = 2.0 * math.pi if self.wrap else self.th[-1] - self.th[0] + self.ht
-        base_diam = math.pi if self.wrap else window
-        return max(self.spec.a * base_diam, self.spec.b - self.spec.a)
-
     def distances_to(self, center) -> np.ndarray:
         dr = np.abs(self.node_r - center[0])
         dt = self.spec.a * base_arc_distance(self.node_th, center[1], self.wrap)
@@ -251,10 +245,6 @@ class IntervalModel:
     node_measure: np.ndarray
     density: np.ndarray
     tag: str
-
-    @property
-    def diameter(self) -> float:
-        return self.b - self.a
 
     def ball_ids(self, center: float, radius: float) -> np.ndarray:
         return np.flatnonzero(np.abs(self.x - center) < radius)

@@ -69,7 +69,6 @@ class Spectrum:
     factors: tuple
     omitted_floor: float
     dim: int
-    description: str = ""
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -122,9 +121,6 @@ class Box:
     def dim(self) -> int:
         return len(self.half_widths)
 
-    def volume(self) -> float:
-        return float(np.prod([2.0 * a for a in self.half_widths]))
-
 
 def _sine_table(a: float, count: int):
     """Table of the first `count` Dirichlet modes of (-a, a), one row each."""
@@ -163,7 +159,6 @@ def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
                       for d, a in enumerate(box.half_widths)),
         omitted_floor=float(next_lam),
         dim=box.dim,
-        description=f"box {box.half_widths}",
     )
 
 
@@ -314,17 +309,17 @@ def equilibration_audit(spectrum: Spectrum, t_grid: Sequence[float],
     }
 
 
-def box_kernel_bounds_check(box: Box, t_grid: Sequence[float],
-                            n_sample: int = 7, modes_per_axis: int = 80) -> dict:
+def box_kernel_bounds_check(box: Box, t_grid: Sequence[float]) -> dict:
     """Two-sided product envelopes for the normalized box kernel.
 
     Upper: R <= C_up prod(1 + (a_i/sqrt(t))^3) for all t; lower: R >=
     c_low prod(1 - (a_i/sqrt(t))^3) once t >= max a_i^2.  Also reports the
     deviation constant max |R-1| / prod-envelope-gap for t >= max a_i^2.
+    Samples 7 interior points per axis with 80 modes per axis.
     """
-    spectrum = box_spectrum(box, modes_per_axis)
+    spectrum = box_spectrum(box, 80)
     half = np.asarray(box.half_widths)
-    grids = [np.linspace(-a, a, n_sample + 2)[1:-1] for a in half]
+    grids = [np.linspace(-a, a, 9)[1:-1] for a in half]
     pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
     t_equil = float(np.max(half) ** 2)
     ts = sorted(t_grid)
@@ -381,28 +376,24 @@ def default_pair_sample(spec: radial.AnnularDomainSpec, t: float):
 
 def gaussian_hke_audit(spec: radial.AnnularDomainSpec, t_grid: Sequence[float],
                        weight: geometry.WeightFunction,
-                       spectrum: Spectrum, pairs=None,
-                       quad_grid: tuple[int, int] | None = None) -> dict:
+                       spectrum: Spectrum) -> dict:
     """Gaussian envelope fit for the normalized kernel against ball volumes.
 
     For each (t, x, y) computes R = ptilde * sqrt(V(x, sqrt(t)) V(y, sqrt(t)))
     and fits c2 = c4 from the regression of log R on q = sigma(x,y)^2 / t,
     then the window constants c_lo = min R e^(q/c2), c_hi = max R e^(q/c4).
     Distances are the product surrogate metric; its bounded distortion is
-    absorbed by the fitted constants.  When pairs is omitted, separations
-    are sampled at fixed multiples of sqrt(t) per time.
+    absorbed by the fitted constants.  Separations are sampled at fixed
+    multiples of sqrt(t) per time.  The kernel values are certified before
+    the quadrature model is built, since the model's size grows as t shrinks.
     """
-    eps = spec.b - spec.a
-    if quad_grid is None:
-        model = geometry.annulus_model(spec, weight, resolve=min(eps, math.sqrt(min(t_grid))))
-    else:
-        model = geometry.annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
-    samples = [(t, x, y) for t in sorted(t_grid)
-               for x, y in (default_pair_sample(spec, t) if pairs is None else pairs)]
+    samples = [(t, x, y) for t in sorted(t_grid) for x, y in default_pair_sample(spec, t)]
     if not samples:
         return {"rows": [], "degenerate": True}
     ts, xs, ys = zip(*samples)
     ptilde = normalized_kernel_value(spectrum, list(ts), np.array(xs), np.array(ys))
+    model = geometry.annulus_model(spec, weight,
+                                   resolve=min(spec.b - spec.a, math.sqrt(min(t_grid))))
     rows = []
     for (t, x, y), ptil in zip(samples, ptilde.tolist()):
         rad = math.sqrt(t)

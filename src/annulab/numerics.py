@@ -15,16 +15,18 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "TridiagonalOperator",
     "SparseSymmetricOperator",
     "NonConvergenceError",
     "tridiag_smallest_eigenpairs",
     "sparse_smallest_eigenpairs",
     "integrate_samples",
     "trapezoid_weights",
-    "simpson_weights",
     "richardson",
 ]
+
+
+# Relative residual every returned sparse eigenpair must meet.
+_RESIDUAL_TOL = 1e-8
 
 
 class NonConvergenceError(RuntimeError):
@@ -35,31 +37,6 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal matrix given by its diagonal and off-diagonal."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        if d.ndim != 1 or e.ndim != 1 or len(d) < 2 or len(e) != len(d) - 1:
-            raise ValueError("need diag of length N >= 2 and offdiag of length N-1")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.diag)
-
-    def to_sparse(self) -> sparse.csr_matrix:
-        return sparse.diags(
-            [self.offdiag, self.diag, self.offdiag], [-1, 0, 1], format="csr"
-        )
-
-
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make the first component of largest magnitude positive, per column."""
     idx = np.argmax(np.abs(vecs), axis=0)
@@ -68,18 +45,23 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def tridiag_smallest_eigenpairs(op: TridiagonalOperator, k: int):
-    """k smallest eigenpairs of a symmetric tridiagonal operator.
+def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
+    """k smallest eigenpairs of the symmetric tridiagonal matrix with the
+    given diagonal (length N >= 2) and off-diagonal (length N - 1).
 
     Eigenvalues come from bisection on the Sturm sequence (LAPACK stebz) and
     eigenvectors from inverse iteration (stein); eigenvalues are ascending,
     eigenvectors have unit Euclidean norm and a deterministic sign.
     """
-    n = op.dimension
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(offdiag, dtype=float)
+    if d.ndim != 1 or e.ndim != 1 or len(d) < 2 or len(e) != len(d) - 1:
+        raise ValueError("need diag of length N >= 2 and offdiag of length N-1")
+    n = len(d)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     vals, vecs = eigh_tridiagonal(
-        op.diag, op.offdiag, select="i", select_range=(0, k - 1), lapack_driver="stebz"
+        d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz"
     )
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -124,8 +106,6 @@ def sparse_smallest_eigenpairs(
     op: SparseSymmetricOperator,
     k: int,
     shift: float = 0.0,
-    residual_tol: float = 1e-8,
-    maxiter: int | None = None,
 ):
     """k smallest eigenpairs of a sparse symmetric operator.
 
@@ -141,20 +121,18 @@ def sparse_smallest_eigenpairs(
     Lanczos starts from a fixed pseudo-random vector so that repeated calls
     return the same pairs (a constant start would be orthogonal to
     antisymmetric modes).  Each returned pair satisfies |Av - lambda v| <=
-    residual_tol * max(|lambda|, lambda_max_computed).
+    _RESIDUAL_TOL * max(|lambda|, lambda_max_computed).
     """
     n = op.dimension
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= dimension-1 = {n - 1}, got k={k}")
-    if maxiter is None:
-        maxiter = 20 * n
     v0 = np.random.default_rng(0).standard_normal(n)
     lu = spla.splu((op.matrix - shift * sparse.identity(n, format="csr")).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     vals, vecs = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM", OPinv=op_inv,
-                            maxiter=maxiter, v0=v0, tol=0)
+                            maxiter=20 * n, v0=v0, tol=0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -167,7 +145,7 @@ def sparse_smallest_eigenpairs(
                 f"eigenvalue {i} (lambda={lam:.6g}) is not above the shift {shift:.6g}; "
                 "the shift must lie below the spectrum", res
             )
-        if res > residual_tol * max(abs(lam), scale):
+        if res > _RESIDUAL_TOL * max(abs(lam), scale):
             raise NonConvergenceError(
                 f"eigenpair {i} (lambda={lam:.6g}) missed the residual target", res
             )
@@ -193,23 +171,7 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def simpson_weights(grid: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights; needs a uniform grid with an even cell count."""
-    grid = np.asarray(grid, dtype=float)
-    n = len(grid) - 1
-    if n < 2 or n % 2 != 0:
-        raise ValueError("Simpson rule needs an even number of uniform cells")
-    h = (grid[-1] - grid[0]) / n
-    if not np.allclose(np.diff(grid), h):
-        raise ValueError("Simpson rule needs a uniform grid")
-    w = np.ones_like(grid)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
-def richardson(coarse: float, fine: float, order: int = 2) -> float:
-    """Richardson extrapolation for a quantity with O(h^order) error,
+def richardson(coarse: float, fine: float) -> float:
+    """Richardson extrapolation for a quantity with O(h^2) error,
     computed at mesh widths h (coarse) and h/2 (fine)."""
-    factor = 2.0**order
-    return (factor * fine - coarse) / (factor - 1.0)
+    return (4.0 * fine - coarse) / 3.0

@@ -27,6 +27,7 @@ __all__ = [
     "check_box_conditions",
     "box_perturbation_audit",
     "annulus_perturbation_audit",
+    "parse_key_values",
     "parse_scenario",
     "load_scenario",
     "harmonic_series",
@@ -148,13 +149,13 @@ def _box_indicator(scenario: PerturbationScenario):
     return indicator
 
 
-def box_perturbation_audit(scenario: PerturbationScenario, h: float,
-                           margin_cells: int = 2) -> dict:
+def box_perturbation_audit(scenario: PerturbationScenario, h: float) -> dict:
     """Eigenfunction ratio audit for a box sandwich B1 subset U subset B2.
 
     Solves U on the grid, evaluates the exact box eigenfunctions of B1 and
     B2 at the grid nodes, and reports max_U phi_U/phi_B2 and
     min over the trimmed B1 of phi_U/phi_B1, with the eigenvalue ordering.
+    Both ratios skip the nodes within two cells of the boundary.
     """
     if scenario.kind != "box":
         raise ValueError("need a box scenario")
@@ -170,7 +171,7 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float,
     x, y = sol.axes
     X, Y = np.meshgrid(x, y, indexing="ij")
     phi_u = sol.values[0]
-    interior = sol.interior_mask(margin_cells)
+    interior = sol.interior_mask(2)
 
     aw = np.asarray(scenario.a_widths, dtype=float)
     inside_a = (np.abs(X) < aw[0]) & (np.abs(Y) < aw[1])
@@ -184,7 +185,7 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float,
     phi_b2 = estimates.caricature_eval(car_b2, pts)
     upper_ratio = float(np.max(phi_u[interior] / phi_b2))
 
-    trim_a = (np.abs(X) < aw[0] - margin_cells * h) & (np.abs(Y) < aw[1] - margin_cells * h)
+    trim_a = (np.abs(X) < aw[0] - 2 * h) & (np.abs(Y) < aw[1] - 2 * h)
     trim_a &= interior
     pts_a = np.stack([X[trim_a], Y[trim_a]], axis=1)
     phi_b1 = estimates.caricature_eval(car_b1, pts_a)
@@ -344,6 +345,20 @@ def widening_exponent_sweep(eps: float, p_values=(2.0, 2.5, 3.0),
     return rows
 
 
+def parse_key_values(text: str, what: str) -> dict[str, str]:
+    """Stripped `key = value` pairs, `#` comments; `what` names the file in errors."""
+    fields = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {number} is not `key = value`: {raw.strip()!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        fields[key] = val
+    return fields
+
+
 def _parse_series(text: str):
     parts = [p.strip() for p in text.split("|")]
     const = float(parts[0])
@@ -351,6 +366,8 @@ def _parse_series(text: str):
     for p in parts[1:]:
         if not p:
             continue
+        if p.count(":") != 2:
+            raise ValueError(f"harmonic term {p!r} is not k:amp:phase")
         k, amp, phase = p.split(":")
         harm.append((int(k), float(amp), float(phase)))
     return const, tuple(harm)
@@ -358,20 +375,15 @@ def _parse_series(text: str):
 
 def parse_scenario(text: str) -> PerturbationScenario:
     """Parse a scenario from key = value lines (see load_scenario)."""
-    fields: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed scenario line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        fields[key] = val
+    fields = parse_key_values(text, "scenario")
     kind = fields.pop("kind", None)
     if kind not in ("box", "annulus"):
         raise ValueError("scenario must declare kind = box | annulus")
     kwargs: dict = {"kind": kind}
     if kind == "box":
+        for key in ("b1", "b2"):
+            if key not in fields:
+                raise ValueError(f"box scenario needs key {key!r} (half widths)")
         kwargs["a_widths"] = tuple(float(v) for v in fields.pop("b1").split())
         kwargs["b_widths"] = tuple(float(v) for v in fields.pop("b2").split())
         for key in ("notch", "C1", "C2"):

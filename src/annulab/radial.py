@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def require_dimension(n: int) -> None:
+    """Refuse a dimension below 2: shells and their profiles live in R^n, n >= 2."""
+    if n < 2:
+        raise ValueError(f"need dimension n >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class AnnularDomainSpec:
     """A shell (a, b) x U0 in polar coordinates on R^n."""
@@ -42,8 +48,7 @@ class AnnularDomainSpec:
     base: bases.BaseDomain
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need dimension n >= 2, got {self.n}")
+        require_dimension(self.n)
         if not 0.0 < self.a < self.b < math.inf:
             raise ValueError(f"need 0 < a < b finite, got a={self.a}, b={self.b}")
         if self.base.n != self.n:
@@ -85,11 +90,8 @@ def _transformed_eigen(n, a, b, lam0, N, k):
     alpha = radial_potential_coefficient(n)
     h = (b - a) / N
     r = a + h * np.arange(1, N)
-    op = numerics.TridiagonalOperator(
-        diag=2.0 / h**2 + (alpha + lam0) / r**2,
-        offdiag=np.full(N - 2, -1.0 / h**2),
-    )
-    vals, vecs = numerics.tridiag_smallest_eigenpairs(op, k)
+    vals, vecs = numerics.tridiag_smallest_eigenpairs(
+        2.0 / h**2 + (alpha + lam0) / r**2, np.full(N - 2, -1.0 / h**2), k)
     return r, vals, vecs
 
 
@@ -100,13 +102,13 @@ def solve_radial(
     lambda0: float,
     N: int = 1024,
     k: int = 1,
-    refine: bool = True,
 ) -> list[RadialEigenResult]:
     """k smallest radial eigenpairs of the shell problem on (a, b).
 
-    Eigenvalues are Richardson-extrapolated over the (N, 2N) grids when
-    refine is set; eigenfunctions are reported on the 2N grid.
+    Eigenvalues are Richardson-extrapolated over the (N, 2N) grids;
+    eigenfunctions are reported on the 2N grid.
     """
+    require_dimension(n)
     if not 0.0 < a < b:
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     if lambda0 < 0:
@@ -114,12 +116,9 @@ def solve_radial(
     if N < 64:
         raise ValueError(f"grid too coarse: need N >= 64, got {N}")
     alpha = radial_potential_coefficient(n)
-    if refine:
-        _, vals_c, _ = _transformed_eigen(n, a, b, lambda0, N, k)
-        r, vals_f, vecs = _transformed_eigen(n, a, b, lambda0, 2 * N, k)
-        vals = np.array([numerics.richardson(vc, vf) for vc, vf in zip(vals_c, vals_f)])
-    else:
-        r, vals, vecs = _transformed_eigen(n, a, b, lambda0, N, k)
+    _, vals_c, _ = _transformed_eigen(n, a, b, lambda0, N, k)
+    r, vals_f, vecs = _transformed_eigen(n, a, b, lambda0, 2 * N, k)
+    vals = np.array([numerics.richardson(vc, vf) for vc, vf in zip(vals_c, vals_f)])
     grid = np.concatenate(([a], r, [b]))
     wts = numerics.trapezoid_weights(grid)
     results = []
@@ -141,7 +140,6 @@ def solve_radial(
 
 def solve_radial_weighted(
     n: int, a: float, b: float, lambda0: float, N: int = 1024, k: int = 1,
-    refine: bool = True,
 ) -> np.ndarray:
     """Cross-check oracle: eigenvalues of the weighted form, no transform.
 
@@ -150,6 +148,7 @@ def solve_radial_weighted(
     solve_radial to the discretization error; used to validate the
     transform, never as the primary path.
     """
+    require_dimension(n)
 
     def eig(N):
         h = (b - a) / N
@@ -159,14 +158,11 @@ def solve_radial_weighted(
         mass = r ** (n - 1) * h
         diag = (cond[:-1] + cond[1:]) / mass + lambda0 / r**2
         off = -cond[1:-1] / np.sqrt(mass[:-1] * mass[1:])
-        op = numerics.TridiagonalOperator(diag=diag, offdiag=off)
-        vals, _ = numerics.tridiag_smallest_eigenpairs(op, k)
+        vals, _ = numerics.tridiag_smallest_eigenpairs(diag, off, k)
         return vals
 
-    if refine:
-        vc, vf = eig(N), eig(2 * N)
-        return np.array([numerics.richardson(c, f) for c, f in zip(vc, vf)])
-    return eig(N)
+    vc, vf = eig(N), eig(2 * N)
+    return np.array([numerics.richardson(c, f) for c, f in zip(vc, vf)])
 
 
 def _radial_table(grid: np.ndarray, rows: np.ndarray):
@@ -190,7 +186,6 @@ def assemble_spectrum(
     M_base: int,
     K_radial: int,
     N: int = 512,
-    refine: bool = True,
 ):
     """Product spectrum of a shell whose base has an enumerable spectrum.
 
@@ -212,7 +207,7 @@ def assemble_spectrum(
     radial_rows = []
     first_g = 0
     for level in base.levels:
-        radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=K_radial, refine=refine)
+        radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=K_radial)
         for res in radials:
             for gi in range(first_g, first_g + level.multiplicity):
                 eigenvalues.append(res.lam)
@@ -236,5 +231,4 @@ def assemble_spectrum(
         omitted_floor=min([family_floor(K_radial + 1, level.lambda0) for level in base.levels]
                           + [family_floor(1, base.next_lambda0)]),
         dim=spec.n,
-        description=f"shell (a={spec.a:g}, b={spec.b:g}) x {spec.base.label()}",
     )

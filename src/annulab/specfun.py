@@ -16,7 +16,6 @@ serves as a cross-check oracle for moderate and large orders.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -140,14 +139,12 @@ def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
+_GAUSS_LEGENDRE_16 = np.polynomial.legendre.leggauss(16)
 
 
-def _integral_on(nu: float, r: float, lo: float, hi: float, npts: int = 16) -> float:
-    """Gauss-Legendre quadrature of (1-t^2)^(nu-1/2) cos(rt) over [lo, hi]."""
-    x, w = _gauss_legendre(npts)
+def _integral_on(nu: float, r: float, lo: float, hi: float) -> float:
+    """16-point Gauss-Legendre quadrature of (1-t^2)^(nu-1/2) cos(rt) over [lo, hi]."""
+    x, w = _GAUSS_LEGENDRE_16
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     t = mid + half * x
     return half * float(np.sum(w * (1.0 - t * t) ** (nu - 0.5) * np.cos(r * t)))

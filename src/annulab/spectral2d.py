@@ -154,8 +154,7 @@ def _hull_eigenvalue(cond_0, cond_1, mass, wrap):
     tau_min = 0.0 if const_wraps else 2.0 - 2.0 * math.cos(math.pi / (n_const + 1))
     diag = (along[:-1] + along[1:] + tau_min * across) / mu
     offdiag = -along[1:-1] / np.sqrt(mu[:-1] * mu[1:])
-    vals, _ = numerics.tridiag_smallest_eigenpairs(
-        numerics.TridiagonalOperator(diag, offdiag), 1)
+    vals, _ = numerics.tridiag_smallest_eigenpairs(diag, offdiag, 1)
     return float(vals[0])
 
 

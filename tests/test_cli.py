@@ -95,6 +95,8 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["sector", "--beta", ""], id="sector-empty-beta"),
     pytest.param(["heat-kernel", "--half-widths", ""], id="heat-kernel-empty-half-widths"),
     pytest.param(["box-kernel", "--half-widths", ""], id="box-kernel-empty-half-widths"),
+    pytest.param(["hadamard", "--n", "1"], id="hadamard-n1"),
+    pytest.param(["caricature", "--n", "1"], id="caricature-n1"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -109,6 +111,31 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
                           ("heat-kernel", "--half-widths"), ("box-kernel", "--half-widths")):
         assert run(["--out", str(tmp_path), command, flag, ""]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("command, text, named", [
+    pytest.param("solve", "n = 3\nb 1.5\n", "config line 2", id="config-line-without-equals"),
+    pytest.param("perturb-box", "kind = box\nb1 = 1 1\n", "key 'b2'", id="box-scenario-without-b2"),
+    pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\nrmin = 0.99 | 8:0.01\n",
+                 "harmonic term '8:0.01'", id="short-harmonic-term"),
+])
+def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, named):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if command == "solve":
+        argv = ["--config", str(path), command]
+    else:
+        argv = [command, "--scenario", str(path)]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):
+    # the kernel certificate refuses t = eps^2 before a quadrature model is sized from it
+    assert run(["--out", str(tmp_path), "hke-fit", "--eps", "1e-9"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
 def test_perturb_annulus_zero_grid_warns_nothing(tmp_path):
