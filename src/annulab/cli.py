@@ -468,20 +468,22 @@ def _apply_config_file(args, argv, parser, subcommands):
         if key in ("config", "command") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(args, key)
-        if isinstance(current, bool):
-            defaults[key] = val.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            defaults[key] = int(val)
-        elif isinstance(current, float):
-            defaults[key] = float(val)
-        elif isinstance(current, (tuple, list)):
-            parts = val.split()
-            if len(parts) != len(current):
-                raise ValueError(f"config key {key!r} takes {len(current)} values, "
-                                 f"got {len(parts)}")
-            defaults[key] = tuple(type(c)(v) for c, v in zip(current, parts))
-        else:
-            defaults[key] = val
+        try:
+            if isinstance(current, bool):
+                defaults[key] = val.lower() in ("1", "true", "yes")
+            elif isinstance(current, int):
+                defaults[key] = int(val)
+            elif isinstance(current, float):
+                defaults[key] = float(val)
+            elif isinstance(current, (tuple, list)):
+                parts = val.split()
+                if len(parts) != len(current):
+                    raise ValueError(f"takes {len(current)} values, got {len(parts)}")
+                defaults[key] = tuple(type(c)(v) for c, v in zip(current, parts))
+            else:
+                defaults[key] = val
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     if "out" in defaults:
         parser.set_defaults(out=defaults.pop("out"))
     subcommands[args.command].set_defaults(**defaults)
@@ -510,7 +512,7 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (numerics.NonConvergenceError, heatkernel.InsufficientSpectrumError,
-            RuntimeError, ArithmeticError) as exc:
+            RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     stem = args.command.replace("-", "_")

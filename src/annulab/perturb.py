@@ -380,23 +380,33 @@ def parse_scenario(text: str) -> PerturbationScenario:
     if kind not in ("box", "annulus"):
         raise ValueError("scenario must declare kind = box | annulus")
     kwargs: dict = {"kind": kind}
+
+    def value(key, convert=float):
+        try:
+            return convert(fields.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"scenario key {key!r}: {exc}") from None
+
     if kind == "box":
         for key in ("b1", "b2"):
             if key not in fields:
                 raise ValueError(f"box scenario needs key {key!r} (half widths)")
-        kwargs["a_widths"] = tuple(float(v) for v in fields.pop("b1").split())
-        kwargs["b_widths"] = tuple(float(v) for v in fields.pop("b2").split())
+        def widths(text):
+            return tuple(float(w) for w in text.split())
+
+        kwargs["a_widths"] = value("b1", widths)
+        kwargs["b_widths"] = value("b2", widths)
         for key in ("notch", "C1", "C2"):
             if key in fields:
-                kwargs[key] = float(fields.pop(key))
+                kwargs[key] = value(key)
     else:
         for key in ("eps", "a_eps", "b_eps", "eta", "C1", "C2", "theta1"):
             if key in fields:
-                kwargs[key] = float(fields.pop(key))
+                kwargs[key] = value(key)
         if "rmin" in fields:
-            kwargs["rmin_const"], kwargs["rmin_harmonics"] = _parse_series(fields.pop("rmin"))
+            kwargs["rmin_const"], kwargs["rmin_harmonics"] = value("rmin", _parse_series)
         if "rmax" in fields:
-            kwargs["rmax_const"], kwargs["rmax_harmonics"] = _parse_series(fields.pop("rmax"))
+            kwargs["rmax_const"], kwargs["rmax_harmonics"] = value("rmax", _parse_series)
     if fields:
         raise ValueError(f"unknown scenario keys: {sorted(fields)}")
     return PerturbationScenario(**kwargs)

@@ -126,17 +126,20 @@ class GridSpectrum:
 _HULL_SHIFT_MARGIN = 1e-6
 
 
-def _hull_eigenvalue(cond_0, cond_1, mass, wrap):
-    """Smallest eigenvalue of the 5-point operator on the full (n0, n1) grid.
+def _hull_ground_state(cond_0, cond_1, mass, wrap):
+    """Ground state of the 5-point operator on the full (n0, n1) grid.
 
     The coefficients vary along one axis only (r on polar grids, phi on S^2,
     neither on Cartesian grids), so the hull operator separates: a
     tridiagonal problem along that axis plus tau_min times the conductance
     across it, where tau_min is the smallest eigenvalue of the second
-    difference along the constant axis (0 when that axis wraps).  A masked
-    operator is a principal submatrix of the hull operator in the same
-    symmetrized form, so by Cauchy interlacing the result is a lower bound
-    of its spectrum.
+    difference along the constant axis.  Returns (lambda_hull, psi): psi is
+    the (n0, n1) unit eigenvector of the symmetrized operator, the
+    tridiagonal eigenvector times the ground mode of the constant axis (the
+    constant 1/sqrt(n) with tau_min = 0 when that axis wraps, else the
+    normalised discrete sine sin(pi j/(n+1))).  A masked operator is a
+    principal submatrix of the hull operator in the same symmetrized form,
+    so by Cauchy interlacing lambda_hull is a lower bound of its spectrum.
     """
     n0, n1 = mass.shape
 
@@ -144,38 +147,53 @@ def _hull_eigenvalue(cond_0, cond_1, mass, wrap):
         return all(np.all(a == a.take([0], axis=axis)) for a in (cond_0, cond_1, mass))
 
     if constant_along(1):
-        along, across, mu, n_const, const_wraps = (
-            cond_0[:, 0], cond_1[:, 0], mass[:, 0], n1, wrap)
+        varying, along, across, mu, n_const, const_wraps = (
+            0, cond_0[:, 0], cond_1[:, 0], mass[:, 0], n1, wrap)
     elif constant_along(0) and not wrap:
-        along, across, mu, n_const, const_wraps = (
-            cond_1[0, :], cond_0[0, :], mass[0, :], n0, False)
+        varying, along, across, mu, n_const, const_wraps = (
+            1, cond_1[0, :], cond_0[0, :], mass[0, :], n0, False)
     else:
         raise ValueError("grid coefficients must vary along one non-periodic axis only")
-    tau_min = 0.0 if const_wraps else 2.0 - 2.0 * math.cos(math.pi / (n_const + 1))
+    if const_wraps:
+        tau_min, mode = 0.0, np.full(n_const, 1.0 / math.sqrt(n_const))
+    else:
+        tau_min = 2.0 - 2.0 * math.cos(math.pi / (n_const + 1))
+        mode = np.sin(math.pi * np.arange(1, n_const + 1) / (n_const + 1))
+        mode /= np.linalg.norm(mode)
     diag = (along[:-1] + along[1:] + tau_min * across) / mu
     offdiag = -along[1:-1] / np.sqrt(mu[:-1] * mu[1:])
-    vals, _ = numerics.tridiag_smallest_eigenpairs(diag, offdiag, 1)
-    return float(vals[0])
+    vals, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, 1)
+    psi = np.outer(vecs[:, 0], mode) if varying == 0 else np.outer(mode, vecs[:, 0])
+    return float(vals[0]), psi
 
 
-def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
-    """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
+def _mirror_basis(mask, cond_0, cond_1, mass, wrap):
+    """Orthonormal basis of the mirror-even functions on the mask, or None.
 
-    The one eigensolver for every structured grid: polar, Cartesian and
-    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).
-    cond_0[i, j]: conductance between nodes (i, j) and (i+1, j), length n0+1
-    along axis 0 so index i is the face below node i (virtual boundary rows
-    included); similarly cond_1 for axis 1 with wrap support.  Dirichlet
-    walls sit at masked-out neighbor nodes.  Shift-invert Lanczos runs from
-    just below the hull eigenvalue (see _hull_eigenvalue).  Returns the
-    eigenvalues and the eigenfunctions as (n0, n1) arrays normalized in the
-    `mass` weights.
+    An axis that does not wrap mirrors the grid when mask, conductances and
+    mass all equal their reversal along it.  Column o of the returned sparse
+    (mask.sum(), orbits) matrix S is 1/sqrt(|o|) on the nodes of the orbit o
+    of the mirrors.  S^T L S is the operator restricted to the mirror-even
+    subspace, which holds the ground state since it is simple and positive.
     """
+    axes = [axis for axis in ((0,) if wrap else (0, 1))
+            if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
+    if not axes:
+        return None
+    rep = np.arange(mask.size).reshape(mask.shape)
+    for axis in axes:
+        rep = np.minimum(rep, np.flip(rep, axis))
+    _, orbit, size = np.unique(rep[mask], return_inverse=True, return_counts=True)
+    m = len(orbit)
+    return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(m), orbit)),
+                             shape=(m, len(size)))
+
+
+def _sparse_eigenpairs(mask, ids, d_half, cond_0, cond_1, mass, wrap, k, shift):
+    """k smallest eigenpairs of the symmetrized masked operator by shift-invert
+    Lanczos; for k = 1 on a mirror-symmetric grid, on its mirror-even subspace."""
     n0, n1 = mask.shape
     idx = -np.ones((n0, n1), dtype=np.int64)
-    ids = np.flatnonzero(mask.ravel())
-    if len(ids) == 0:
-        raise EmptyDomainError("no grid nodes inside the domain")
     idx.ravel()[ids] = np.arange(len(ids))
     m = len(ids)
 
@@ -221,13 +239,46 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     if ncomp > 1:
         raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
 
-    mu = mass.ravel()[ids]
-    d_half = 1.0 / np.sqrt(mu)
     L = sparse.diags(d_half) @ K @ sparse.diags(d_half)
     L = (L + L.T) / 2.0
+    S = _mirror_basis(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
+    if S is not None:
+        L = S.T @ L @ S
+        L = (L + L.T) / 2.0
     op = numerics.SparseSymmetricOperator.from_matrix(L)
-    shift = (1.0 - _HULL_SHIFT_MARGIN) * _hull_eigenvalue(cond_0, cond_1, mass, wrap)
     lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
+    return lam, psi if S is None else S @ psi
+
+
+def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
+    """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
+
+    The one eigensolver for every structured grid: polar, Cartesian and
+    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).
+    cond_0[i, j]: conductance between nodes (i, j) and (i+1, j), length n0+1
+    along axis 0 so index i is the face below node i (virtual boundary rows
+    included); similarly cond_1 for axis 1 with wrap support.  Dirichlet
+    walls sit at masked-out neighbor nodes.  For k = 1 each grid is solved
+    in its smallest exact form, chosen by structure alone: a mask that fills
+    its hull by separation (_hull_ground_state); a mask that is mirror
+    symmetric along a non-wrapping axis, coefficients included, by
+    shift-invert Lanczos on the mirror-even subspace (_mirror_basis); any
+    other grid, and every k >= 2, by shift-invert Lanczos on the whole
+    mask.  Lanczos runs from just below the hull eigenvalue.  Returns the
+    eigenvalues and the eigenfunctions as (n0, n1) arrays normalized in the
+    `mass` weights.
+    """
+    n0, n1 = mask.shape
+    ids = np.flatnonzero(mask.ravel())
+    if len(ids) == 0:
+        raise EmptyDomainError("no grid nodes inside the domain")
+    d_half = 1.0 / np.sqrt(mass.ravel()[ids])
+    lam_hull, psi_hull = _hull_ground_state(cond_0, cond_1, mass, wrap)
+    if k == 1 and len(ids) == mask.size:
+        lam, psi = np.array([lam_hull]), psi_hull.reshape(-1, 1)
+    else:
+        lam, psi = _sparse_eigenpairs(mask, ids, d_half, cond_0, cond_1, mass, wrap, k,
+                                      shift=(1.0 - _HULL_SHIFT_MARGIN) * lam_hull)
     phis = []
     for j in range(k):
         phi = np.zeros(n0 * n1)
@@ -308,8 +359,10 @@ def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpec
         raise ValueError("grid too coarse: fewer than 8 cells across the box")
     hx = (x_hi - x_lo) / nx
     hy = (y_hi - y_lo) / ny
-    x = x_lo + hx * np.arange(1, nx)
-    y = y_lo + hy * np.arange(1, ny)
+    # nodes placed from the box center, so mirror-symmetric boxes give exactly
+    # mirror-symmetric masks
+    x = (x_lo + x_hi) / 2.0 + hx * (np.arange(1, nx) - nx / 2.0)
+    y = (y_lo + y_hi) / 2.0 + hy * (np.arange(1, ny) - ny / 2.0)
     X, Y = np.meshgrid(x, y, indexing="ij")
     mask = np.asarray(domain.indicator(X, Y), dtype=bool)
     n0, n1 = mask.shape

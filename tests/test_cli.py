@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -118,6 +119,9 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     pytest.param("perturb-box", "kind = box\nb1 = 1 1\n", "key 'b2'", id="box-scenario-without-b2"),
     pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\nrmin = 0.99 | 8:0.01\n",
                  "harmonic term '8:0.01'", id="short-harmonic-term"),
+    pytest.param("solve", "n = abc\n", "key 'n'", id="config-value-not-an-int"),
+    pytest.param("perturb-annulus", "kind = annulus\neps = abc\n", "key 'eps'",
+                 id="scenario-value-not-a-float"),
 ])
 def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, named):
     path = tmp_path / "input.txt"
@@ -135,6 +139,32 @@ def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):
     # the kernel certificate refuses t = eps^2 before a quadrature model is sized from it
     assert run(["--out", str(tmp_path), "hke-fit", "--eps", "1e-9"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def _child_env():
+    # the child imports the same annulab as this test, whatever the caller's PYTHONPATH
+    src = str(Path(annulab.__file__).resolve().parent.parent)
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cap_address_space():
+    limit = 1500 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["vd-audit", "pi-audit"])
+def test_out_of_memory_is_a_numerical_failure(tmp_path, command):
+    # --eps 1e-6 sizes an annulus model of several GiB; the child runs under a
+    # 1.5 GiB address-space cap so that the allocation fails instead
+    cp = subprocess.run(
+        [sys.executable, "-m", "annulab", "--out", str(tmp_path), command, "--eps", "1e-6"],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=_cap_address_space,
+        timeout=600,
+    )
+    assert cp.returncode == 2
+    err = cp.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
@@ -211,15 +241,11 @@ def test_report_aggregates(tmp_path):
 
 
 def test_cli_module_entrypoint(tmp_path):
-    # the child imports the same annulab as this test, whatever the caller's PYTHONPATH
-    src = str(Path(annulab.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cp = subprocess.run(
         [sys.executable, "-m", "annulab.cli", "--out", str(tmp_path),
          "caricature", "--kind", "thin", "--n", "2", "--a", "1", "--b", "1.1",
          "--points", "1.05"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert cp.returncode == 0
     lines = (tmp_path / "caricature.csv").read_text().splitlines()

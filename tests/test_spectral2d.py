@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from annulab import bases, numerics, radial, spectral2d
+from annulab import bases, numerics, perturb, radial, spectral2d
 
 
 def test_polar_exact_annulus_against_radial_oracle():
@@ -123,14 +125,76 @@ def test_interior_mask_erosion():
 def hull_eigenvalues(monkeypatch):
     """Every hull eigenvalue the grid driver computes, in call order."""
     seen = []
-    hull = spectral2d._hull_eigenvalue
+    hull = spectral2d._hull_ground_state
 
     def record(*args):
-        seen.append(hull(*args))
-        return seen[-1]
+        lam, psi = hull(*args)
+        seen.append(lam)
+        return lam, psi
 
-    monkeypatch.setattr(spectral2d, "_hull_eigenvalue", record)
+    monkeypatch.setattr(spectral2d, "_hull_ground_state", record)
     return seen
+
+
+@pytest.fixture
+def grid_solves(monkeypatch):
+    """(arguments, result) of every grid eigensolve, in call order."""
+    seen = []
+    solve = spectral2d._assemble_and_solve
+
+    def record(*args):
+        seen.append((args, solve(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(spectral2d, "_assemble_and_solve", record)
+    return seen
+
+
+@pytest.fixture
+def sparse_solves(monkeypatch):
+    """(operator, result) of every sparse eigensolve, in call order."""
+    seen = []
+    solver = numerics.sparse_smallest_eigenpairs
+
+    def record(op, *args, **kwargs):
+        seen.append((op, solver(op, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(numerics, "sparse_smallest_eigenpairs", record)
+    return seen
+
+
+def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
+    """Ground pair of the masked 5-point operator, assembled node by node
+    and solved as the generalized problem K phi = lambda M phi."""
+    n0, n1 = mask.shape
+    idx = -np.ones(mask.shape, dtype=int)
+    idx[mask] = np.arange(mask.sum())
+    K = sparse.lil_matrix((mask.sum(), mask.sum()))
+    for i, j in zip(*np.nonzero(mask)):
+        p = idx[i, j]
+        faces = [((i + 1, j), cond_0[i + 1, j]), ((i - 1, j), cond_0[i, j]),
+                 ((i, j + 1), cond_1[i, j + 1]), ((i, j - 1), cond_1[i, j])]
+        for (qi, qj), c in faces:
+            K[p, p] += c
+            if wrap:
+                qj %= n1
+            if 0 <= qi < n0 and 0 <= qj < n1 and mask[qi, qj]:
+                K[p, idx[qi, qj]] -= c
+    M = sparse.diags(mass[mask])
+    lam, vec = spla.eigsh(K.tocsc(), k=1, M=M.tocsc(), sigma=0.0, which="LM", tol=0)
+    v = vec[:, 0] / math.sqrt(vec[:, 0] @ (M @ vec[:, 0]))
+    phi = np.zeros(mask.shape)
+    phi[mask] = v if v.sum() > 0 else -v
+    return float(lam[0]), phi
+
+
+def _assert_matches_oracle(args, result):
+    mask, cond_0, cond_1, mass, wrap, _ = args
+    lam_o, phi_o = _oracle_ground_state(mask, cond_0, cond_1, mass, wrap)
+    lam, phis = result
+    assert lam[0] == pytest.approx(lam_o, rel=1e-12)
+    assert np.max(np.abs(phis[0] - phi_o)) <= 1e-10 * np.max(np.abs(phi_o))
 
 
 def notched_box_domain(notch):
@@ -184,20 +248,75 @@ def test_hull_eigenvalue_bounds_lambda1(hull_eigenvalues, solve):
         spectral2d.annulus_domain(1.0, 1.5, 0.0, math.pi, wrap=False), 32, 64).eigenvalues[0],
     _sphere_rectangle,
 ], ids=["box", "annulus", "sector", "sphere-rectangle"])
-def test_hull_eigenvalue_is_lambda1_on_a_full_grid(hull_eigenvalues, solve):
-    lam1 = solve()
-    assert hull_eigenvalues[0] == pytest.approx(lam1, rel=1e-12)
+def test_hull_eigenvalue_is_lambda1_on_a_full_grid(grid_solves, sparse_solves, solve):
+    solve()
+    [(args, result)] = grid_solves
+    assert args[0].all() and not sparse_solves
+    _assert_matches_oracle(args, result)
 
 
-def test_notched_grid_matches_dense_eigh(monkeypatch):
-    operators = []
-    solver = numerics.sparse_smallest_eigenpairs
+def four_notch_box_domain(notch):
+    """The perturb-box domain: the box of half width 1.05 less four corner notches."""
+    scenario = perturb.PerturbationScenario(
+        kind="box", a_widths=(1.0, 1.0), b_widths=(1.05, 1.05), notch=notch)
+    return spectral2d.CartesianDomain2D(perturb._box_indicator(scenario),
+                                        (-1.05, 1.05, -1.05, 1.05))
 
-    def record(op, *args, **kwargs):
-        operators.append(op.matrix)
-        return solver(op, *args, **kwargs)
 
-    monkeypatch.setattr(numerics, "sparse_smallest_eigenpairs", record)
+def _symmetric_notched_box():
+    return spectral2d.solve_cartesian(four_notch_box_domain(0.05), 1.0 / 64.0)
+
+
+def _symmetric_arc():
+    dom = spectral2d.PolarDomain2D(
+        r_min=lambda th: np.full_like(th, 1.0),
+        r_max=lambda th: 1.5 + 0.1 * np.cos(2.0 * th),
+        theta_lo=-0.5 * math.pi, theta_hi=0.5 * math.pi, wrap=False,
+    )
+    return spectral2d.solve_polar(dom, 48, 128)
+
+
+@pytest.mark.parametrize("solve, orbits", [(_symmetric_notched_box, 4), (_symmetric_arc, 2)],
+                         ids=["notched-box", "arc"])
+def test_mirror_symmetric_mask_folds(grid_solves, sparse_solves, solve, orbits):
+    solve()
+    [(args, result)] = grid_solves
+    [(op, _)] = sparse_solves
+    # the driver sees one unknown per mirror orbit: a quarter (or half) of
+    # the nodes, up to the orbits on the mirror lines
+    assert op.dimension < args[0].sum() / orbits + args[0].shape[0] + args[0].shape[1]
+    _assert_matches_oracle(args, result)
+
+
+def test_asymmetric_mask_solves_unfolded(grid_solves, sparse_solves):
+    spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0)
+    [(args, result)] = grid_solves
+    [(op, (_, psi))] = sparse_solves
+    mask, mass = args[0], args[3]
+    assert op.dimension == mask.sum()
+    phi = np.zeros(mask.shape)
+    phi[mask] = psi[:, 0] / np.sqrt(mass[mask])
+    assert np.array_equal(result[1][0], phi if phi.sum() > 0 else -phi)
+    _assert_matches_oracle(args, result)
+
+
+@pytest.mark.parametrize("depth", np.linspace(0.02, 0.05, 31))
+def test_notched_box_masks_are_mirror_symmetric(monkeypatch, depth):
+    # nodes built from the box center make every notch depth fold; nodes
+    # built as lo + h*i break the symmetry at the notch edge for 2 of these
+    masks = []
+
+    def keep_mask(mask, *args):
+        masks.append(mask)
+        return np.ones(1), [np.zeros(mask.shape)]
+
+    monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_mask)
+    spectral2d.solve_cartesian(four_notch_box_domain(float(depth)), 1.0 / 300.0)
+    [mask] = masks
+    assert np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])
+
+
+def test_notched_grid_matches_dense_eigh(sparse_solves):
     sol = spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 16.0, k=3)
-    dense = eigh(operators[0].toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    dense = eigh(sparse_solves[0][0].matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
     assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
