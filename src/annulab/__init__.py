@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from . import (  # noqa: F401
     auditors,
     bases,
-    cli,
     estimates,
     geometry,
     heatkernel,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
+from scipy.linalg import eigh
 
 from . import geometry, numerics, radial, specfun
 
@@ -114,23 +114,32 @@ def interval_doubling_brute_force(a: float, b: float, density, center: float,
     return mass(2.0 * r) / v1
 
 
-def _symmetrized_gap(K: sparse.spmatrix, mass: np.ndarray) -> tuple[float, float]:
-    """(mu_1, mu_2) of K f = mu M f with M = diag(mass); K has zero row sums."""
-    d_half = 1.0 / np.sqrt(mass)
-    L = sparse.diags(d_half) @ K @ sparse.diags(d_half)
-    L = (L + L.T) / 2.0
-    n = L.shape[0]
-    if n < 2:
-        return 0.0, math.nan
-    if n <= 400:
-        from scipy.linalg import eigh
+def _edge_form_gap(p, q, cond, mass, form: str) -> float:
+    """mu_2 of K f = mu M f for the zero-flux form with conductances cond on
+    the edges (p, q): K has the row sums of its edges on the diagonal, so the
+    constants span its kernel, which mu_1 must confirm."""
+    m = len(mass)
+    if m < 2:
+        return math.nan
+    diag = np.bincount(np.concatenate([p, q]), np.concatenate([cond, cond]), minlength=m)
+    L = numerics.symmetrized_operator(p, q, cond, diag, mass)
+    if m <= 400:
+        mu1, mu2 = eigh(L.toarray(), eigvals_only=True, subset_by_index=(0, 1))
+    else:
+        op = numerics.SparseSymmetricOperator.from_matrix(L)
+        shift = -1e-6 * float(np.max(L.diagonal()))
+        (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=shift)
+    if not abs(mu1) <= max(1e-8 * abs(mu2), 1e-12):
+        raise RuntimeError(f"{form} kernel check failed: mu_1 = {mu1:.3e}")
+    return float(mu2)
 
-        vals = eigh(L.toarray(), eigvals_only=True, subset_by_index=(0, 1))
-        return float(vals[0]), float(vals[1])
-    scale = float(np.max(L.diagonal()))
-    op = numerics.SparseSymmetricOperator.from_matrix(L)
-    vals, _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=-1e-6 * scale)
-    return float(vals[0]), float(vals[1])
+
+def _kept_edges(edges, ids, size):
+    """Edges with both ends in ids, renumbered by their position in ids."""
+    pos = -np.ones(size, dtype=int)
+    pos[ids] = np.arange(len(ids))
+    keep = (pos[edges[:, 0]] >= 0) & (pos[edges[:, 1]] >= 0)
+    return keep, pos[edges[keep, 0]], pos[edges[keep, 1]]
 
 
 def zero_flux_gap(model, ids: np.ndarray) -> float:
@@ -142,23 +151,8 @@ def zero_flux_gap(model, ids: np.ndarray) -> float:
     construction.
     """
     pairs, conds = model.grid_edges()
-    pos = -np.ones(len(model.node_measure), dtype=int)
-    pos[ids] = np.arange(len(ids))
-    keep = (pos[pairs[:, 0]] >= 0) & (pos[pairs[:, 1]] >= 0)
-    p = pos[pairs[keep, 0]]
-    q = pos[pairs[keep, 1]]
-    c = conds[keep]
-    m = len(ids)
-    K = sparse.coo_matrix(
-        (np.concatenate([c, c, -c, -c]),
-         (np.concatenate([p, q, p, q]), np.concatenate([p, q, q, p]))),
-        shape=(m, m),
-    ).tocsr()
-    mass = model.node_measure[ids]
-    mu1, mu2 = _symmetrized_gap(K, mass)
-    if not abs(mu1) <= max(1e-8 * abs(mu2), 1e-12):
-        raise RuntimeError(f"zero-flux kernel check failed: mu_1 = {mu1:.3e}")
-    return mu2
+    keep, p, q = _kept_edges(pairs, ids, len(model.node_measure))
+    return _edge_form_gap(p, q, conds[keep], model.node_measure[ids], "zero-flux")
 
 
 def net_graph_gap(net: geometry.WeightedNet, vertex_ids: np.ndarray) -> float:
@@ -167,24 +161,11 @@ def net_graph_gap(net: geometry.WeightedNet, vertex_ids: np.ndarray) -> float:
     Quadratic form sum_y m(y) sum_{z~y} (f(y)-f(z))^2 against the vertex
     masses m; edge (y,z) therefore carries conductance m(y) + m(z).
     """
-    pos = -np.ones(net.size, dtype=int)
-    pos[vertex_ids] = np.arange(len(vertex_ids))
     if len(net.edges) == 0:
         return math.nan
-    keep = (pos[net.edges[:, 0]] >= 0) & (pos[net.edges[:, 1]] >= 0)
-    p = pos[net.edges[keep, 0]]
-    q = pos[net.edges[keep, 1]]
-    c = net.weights[net.edges[keep, 0]] + net.weights[net.edges[keep, 1]]
-    m = len(vertex_ids)
-    K = sparse.coo_matrix(
-        (np.concatenate([c, c, -c, -c]),
-         (np.concatenate([p, q, p, q]), np.concatenate([p, q, q, p]))),
-        shape=(m, m),
-    ).tocsr()
-    mu1, mu2 = _symmetrized_gap(K, net.weights[vertex_ids])
-    if not abs(mu1) <= max(1e-8 * abs(mu2), 1e-12):
-        raise RuntimeError(f"net graph kernel check failed: mu_1 = {mu1:.3e}")
-    return mu2
+    keep, p, q = _kept_edges(net.edges, vertex_ids, net.size)
+    cond = net.weights[net.edges[keep, 0]] + net.weights[net.edges[keep, 1]]
+    return _edge_form_gap(p, q, cond, net.weights[vertex_ids], "net graph")
 
 
 def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunction,
@@ -293,8 +274,9 @@ def sector_counterexample(beta_values, nodes: int = 4096) -> AuditReport:
     """
     rows = []
     for beta in beta_values:
-        if not 0.0 < beta <= 0.5:
-            raise ValueError(f"beta must lie in (0, 1/2], got {beta}")
+        # the Bessel order 1/beta stays within the range specfun is tested on
+        if not (0.0 < beta <= 0.5 and 1.0 / beta <= 200.0):
+            raise ValueError(f"beta must lie in [1/200, 1/2], got {beta}")
         nu = 1.0 / beta
         alpha = specfun.first_positive_zero(nu)
         log_j1 = specfun.bessel_j_log(nu + 1.0, alpha)[0]

@@ -469,9 +469,7 @@ def _apply_config_file(args, argv, parser, subcommands):
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(args, key)
         try:
-            if isinstance(current, bool):
-                defaults[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 defaults[key] = int(val)
             elif isinstance(current, float):
                 defaults[key] = float(val)

@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "SparseSymmetricOperator",
     "NonConvergenceError",
+    "symmetrized_operator",
     "tridiag_smallest_eigenpairs",
     "sparse_smallest_eigenpairs",
     "integrate_samples",
@@ -100,6 +101,22 @@ class SparseSymmetricOperator:
     @classmethod
     def from_matrix(cls, mat: sparse.spmatrix) -> "SparseSymmetricOperator":
         return cls(matrix=mat.tocsr())
+
+
+def symmetrized_operator(p, q, cond, diag, mass) -> sparse.csr_matrix:
+    """M^{-1/2} K M^{-1/2} for a conductance form K on an edge list.
+
+    K has -cond[e] at (p[e], q[e]) and at (q[e], p[e]), summed over repeated
+    edges, and `diag` on its diagonal; M = diag(mass).  Both entries of an
+    edge come from one expression, so the matrix is exactly symmetric.
+    """
+    d = 1.0 / np.sqrt(mass)
+    off = d[p] * -cond * d[q]
+    nodes = np.arange(len(mass))
+    return sparse.csr_matrix(
+        (np.concatenate([off, off, d * diag * d]),
+         (np.concatenate([p, q, nodes]), np.concatenate([q, p, nodes]))),
+        shape=(len(mass), len(mass)))
 
 
 def sparse_smallest_eigenpairs(

@@ -52,8 +52,8 @@ def harmonic_series(const: float, harmonics=()):
 class PerturbationScenario:
     """Sandwich A subset U subset B, either boxes or planar shells.
 
-    Box form: half widths a_widths (B1) and b_widths (B2) plus an optional
-    corner notch size carving U out of B2.  Shell form: inner shell
+    Box form: two half widths each for B1 (a_widths) and B2 (b_widths),
+    plus an optional corner notch size carving U out of B2.  Shell form: inner shell
     (1, 1+eps) x window, hull widened by (a_eps, b_eps) radially and eta on
     each angular side, U bounded by the harmonic series rmin/rmax.
     """
@@ -93,8 +93,9 @@ class PerturbationScenario:
             if self.rmax_const == 0.0:
                 self.rmax_const = 1.0 + self.eps + self.b_eps
         elif self.kind == "box":
-            if len(self.a_widths) != len(self.b_widths):
-                raise ValueError("box scenario needs matching dimensions")
+            if len(self.a_widths) != 2 or len(self.b_widths) != 2:
+                raise ValueError("box scenario needs two half widths in each of b1 and b2, "
+                                 f"got {len(self.a_widths)} and {len(self.b_widths)}")
             if any(a > b + 1e-15 for a, b in zip(self.a_widths, self.b_widths)):
                 raise ValueError("need B1 inside B2 componentwise")
         else:

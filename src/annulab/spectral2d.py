@@ -189,58 +189,29 @@ def _mirror_basis(mask, cond_0, cond_1, mass, wrap):
                              shape=(m, len(size)))
 
 
-def _sparse_eigenpairs(mask, ids, d_half, cond_0, cond_1, mass, wrap, k, shift):
+def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
     """k smallest eigenpairs of the symmetrized masked operator by shift-invert
     Lanczos; for k = 1 on a mirror-symmetric grid, on its mirror-even subspace."""
-    n0, n1 = mask.shape
-    idx = -np.ones((n0, n1), dtype=np.int64)
-    idx.ravel()[ids] = np.arange(len(ids))
-    m = len(ids)
-
-    diag = np.zeros(m)
-    rows, cols, vals = [], [], []
-
-    ii, jj = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
-    # axis 0 neighbors i+1 / i-1; rows outside the grid are Dirichlet walls
-    q_up = np.where(ii + 1 < n0, idx[np.minimum(ii + 1, n0 - 1), jj], -1)
-    q_dn = np.where(ii - 1 >= 0, idx[np.maximum(ii - 1, 0), jj], -1)
-    c_up = cond_0[ii + 1, jj]
-    c_dn = cond_0[ii, jj]
-    # axis 1 neighbors, periodic when wrap is set
-    if wrap:
-        q_rt = idx[ii, (jj + 1) % n1]
-        q_lf = idx[ii, (jj - 1) % n1]
-    else:
-        q_rt = np.where(jj + 1 < n1, idx[ii, np.minimum(jj + 1, n1 - 1)], -1)
-        q_lf = np.where(jj - 1 >= 0, idx[ii, np.maximum(jj - 1, 0)], -1)
-    c_rt = cond_1[ii, jj + 1]
-    c_lf = cond_1[ii, jj]
-
-    # face conductances always load the diagonal; the off-diagonal entry
-    # exists only when the neighbor node is inside (else Dirichlet wall)
-    p = idx[ii, jj]
-    inside = p >= 0
-    for q, c in ((q_up, c_up), (q_dn, c_dn), (q_rt, c_rt), (q_lf, c_lf)):
-        np.add.at(diag, p[inside], c[inside])
-        both = inside & (q >= 0)
-        rows.append(p[both])
-        cols.append(q[both])
-        vals.append(-c[both])
-
-    rows = np.concatenate(rows + [np.arange(m)])
-    cols = np.concatenate(cols + [np.arange(m)])
-    vals = np.concatenate(vals + [diag])
-    K = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
-
-    adjacency = K.copy()
-    adjacency.setdiag(0)
-    adjacency.eliminate_zeros()
-    ncomp, _ = connected_components(adjacency, directed=False)
+    m = int(mask.sum())
+    idx = -np.ones(mask.shape, dtype=np.int64)
+    idx[mask] = np.arange(m)
+    # inner faces: each node to its neighbor at i+1 (nb[0]) and at j+1
+    # (nb[1], mod n1 when wrapping); a face to an outside node is a wall
+    nb = np.stack([np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1)])
+    nb[0, -1] = -1
+    if not wrap:
+        nb[1, :, -1] = -1
+    inner = (idx >= 0) & (nb >= 0)
+    p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
+    c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
+    ncomp, _ = connected_components(sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(m, m)),
+                                    directed=False)
     if ncomp > 1:
         raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
 
-    L = sparse.diags(d_half) @ K @ sparse.diags(d_half)
-    L = (L + L.T) / 2.0
+    # every face loads the diagonal, walls included
+    diag = ((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1]
+    L = numerics.symmetrized_operator(p, q, c, diag[mask], mass[mask])
     S = _mirror_basis(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
     if S is not None:
         L = S.T @ L @ S
@@ -277,7 +248,7 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     if k == 1 and len(ids) == mask.size:
         lam, psi = np.array([lam_hull]), psi_hull.reshape(-1, 1)
     else:
-        lam, psi = _sparse_eigenpairs(mask, ids, d_half, cond_0, cond_1, mass, wrap, k,
+        lam, psi = _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k,
                                       shift=(1.0 - _HULL_SHIFT_MARGIN) * lam_hull)
     phis = []
     for j in range(k):

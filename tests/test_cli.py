@@ -98,6 +98,9 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["box-kernel", "--half-widths", ""], id="box-kernel-empty-half-widths"),
     pytest.param(["hadamard", "--n", "1"], id="hadamard-n1"),
     pytest.param(["caricature", "--n", "1"], id="caricature-n1"),
+    pytest.param(["sector", "--beta", "0.001"], id="sector-beta-1e-3"),
+    pytest.param(["sector", "--beta", "0.0001"], id="sector-beta-1e-4"),
+    pytest.param(["sector", "--beta", "0.00001"], id="sector-beta-1e-5"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -119,6 +122,10 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     pytest.param("perturb-box", "kind = box\nb1 = 1 1\n", "key 'b2'", id="box-scenario-without-b2"),
     pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\nrmin = 0.99 | 8:0.01\n",
                  "harmonic term '8:0.01'", id="short-harmonic-term"),
+    pytest.param("perturb-box", "kind = box\nb1 = 1.0\nb2 = 1.05\n", "b1 and b2",
+                 id="box-scenario-one-width"),
+    pytest.param("perturb-box", "kind = box\nb1 = 1 1 1\nb2 = 1.05 1.05 1.05\n", "b1 and b2",
+                 id="box-scenario-three-widths"),
     pytest.param("solve", "n = abc\n", "key 'n'", id="config-value-not-an-int"),
     pytest.param("perturb-annulus", "kind = annulus\neps = abc\n", "key 'eps'",
                  id="scenario-value-not-a-float"),
@@ -247,7 +254,7 @@ def test_cli_module_entrypoint(tmp_path):
          "--points", "1.05"],
         capture_output=True, text=True, env=_child_env(),
     )
-    assert cp.returncode == 0
+    assert cp.returncode == 0 and cp.stderr == ""
     lines = (tmp_path / "caricature.csv").read_text().splitlines()
     assert float(lines[2].split(",")[1]) == pytest.approx(0.05 / 0.1**1.5, rel=1e-10)
 

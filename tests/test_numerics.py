@@ -112,6 +112,23 @@ def test_sparse_rejects_nonsymmetric():
         numerics.SparseSymmetricOperator.from_matrix(mat)
 
 
+def test_symmetrized_operator_is_exactly_symmetric_and_matches_dense():
+    rng = np.random.default_rng(3)
+    n = 40
+    p = rng.integers(0, n, 200)
+    q = (p + rng.integers(1, n, 200)) % n  # no self-loops; some pairs repeat
+    cond = rng.uniform(0.1, 2.0, 200)
+    diag, mass = rng.uniform(1.0, 9.0, n), rng.uniform(0.5, 3.0, n)
+    L = numerics.symmetrized_operator(p, q, cond, diag, mass)
+    assert (L != L.T).nnz == 0
+    K = np.diag(diag)
+    for a, b, c in zip(p, q, cond):
+        K[a, b] -= c
+        K[b, a] -= c
+    d = np.diag(1.0 / np.sqrt(mass))
+    assert np.allclose(L.toarray(), d @ K @ d, rtol=1e-13, atol=1e-13)
+
+
 def test_integrate_samples_rules():
     x = np.linspace(0.0, 1.0, 1001)
     w = numerics.trapezoid_weights(x)

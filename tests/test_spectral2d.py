@@ -164,9 +164,8 @@ def sparse_solves(monkeypatch):
     return seen
 
 
-def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
-    """Ground pair of the masked 5-point operator, assembled node by node
-    and solved as the generalized problem K phi = lambda M phi."""
+def _oracle_operator(mask, cond_0, cond_1, mass, wrap):
+    """(K, M) of the masked 5-point operator, assembled node by node."""
     n0, n1 = mask.shape
     idx = -np.ones(mask.shape, dtype=int)
     idx[mask] = np.arange(mask.sum())
@@ -181,8 +180,13 @@ def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
                 qj %= n1
             if 0 <= qi < n0 and 0 <= qj < n1 and mask[qi, qj]:
                 K[p, idx[qi, qj]] -= c
-    M = sparse.diags(mass[mask])
-    lam, vec = spla.eigsh(K.tocsc(), k=1, M=M.tocsc(), sigma=0.0, which="LM", tol=0)
+    return K.tocsc(), sparse.diags(mass[mask]).tocsc()
+
+
+def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
+    """Ground pair of the oracle operator, solved as K phi = lambda M phi."""
+    K, M = _oracle_operator(mask, cond_0, cond_1, mass, wrap)
+    lam, vec = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", tol=0)
     v = vec[:, 0] / math.sqrt(vec[:, 0] @ (M @ vec[:, 0]))
     phi = np.zeros(mask.shape)
     phi[mask] = v if v.sum() > 0 else -v
@@ -208,12 +212,14 @@ def _notched_box():
     return spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0).eigenvalues[0]
 
 
+PERTURBED_ANNULUS = spectral2d.PolarDomain2D(
+    r_min=lambda th: 1.0 + 0.05 * np.sin(8.0 * th),
+    r_max=lambda th: 1.4 + 0.05 * np.cos(5.0 * th),
+)
+
+
 def _perturbed_annulus():
-    dom = spectral2d.PolarDomain2D(
-        r_min=lambda th: 1.0 + 0.05 * np.sin(8.0 * th),
-        r_max=lambda th: 1.4 + 0.05 * np.cos(5.0 * th),
-    )
-    return spectral2d.solve_polar(dom, 48, 256).eigenvalues[0]
+    return spectral2d.solve_polar(PERTURBED_ANNULUS, 48, 256).eigenvalues[0]
 
 
 def _perturbed_sector():
@@ -320,3 +326,31 @@ def test_notched_grid_matches_dense_eigh(sparse_solves):
     sol = spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 16.0, k=3)
     dense = eigh(sparse_solves[0][0].matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
     assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
+
+
+def test_masked_wrapped_grid_matches_oracle(grid_solves):
+    spectral2d.solve_polar(PERTURBED_ANNULUS, 24, 128)
+    [(args, result)] = grid_solves
+    mask, wrap = args[0], args[4]
+    # masked in every column, so the faces across theta = 0 join inner nodes
+    assert wrap and not mask.all() and (mask[:, 0] & mask[:, -1]).any()
+    _assert_matches_oracle(args, result)
+
+
+def test_masked_wrapped_grid_k3_matches_dense_eigh(grid_solves):
+    sol = spectral2d.solve_polar(PERTURBED_ANNULUS, 16, 64, k=3)
+    [(args, _)] = grid_solves
+    K, M = _oracle_operator(*args[:5])
+    dense = eigh(K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
+
+
+def test_mask_connected_only_across_theta_zero_is_solved(grid_solves):
+    # a radial cut through theta = pi leaves one arc that closes over theta = 0
+    mask = np.ones((15, 64), dtype=bool)
+    mask[:, 30:34] = False
+    sol = spectral2d.solve_polar_mask(mask, (1.0, 1.5), (0.0, 2.0 * math.pi), wrap=True)
+    assert np.all(sol.values[0][mask] > 0)
+    _assert_matches_oracle(*grid_solves[0])
+    with pytest.raises(spectral2d.DisconnectedDomainError):
+        spectral2d.solve_polar_mask(mask, (1.0, 1.5), (0.0, math.pi), wrap=False)
