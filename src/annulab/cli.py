@@ -40,7 +40,11 @@ __all__ = ["main", "run"]
 
 
 def _float_list(text: str, flag: str) -> list[float]:
-    values = [float(v) for v in text.replace(",", " ").split()]
+    """Values separated by commas or whitespace; an empty comma item is refused."""
+    items = text.split(",")
+    if len(items) > 1 and not all(item.strip() for item in items):
+        raise ValueError(f"{flag} has an empty item between commas, got {text!r}")
+    values = [float(v) for item in items for v in item.split()]
     if not values:
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
     return values

@@ -68,12 +68,14 @@ def thin_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
     """Tent profile for annuli with a/b in (1/2, 1):
     (1/a^(n/2+1)) min(|x|-a, b-|x|) / (b/a - 1)^(3/2)."""
     radial.require_dimension(n)
+    radial.require_shell(a, b)
     return CaricatureFn("thin_annulus", {"n": n, "a": a, "b": b})
 
 
 def wide_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
     """Profile for annuli with a/b <= 1/2; harmonic-in-|x| inner factor."""
     radial.require_dimension(n)
+    radial.require_shell(a, b)
     kind = "wide_annulus_2d" if n == 2 else "wide_annulus_nd"
     return CaricatureFn(kind, {"n": n, "a": a, "b": b})
 
@@ -224,6 +226,7 @@ def annulus_eigenvalue_coefficients(n: int, x: float) -> tuple[float, float]:
 def annulus_eigenvalue_bounds(n: int, a: float, b: float) -> BoundsReport:
     """Bounds report skeleton [C1, C2]/(b-a)^2 for the annulus eigenvalue;
     value is filled with the solver's answer for the pass flag."""
+    radial.require_shell(a, b)
     c1, c2 = annulus_eigenvalue_coefficients(n, b / a)
     lo = c1 / (b - a) ** 2
     hi = c2 / (b - a) ** 2

@@ -38,6 +38,12 @@ def require_dimension(n: int) -> None:
         raise ValueError(f"need dimension n >= 2, got {n}")
 
 
+def require_shell(a: float, b: float) -> None:
+    """Refuse radii other than 0 < a < b < inf: every shell is bounded."""
+    if not 0.0 < a < b < math.inf:
+        raise ValueError(f"need 0 < a < b finite, got a={a}, b={b}")
+
+
 @dataclass(frozen=True)
 class AnnularDomainSpec:
     """A shell (a, b) x U0 in polar coordinates on R^n."""
@@ -49,8 +55,7 @@ class AnnularDomainSpec:
 
     def __post_init__(self):
         require_dimension(self.n)
-        if not 0.0 < self.a < self.b < math.inf:
-            raise ValueError(f"need 0 < a < b finite, got a={self.a}, b={self.b}")
+        require_shell(self.a, self.b)
         if self.base.n != self.n:
             raise ValueError("base lives on the wrong sphere for dimension n")
 
@@ -109,8 +114,7 @@ def solve_radial(
     eigenfunctions are reported on the 2N grid.
     """
     require_dimension(n)
-    if not 0.0 < a < b:
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
+    require_shell(a, b)
     if lambda0 < 0:
         raise ValueError(f"need lambda0 >= 0, got {lambda0}")
     if N < 64:

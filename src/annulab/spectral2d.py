@@ -12,6 +12,7 @@ sharpened by Richardson extrapolation over two resolutions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -168,21 +169,34 @@ def _hull_ground_state(cond_0, cond_1, mass, wrap):
 
 
 def _mirror_basis(mask, cond_0, cond_1, mass, wrap):
-    """Orthonormal basis of the mirror-even functions on the mask, or None.
+    """Orthonormal basis of the symmetric functions on the mask, or None.
 
-    An axis that does not wrap mirrors the grid when mask, conductances and
-    mass all equal their reversal along it.  Column o of the returned sparse
-    (mask.sum(), orbits) matrix S is 1/sqrt(|o|) on the nodes of the orbit o
-    of the mirrors.  S^T L S is the operator restricted to the mirror-even
-    subspace, which holds the ground state since it is simple and positive.
+    The symmetries are the grid's mirrors and its x<->y transpose.  An axis
+    that does not wrap mirrors the grid when mask, conductances and mass all
+    equal their reversal along it; a square grid that does not wrap is
+    transposed into itself when mask == mask.T, mass == mass.T and
+    cond_0 == cond_1.T.  Column o of the returned sparse (mask.sum(), orbits)
+    matrix S is 1/sqrt(|o|) on the nodes of the orbit o of the group these
+    generate (up to the 8 symmetries of the square).  S^T L S is the operator
+    restricted to the symmetric subspace, which holds the ground state since
+    it is simple and positive.
     """
-    axes = [axis for axis in ((0,) if wrap else (0, 1))
-            if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
-    if not axes:
+    moves = [functools.partial(np.flip, axis=axis) for axis in ((0,) if wrap else (0, 1))
+             if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
+    if (not wrap and np.array_equal(mask, mask.T) and np.array_equal(mass, mass.T)
+            and np.array_equal(cond_0, cond_1.T)):
+        moves.append(np.transpose)
+    if not moves:
         return None
+    # each node's representative: the smallest index in its orbit, reached by
+    # applying the generators until nothing changes
     rep = np.arange(mask.size).reshape(mask.shape)
-    for axis in axes:
-        rep = np.minimum(rep, np.flip(rep, axis))
+    stable = False
+    while not stable:
+        last = rep
+        for move in moves:
+            rep = np.minimum(rep, move(rep))
+        stable = np.array_equal(rep, last)
     _, orbit, size = np.unique(rep[mask], return_inverse=True, return_counts=True)
     m = len(orbit)
     return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(m), orbit)),
@@ -191,7 +205,7 @@ def _mirror_basis(mask, cond_0, cond_1, mass, wrap):
 
 def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
     """k smallest eigenpairs of the symmetrized masked operator by shift-invert
-    Lanczos; for k = 1 on a mirror-symmetric grid, on its mirror-even subspace."""
+    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace."""
     m = int(mask.sum())
     idx = -np.ones(mask.shape, dtype=np.int64)
     idx[mask] = np.arange(m)
@@ -232,12 +246,14 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     walls sit at masked-out neighbor nodes.  For k = 1 each grid is solved
     in its smallest exact form, chosen by structure alone: a mask that fills
     its hull by separation (_hull_ground_state); a mask that is mirror
-    symmetric along a non-wrapping axis, coefficients included, by
-    shift-invert Lanczos on the mirror-even subspace (_mirror_basis); any
-    other grid, and every k >= 2, by shift-invert Lanczos on the whole
-    mask.  Lanczos runs from just below the hull eigenvalue.  Returns the
-    eigenvalues and the eigenfunctions as (n0, n1) arrays normalized in the
-    `mass` weights.
+    symmetric along a non-wrapping axis, or square, non-wrapping and
+    symmetric under the x<->y transpose, coefficients included, by
+    shift-invert Lanczos on the subspace invariant under those symmetries
+    (_mirror_basis; the four-notch box folds by all 8 symmetries of the
+    square); any other grid, and every k >= 2, by shift-invert Lanczos on
+    the whole mask.  Lanczos runs from just below the hull eigenvalue.
+    Returns the eigenvalues and the eigenfunctions as (n0, n1) arrays
+    normalized in the `mass` weights.
     """
     n0, n1 = mask.shape
     ids = np.flatnonzero(mask.ravel())

@@ -101,6 +101,11 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["sector", "--beta", "0.001"], id="sector-beta-1e-3"),
     pytest.param(["sector", "--beta", "0.0001"], id="sector-beta-1e-4"),
     pytest.param(["sector", "--beta", "0.00001"], id="sector-beta-1e-5"),
+    pytest.param(["solve", "--b", "inf"], id="solve-b-inf"),
+    pytest.param(["bounds", "--b", "inf"], id="bounds-b-inf"),
+    pytest.param(["caricature", "--a", "-1"], id="caricature-a-negative"),
+    pytest.param(["heat-kernel", "--t", "1,,2"], id="heat-kernel-empty-t-item"),
+    pytest.param(["box-kernel", "--half-widths", "1,,1"], id="box-kernel-empty-half-width-item"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -215,6 +220,17 @@ def test_config_file_sets_two_value_window(tmp_path):
     doc = read_summary(tmp_path, "pi_audit")
     assert doc["config"]["window"] == [0.001, 100.0]
     assert (doc["checks"][0]["lo"], doc["checks"][0]["hi"]) == (0.001, 100.0)
+
+
+def test_config_file_list_reads_whitespace_separated_values(tmp_path):
+    # a config list is read by the same parser as the comma-separated flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("half_widths = 1 0.5\nt = 1 4\n")
+    assert run(["--out", str(tmp_path / "file"), "--config", str(cfg), "box-kernel"]) == 0
+    assert run(["--out", str(tmp_path / "flag"), "box-kernel", "--half-widths", "1,0.5",
+                "--t", "1, 4"]) == 0
+    rows = [(tmp_path / d / "box_kernel.csv").read_text().splitlines()[1:] for d in ("file", "flag")]
+    assert rows[0] == rows[1] and len(rows[0]) > 1
 
 
 def test_config_file_wrong_value_count_exits_one(tmp_path, capsys):

@@ -32,6 +32,17 @@ def test_caricature_outside_raises():
         estimates.caricature_eval(estimates.box_caricature((1.0, 1.0)), np.array([[1.5, 0.0]]))
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.5), (0.0, 1.5), (1.5, 1.0), (1.0, math.inf),
+                                  (1.0, math.nan)])
+@pytest.mark.parametrize("entry", [
+    estimates.thin_annulus_caricature, estimates.wide_annulus_caricature,
+    estimates.annulus_eigenvalue_bounds, lambda n, a, b: radial.solve_radial(n, a, b, 0.0),
+], ids=["thin", "wide", "bounds", "solve-radial"])
+def test_shell_entry_points_refuse_radii_outside_0_a_b_inf(entry, a, b):
+    with pytest.raises(ValueError, match="need 0 < a < b finite"):
+        entry(2, a, b)
+
+
 def test_separated_cosine_exact_at_n3():
     # the centrifugal coefficient vanishes at n = 3, so the separated cosine
     # profile is the eigenfunction itself: ratio spread 1 + O(grid error)

@@ -201,9 +201,11 @@ def _assert_matches_oracle(args, result):
     assert np.max(np.abs(phis[0] - phi_o)) <= 1e-10 * np.max(np.abs(phi_o))
 
 
-def notched_box_domain(notch):
+def notched_box_domain(notch, notch_y=None):
+    """The square (-1, 1)^2 less the corner x > 1 - notch, y > 1 - notch_y."""
+    notch_y = notch if notch_y is None else notch_y
     return spectral2d.CartesianDomain2D(
-        indicator=lambda X, Y: ~((X > 1.0 - notch) & (Y > 1.0 - notch)),
+        indicator=lambda X, Y: ~((X > 1.0 - notch) & (Y > 1.0 - notch_y)),
         bbox=(-1.0, 1.0, -1.0, 1.0),
     )
 
@@ -261,12 +263,13 @@ def test_hull_eigenvalue_is_lambda1_on_a_full_grid(grid_solves, sparse_solves, s
     _assert_matches_oracle(args, result)
 
 
-def four_notch_box_domain(notch):
-    """The perturb-box domain: the box of half width 1.05 less four corner notches."""
+def four_notch_box_domain(notch, half_widths=(1.0, 1.0)):
+    """The perturb-box domain: the box of half widths 0.05 beyond half_widths,
+    less four corner notches."""
+    wx, wy = (w + 0.05 for w in half_widths)
     scenario = perturb.PerturbationScenario(
-        kind="box", a_widths=(1.0, 1.0), b_widths=(1.05, 1.05), notch=notch)
-    return spectral2d.CartesianDomain2D(perturb._box_indicator(scenario),
-                                        (-1.05, 1.05, -1.05, 1.05))
+        kind="box", a_widths=half_widths, b_widths=(wx, wy), notch=notch)
+    return spectral2d.CartesianDomain2D(perturb._box_indicator(scenario), (-wx, wx, -wy, wy))
 
 
 def _symmetric_notched_box():
@@ -282,20 +285,61 @@ def _symmetric_arc():
     return spectral2d.solve_polar(dom, 48, 128)
 
 
-@pytest.mark.parametrize("solve, orbits", [(_symmetric_notched_box, 4), (_symmetric_arc, 2)],
-                         ids=["notched-box", "arc"])
+def _transposed_notched_box():
+    # the one corner notch maps onto itself under x <-> y and under no mirror
+    return spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0)
+
+
+SYMMETRIC_GRIDS = pytest.mark.parametrize(
+    "solve, orbits", [(_symmetric_notched_box, 8), (_transposed_notched_box, 2),
+                      (_symmetric_arc, 2)],
+    ids=["notched-box", "one-corner-notch", "arc"])
+
+
+@SYMMETRIC_GRIDS
 def test_mirror_symmetric_mask_folds(grid_solves, sparse_solves, solve, orbits):
     solve()
     [(args, result)] = grid_solves
     [(op, _)] = sparse_solves
-    # the driver sees one unknown per mirror orbit: a quarter (or half) of
-    # the nodes, up to the orbits on the mirror lines
+    # the driver sees one unknown per orbit of the grid's symmetries: an
+    # eighth (or a half) of the nodes, up to the orbits on the mirror lines
     assert op.dimension < args[0].sum() / orbits + args[0].shape[0] + args[0].shape[1]
     _assert_matches_oracle(args, result)
 
 
+@SYMMETRIC_GRIDS
+def test_mirror_basis_is_orthonormal_over_orbits(monkeypatch, solve, orbits):
+    grids = []
+
+    def keep_args(*args):
+        grids.append(args)
+        return np.ones(1), [np.zeros(args[0].shape)]
+
+    monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
+    solve()
+    [args] = grids
+    S = spectral2d._mirror_basis(*args[:5]).tocsc()
+    assert S.shape[0] == args[0].sum()
+    assert abs(S.T @ S - sparse.identity(S.shape[1])).max() <= 1e-15
+    sizes = np.diff(S.indptr)
+    assert set(sizes) <= {1, 2, 4, 8} and sizes.max() == orbits
+
+
+def test_notched_rectangle_folds_by_the_two_mirrors(grid_solves, sparse_solves):
+    spectral2d.solve_cartesian(four_notch_box_domain(0.05, (1.0, 0.8)), 1.0 / 64.0)
+    [(args, result)] = grid_solves
+    [(op, _)] = sparse_solves
+    mask = args[0]
+    n0, n1 = mask.shape
+    assert n0 != n1
+    # one unknown per orbit of the two mirrors: the nodes of the closed quarter
+    assert op.dimension == mask[:(n0 + 1) // 2, :(n1 + 1) // 2].sum()
+    _assert_matches_oracle(args, result)
+
+
 def test_asymmetric_mask_solves_unfolded(grid_solves, sparse_solves):
-    spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0)
+    # no mirror and not the transpose maps this corner notch onto itself
+    spectral2d.solve_cartesian(notched_box_domain(0.5, 0.75), 1.0 / 32.0)
     [(args, result)] = grid_solves
     [(op, (_, psi))] = sparse_solves
     mask, mass = args[0], args[3]
@@ -320,6 +364,7 @@ def test_notched_box_masks_are_mirror_symmetric(monkeypatch, depth):
     spectral2d.solve_cartesian(four_notch_box_domain(float(depth)), 1.0 / 300.0)
     [mask] = masks
     assert np.array_equal(mask, mask[::-1]) and np.array_equal(mask, mask[:, ::-1])
+    assert np.array_equal(mask, mask.T)
 
 
 def test_notched_grid_matches_dense_eigh(sparse_solves):
