@@ -47,10 +47,10 @@ for row in audit["rows"]:
 print("\n== Gaussian envelope fit against ball volumes ==")
 eps = 0.1
 t_grid = [eps**2, 4 * eps**2, 1.0, math.pi**2]
-m_max = 8
-while m_max**2 * min(t_grid) < math.log(1e10):
-    m_max *= 2
-spectrum = radial.assemble_spectrum(spec, M_base=m_max, K_radial=3, N=256)
+# keep every radial family whose floor lies below lam_1 + ln(1e11) / t_min; lam_1
+# is at least the floor of family j = 1 on the circle's lowest level, lambda0 = 0
+cutoff = radial.family_floor(spec, 1, 0.0) + math.log(1e11) / min(t_grid)
+spectrum = radial.spectrum_below(spec, cutoff, N=256)
 weight = geometry.dirichlet_weight(spec)
 fit = heatkernel.gaussian_hke_audit(spec, t_grid, weight, spectrum)
 print(f"c_lo={fit['c_lo']:.3f}  c_hi={fit['c_hi']:.3f}  "

@@ -57,6 +57,11 @@ def _time_list(text: str) -> list[float]:
     return times
 
 
+def _require_bound(bound: float) -> None:
+    if not 1.0 <= bound < math.inf:
+        raise ValueError(f"--bound needs a finite ratio >= 1, got {bound}")
+
+
 def _fmt(v):
     if isinstance(v, bool):
         return str(v)
@@ -192,6 +197,7 @@ def _dyadic_radii(spec, eps):
 
 
 def _cmd_vd_audit(args, config):
+    _require_bound(args.bound)
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
@@ -203,6 +209,9 @@ def _cmd_vd_audit(args, config):
 
 
 def _cmd_pi_audit(args, config):
+    lo, hi = args.window
+    if not 0.0 < lo < hi:
+        raise ValueError(f"--window needs 0 < lo < hi, got {lo} {hi}")
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
@@ -211,7 +220,6 @@ def _cmd_pi_audit(args, config):
         spec, weight, _audit_centers(spec, count=2), radii,
         mode=mode, epsilon=args.eps,
     )
-    lo, hi = args.window
     ok = lo <= report.summary["poincare_min"] and report.summary["poincare_max"] <= hi
     checks = [_check("poincare_window", "pass" if ok else "fail",
                      lo=lo, hi=hi,
@@ -220,12 +228,23 @@ def _cmd_pi_audit(args, config):
     return report.rows, checks, report.summary
 
 
+# Relative weight e^(-(cutoff - lam_1) t_min) of the lowest omitted mode
+TAIL_WEIGHT = 1e-11
+
+
 def _annulus_spectrum_for(eps: float, t_min: float):
+    """Thin shell (1, 1 + eps) and its spectrum for kernels at times >= t_min.
+
+    Keeps every radial family below the energy cutoff lam_1 + ln(1 /
+    TAIL_WEIGHT) / t_min (radial.spectrum_below), with lam_1 replaced by
+    its closed-form lower bound, the first family floor of the lowest base
+    level.  A cutoff that is not finite or needs more than
+    radial.MAX_MODES modes raises heatkernel.InsufficientSpectrumError.
+    """
     spec = _thin_spec(eps)
-    m_max = 8
-    while m_max**2 * t_min < math.log(1e10) and m_max < 256:
-        m_max *= 2
-    return spec, radial.assemble_spectrum(spec, M_base=m_max, K_radial=3, N=256)
+    lam1_floor = radial.family_floor(spec, 1, bases.base_eigendata(spec.base).lambda0)
+    cutoff = lam1_floor + math.log(1.0 / TAIL_WEIGHT) / t_min
+    return spec, radial.spectrum_below(spec, cutoff, N=256)
 
 
 def _sample_points_annulus(spec):
@@ -300,6 +319,7 @@ def _cmd_sector(args, config):
 def _cmd_perturb_box(args, config):
     if not 0.0 < args.h < math.inf:
         raise ValueError(f"--h needs a positive finite grid step, got {args.h}")
+    _require_bound(args.bound)
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:
@@ -319,6 +339,7 @@ def _cmd_perturb_box(args, config):
 
 
 def _cmd_perturb_annulus(args, config):
+    _require_bound(args.bound)
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:

@@ -114,8 +114,8 @@ class Box:
 
     def __post_init__(self):
         object.__setattr__(self, "half_widths", tuple(float(a) for a in self.half_widths))
-        if any(a <= 0 for a in self.half_widths):
-            raise ValueError("half widths must be positive")
+        if not all(0.0 < a < math.inf for a in self.half_widths):
+            raise ValueError(f"half widths must be positive and finite, got {self.half_widths}")
 
     @property
     def dim(self) -> int:

@@ -28,7 +28,9 @@ __all__ = [
     "radial_potential_coefficient",
     "solve_radial",
     "solve_radial_weighted",
+    "family_floor",
     "assemble_spectrum",
+    "spectrum_below",
 ]
 
 
@@ -185,6 +187,60 @@ def _radial_table(grid: np.ndarray, rows: np.ndarray):
     return table
 
 
+# Most modes spectrum_below may keep: a cutoff that needs more is refused
+# before any radial solve, since the solves and the mode table grow with it.
+MAX_MODES = 4096
+
+
+def family_floor(spec: AnnularDomainSpec, j: int, lambda0: float) -> float:
+    """Lower bound on radial eigenvalue j (from 1) over the base level lambda0:
+    (j pi / (b - a))^2 + min over [a, b] of (alpha + lambda0) / r^2.
+
+    The transformed operator is -d^2/dr^2 plus a potential no smaller than
+    that minimum.  The floor grows with j and lambda0, and its least value,
+    j = 1 on the lowest base level, bounds the shell's ground eigenvalue.
+    """
+    c = radial_potential_coefficient(spec.n) + lambda0
+    return (j * math.pi / (spec.b - spec.a)) ** 2 + min(c / spec.a**2, c / spec.b**2)
+
+
+def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
+    """Product spectrum with radial_counts[i] radial families on base level i.
+
+    Its omitted_floor is the least family_floor over the omitted families:
+    j = radial_counts[i] + 1 on each kept level and j = 1 on the first
+    omitted one.
+    """
+    from .heatkernel import Spectrum
+
+    eigenvalues = []
+    radial_index = []
+    angular_index = []
+    radial_rows = []
+    first_g = 0
+    for level, k in zip(base.levels, radial_counts):
+        radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=k)
+        for res in radials:
+            for gi in range(first_g, first_g + level.multiplicity):
+                eigenvalues.append(res.lam)
+                radial_index.append(len(radial_rows))
+                angular_index.append(gi)
+            radial_rows.append(res.f)
+        first_g += level.multiplicity
+    order = np.argsort(eigenvalues)
+    return Spectrum(
+        eigenvalues=np.asarray(eigenvalues)[order],
+        # every radial solve on (a, b) shares one grid
+        factors=((_radial_table(radials[0].grid, np.array(radial_rows)),
+                  np.asarray(radial_index)[order]),
+                 (base.table, np.asarray(angular_index)[order])),
+        omitted_floor=min([family_floor(spec, k + 1, level.lambda0)
+                           for level, k in zip(base.levels, radial_counts)]
+                          + [family_floor(spec, 1, base.next_lambda0)]),
+        dim=spec.n,
+    )
+
+
 def assemble_spectrum(
     spec: AnnularDomainSpec,
     M_base: int,
@@ -198,41 +254,48 @@ def assemble_spectrum(
     with eigenfunctions f_{m,j}(r) g_m(theta); output ascending.  Returns a
     heatkernel.Spectrum whose mode table is one radial table (a row per
     f_{m,j}) times the base's angular table.  Its omitted_floor is the least
-    (j pi / (b - a))^2 + min over [a, b] of (alpha + lambda0) / r^2, a lower
-    bound on radial family j, over the omitted families: j = K_radial + 1 on
-    each kept level and j = 1 on the first omitted one.
+    family_floor over the omitted families: j = K_radial + 1 on each kept
+    level and j = 1 on the first omitted one.  spectrum_below chooses the
+    families from an energy cutoff instead.
     """
-    from .heatkernel import Spectrum
+    return _product_spectrum(spec, bases.base_spectrum(spec.base, M_base),
+                             [K_radial] * M_base, N)
 
-    base = bases.base_spectrum(spec.base, M_base)
-    eigenvalues = []
-    radial_index = []
-    angular_index = []
-    radial_rows = []
-    first_g = 0
-    for level in base.levels:
-        radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=K_radial)
-        for res in radials:
-            for gi in range(first_g, first_g + level.multiplicity):
-                eigenvalues.append(res.lam)
-                radial_index.append(len(radial_rows))
-                angular_index.append(gi)
-            radial_rows.append(res.f)
-        first_g += level.multiplicity
-    alpha = radial_potential_coefficient(spec.n)
 
-    def family_floor(j, lambda0):
-        c = alpha + lambda0
-        return (j * math.pi / (spec.b - spec.a)) ** 2 + min(c / spec.a**2, c / spec.b**2)
+def spectrum_below(spec: AnnularDomainSpec, cutoff: float, N: int = 512):
+    """Product spectrum of every radial family whose floor lies below cutoff.
 
-    order = np.argsort(eigenvalues)
-    return Spectrum(
-        eigenvalues=np.asarray(eigenvalues)[order],
-        # every radial solve on (a, b) shares one grid
-        factors=((_radial_table(radials[0].grid, np.array(radial_rows)),
-                  np.asarray(radial_index)[order]),
-                 (base.table, np.asarray(angular_index)[order])),
-        omitted_floor=min([family_floor(K_radial + 1, level.lambda0) for level in base.levels]
-                          + [family_floor(1, base.next_lambda0)]),
-        dim=spec.n,
-    )
+    Keeps each family (j, level) with family_floor(spec, j, lambda0) <
+    cutoff, so the number of radial families varies per base level and the
+    spectrum's omitted_floor is at least cutoff.  The heat-kernel tail at
+    time t is then at most e^(-cutoff (t - s)) (4 pi s)^(-n/2); with a
+    cutoff of lam_1 + ln(1/delta) / t_min, every omitted mode has weight
+    e^(-(lam - lam_1) t) < delta at every t >= t_min.  The families are
+    counted from their closed-form floors before any radial solve.  Raises
+    heatkernel.InsufficientSpectrumError when cutoff is not finite, when no
+    family lies below it, or when it needs more than MAX_MODES modes.
+    """
+    from .heatkernel import InsufficientSpectrumError
+
+    if not math.isfinite(cutoff):
+        raise InsufficientSpectrumError(f"energy cutoff {cutoff} is not finite")
+    # every level holds at least one mode, so MAX_MODES + 1 levels always suffice
+    levels = bases.base_spectrum(spec.base, MAX_MODES + 1).levels
+    radial_counts = []
+    modes = 0
+    for level in levels:
+        k = 0
+        while family_floor(spec, k + 1, level.lambda0) < cutoff:
+            k += 1
+            modes += level.multiplicity
+            if modes > MAX_MODES:
+                raise InsufficientSpectrumError(
+                    f"energy cutoff {cutoff:.3e} needs more than {MAX_MODES} modes")
+        if k == 0:
+            break
+        radial_counts.append(k)
+    if not radial_counts:
+        raise InsufficientSpectrumError(
+            f"energy cutoff {cutoff:.3e} lies below every radial family")
+    return _product_spectrum(spec, bases.base_spectrum(spec.base, len(radial_counts)),
+                             radial_counts, N)

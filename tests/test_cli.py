@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -106,6 +107,24 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["caricature", "--a", "-1"], id="caricature-a-negative"),
     pytest.param(["heat-kernel", "--t", "1,,2"], id="heat-kernel-empty-t-item"),
     pytest.param(["box-kernel", "--half-widths", "1,,1"], id="box-kernel-empty-half-width-item"),
+    pytest.param(["heat-kernel", "--half-widths", "nan"], id="heat-kernel-half-widths-nan"),
+    pytest.param(["box-kernel", "--half-widths", "nan"], id="box-kernel-half-widths-nan"),
+    pytest.param(["box-kernel", "--half-widths", "1,inf"], id="box-kernel-half-widths-inf"),
+    pytest.param(["vd-audit", "--bound", "0"], id="vd-audit-bound0"),
+    pytest.param(["vd-audit", "--bound", "-1"], id="vd-audit-bound-negative"),
+    pytest.param(["vd-audit", "--bound", "nan"], id="vd-audit-bound-nan"),
+    pytest.param(["vd-audit", "--bound", "0.5"], id="vd-audit-bound-below-1"),
+    pytest.param(["perturb-box", "--bound", "0"], id="perturb-box-bound0"),
+    pytest.param(["perturb-box", "--bound", "-1"], id="perturb-box-bound-negative"),
+    pytest.param(["perturb-box", "--bound", "nan"], id="perturb-box-bound-nan"),
+    pytest.param(["perturb-annulus", "--bound", "0"], id="perturb-annulus-bound0"),
+    pytest.param(["perturb-annulus", "--bound", "-1"], id="perturb-annulus-bound-negative"),
+    pytest.param(["perturb-annulus", "--bound", "nan"], id="perturb-annulus-bound-nan"),
+    pytest.param(["perturb-annulus", "--bound", "inf"], id="perturb-annulus-bound-inf"),
+    pytest.param(["pi-audit", "--window", "0.1", "0.1"], id="pi-audit-window-equal-ends"),
+    pytest.param(["pi-audit", "--window", "1", "0.1"], id="pi-audit-window-reversed"),
+    pytest.param(["pi-audit", "--window", "0", "1"], id="pi-audit-window-lo0"),
+    pytest.param(["pi-audit", "--window", "nan", "1"], id="pi-audit-window-nan"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -152,6 +171,30 @@ def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "hke-fit", "--eps", "1e-9"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("eps", ["0.01", "2"])
+def test_hke_fit_certifies_thin_and_thick_shells(tmp_path, eps):
+    # the energy cutoff keeps 1017 modes at eps = 0.01 and a single radial
+    # family per level on the thick shell (1, 3)
+    assert run(["--out", str(tmp_path), "hke-fit", "--eps", eps]) == 0
+    check = read_summary(tmp_path, "hke_fit")["checks"][0]
+    assert (check["name"], check["status"]) == ("gaussian_fit", "pass")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["heat-kernel", "--domain", "annulus", "--t", "1e-9"], id="heat-kernel-t-1e-9"),
+    pytest.param(["heat-kernel", "--domain", "annulus", "--t", "1e-300"], id="heat-kernel-t-1e-300"),
+    pytest.param(["hke-fit", "--eps", "1e-9"], id="hke-fit-eps-1e-9"),
+])
+def test_annulus_kernel_at_tiny_time_is_refused_fast(tmp_path, capsys, argv):
+    # the energy cutoff needs more modes than radial.MAX_MODES: refused before any solve
+    start = time.perf_counter()
+    code = run(["--out", str(tmp_path), *argv])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and elapsed < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "modes" in err[0]
 
 
 def _child_env():

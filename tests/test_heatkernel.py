@@ -249,6 +249,19 @@ def test_tail_bound_majorizes_thin_shell_omitted_sum(t):
         _diagonal_sum(large, t, pts[:1])[0])
 
 
+@pytest.mark.parametrize("t", [0.001, 0.003, 0.01])
+def test_tail_bound_majorizes_energy_cutoff_omitted_sum(t):
+    # the cutoff keeps the j = 1 families of levels m <= 49 only; by t = 0.03 the
+    # omitted sum, near e^(-90), sinks below the rounding of the kept one
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.1, bases.full_sphere(2))
+    small = radial.spectrum_below(spec, 3000.0, N=256)
+    large = _thin_shell_spectrum(128)
+    assert small.count == 99 and small.omitted_floor >= 3000.0
+    pts = np.array([(1.05, 0.3), (1.03, 1.0), (1.01, 4.0), (1.09, 2.0)])
+    omitted = _diagonal_sum(large, t, pts) - _diagonal_sum(small, t, pts)
+    assert small.tail_bound(t) >= omitted.max() > 0.0
+
+
 @pytest.mark.parametrize("half_widths, per_axis", [((1.0, 0.5), 6), ((0.7, 1.0, 1.3), 4)],
                          ids=["2d", "3d"])
 def test_box_omitted_floor_is_next_eigenvalue(half_widths, per_axis):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab import bases, numerics, radial
+from annulab import bases, heatkernel, numerics, radial
 
 
 def test_n3_reduces_to_interval():
@@ -134,3 +134,50 @@ def test_assemble_spectrum_dilation():
 def test_thin_flag():
     assert radial.AnnularDomainSpec(2, 1.0, 2.0, bases.full_sphere(2)).is_thin
     assert not radial.AnnularDomainSpec(2, 1.0, 2.5, bases.full_sphere(2)).is_thin
+
+
+_CUTOFF_SHELLS = [
+    pytest.param(radial.AnnularDomainSpec(2, 1.0, 1.5, bases.full_sphere(2)), 200.0, id="circle"),
+    pytest.param(radial.AnnularDomainSpec(2, 0.5, 2.0, bases.circle_arc(1.5 * math.pi)), 60.0,
+                 id="arc"),
+]
+
+
+@pytest.mark.parametrize("spec, cutoff", _CUTOFF_SHELLS)
+def test_spectrum_below_keeps_exactly_the_families_under_the_cutoff(spec, cutoff):
+    spectrum = radial.spectrum_below(spec, cutoff, N=128)
+    assert spectrum.omitted_floor >= cutoff
+    # reference: a uniform truncation holding every family, each mode tagged (level, j)
+    levels = bases.base_spectrum(spec.base, 64).levels
+    M = sum(radial.family_floor(spec, 1, lv.lambda0) < cutoff for lv in levels)
+    K = sum(radial.family_floor(spec, j, levels[0].lambda0) < cutoff for j in range(1, 64))
+    assert 1 < M < 64 and 1 < K < 64  # both the levels and the families vary
+    full = radial.assemble_spectrum(spec, M_base=M, K_radial=K, N=128)
+    level, j = np.divmod(full.factors[0][1], K)
+    below = np.array([radial.family_floor(spec, jj + 1, levels[m].lambda0) < cutoff
+                      for m, jj in zip(level, j)])
+    assert 0 < below.sum() < full.count and spectrum.count == below.sum()
+    np.testing.assert_allclose(spectrum.eigenvalues, full.eigenvalues[below],
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 1e12, 1e300, 0.0])
+def test_spectrum_below_refuses_before_any_radial_solve(monkeypatch, cutoff):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("radial solve before the mode count was checked")
+
+    monkeypatch.setattr(radial, "solve_radial", no_solve)
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.1, bases.full_sphere(2))
+    with pytest.raises(heatkernel.InsufficientSpectrumError):
+        radial.spectrum_below(spec, cutoff, N=64)
+
+
+def test_spectrum_below_mode_limit_is_exact(monkeypatch):
+    # levels m = 0, 1, 2 of the circle hold 1 + 2 + 2 modes, all with j = 1
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.1, bases.full_sphere(2))
+    cutoff = 0.5 * (radial.family_floor(spec, 1, 4.0) + radial.family_floor(spec, 1, 9.0))
+    monkeypatch.setattr(radial, "MAX_MODES", 5)
+    assert radial.spectrum_below(spec, cutoff, N=64).count == 5
+    monkeypatch.setattr(radial, "MAX_MODES", 4)
+    with pytest.raises(heatkernel.InsufficientSpectrumError, match="more than 4 modes"):
+        radial.spectrum_below(spec, cutoff, N=64)
