@@ -7,7 +7,9 @@ keys).  Outputs are byte-identical for identical configs.
 `report` aggregates previously written JSON summaries into one pass/fail
 table.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Each flag's argparse `type` states its domain; `--config` entries are parsed
+as the flags they name.  Exit codes: 0 success; 1 bad input, one `error:`
+line; 2 numerical failure (one `numerical failure:` line) or failed check.
 """
 
 from __future__ import annotations
@@ -39,27 +41,51 @@ SCHEMA_VERSION = "annulab.summary.v1"
 __all__ = ["main", "run"]
 
 
-def _float_list(text: str, flag: str) -> list[float]:
-    """Values separated by commas or whitespace; an empty comma item is refused."""
+def _domain(parse, ok, domain: str):
+    """An argparse type: `parse` the text, then require `ok` of the value."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"needs {domain}, got {text!r}")
+    return convert
+
+
+_positive = _domain(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_ratio = _domain(float, lambda v: 1.0 <= v < math.inf, "a finite ratio >= 1")
+
+
+def _int_from(floor: int):
+    return _domain(int, lambda v: v >= floor, f"an integer >= {floor}")
+
+
+def _positive_list(text: str) -> list[float]:
+    """Positive finite numbers separated by commas or whitespace, with no
+    empty comma item (an empty text is one)."""
     items = text.split(",")
-    if len(items) > 1 and not all(item.strip() for item in items):
-        raise ValueError(f"{flag} has an empty item between commas, got {text!r}")
-    values = [float(v) for item in items for v in item.split()]
-    if not values:
-        raise ValueError(f"{flag} needs at least one value, got {text!r}")
-    return values
+    if not all(item.strip() for item in items):
+        raise argparse.ArgumentTypeError(f"has an empty item, got {text!r}")
+    return [_positive(v) for item in items for v in item.split()]
 
 
-def _time_list(text: str) -> list[float]:
-    times = _float_list(text, "--t")
-    if not all(0.0 < t < math.inf for t in times):
-        raise ValueError(f"--t needs positive finite times, got {text!r}")
-    return times
+class _Window(argparse.Action):
+    """Two positive numbers lo < hi."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if not lo < hi:
+            raise argparse.ArgumentError(self, f"needs lo < hi, got {lo:g} {hi:g}")
+        setattr(namespace, self.dest, (lo, hi))
 
 
-def _require_bound(bound: float) -> None:
-    if not 1.0 <= bound < math.inf:
-        raise ValueError(f"--bound needs a finite ratio >= 1, got {bound}")
+class _Parser(argparse.ArgumentParser):
+    """Raises every refusal as ValueError, so `run` prints it as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _fmt(v):
@@ -111,9 +137,7 @@ def _base_from_args(args) -> bases.BaseDomain:
         if args.n != 2:
             raise ValueError("arc bases need n = 2")
         return bases.circle_arc(args.theta1)
-    if args.base == "orthant":
-        return bases.orthant_intersection(args.n, args.k_coords)
-    raise ValueError(f"unknown base {args.base!r}")
+    return bases.orthant_intersection(args.n, args.k_coords)
 
 
 def _cmd_solve(args, config):
@@ -140,20 +164,16 @@ def _cmd_bounds(args, config):
 def _cmd_caricature(args, config):
     if args.kind == "thin":
         fn = estimates.thin_annulus_caricature(args.n, args.a, args.b)
-    elif args.kind == "wide":
-        fn = estimates.wide_annulus_caricature(args.n, args.a, args.b)
     else:
-        raise ValueError(f"unknown caricature kind {args.kind!r}")
-    radii = _float_list(args.points, "--points") if args.points else list(
-        np.linspace(args.a, args.b, 17)[1:-1]
-    )
+        fn = estimates.wide_annulus_caricature(args.n, args.a, args.b)
+    radii = args.points or list(np.linspace(args.a, args.b, 17)[1:-1])
     vals = estimates.caricature_eval(fn, np.asarray(radii))
     rows = [{"r": r, "value": float(v)} for r, v in zip(radii, vals)]
     return rows, [_check("caricature_eval", "report-only", kind=args.kind)], {}
 
 
 def _cmd_hadamard(args, config):
-    rows = estimates.hadamard_scan(args.n, _float_list(args.t, "--t"), N=args.grid)
+    rows = estimates.hadamard_scan(args.n, args.t, N=args.grid)
     checks = []
     if args.n == 3:
         target = 2.0 * math.pi**2
@@ -174,9 +194,7 @@ def _thin_spec(eps: float) -> radial.AnnularDomainSpec:
 def _weight_for(spec, tag: str) -> geometry.WeightFunction:
     if tag == "phi2":
         return geometry.dirichlet_weight(spec)
-    if tag == "uniform":
-        return geometry.uniform_weight(spec)
-    raise ValueError(f"unknown weight {tag!r}")
+    return geometry.uniform_weight(spec)
 
 
 def _audit_centers(spec, count: int = 4):
@@ -197,7 +215,6 @@ def _dyadic_radii(spec, eps):
 
 
 def _cmd_vd_audit(args, config):
-    _require_bound(args.bound)
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
@@ -210,8 +227,6 @@ def _cmd_vd_audit(args, config):
 
 def _cmd_pi_audit(args, config):
     lo, hi = args.window
-    if not 0.0 < lo < hi:
-        raise ValueError(f"--window needs 0 < lo < hi, got {lo} {hi}")
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
@@ -255,16 +270,15 @@ def _sample_points_annulus(spec):
 
 
 def _cmd_heat_kernel(args, config):
-    t_grid = _time_list(args.t)
     if args.domain == "box":
-        box = heatkernel.Box(tuple(_float_list(args.half_widths, "--half-widths")))
+        box = heatkernel.Box(tuple(args.half_widths))
         spectrum = heatkernel.box_spectrum(box, args.modes)
         grids = [np.linspace(-a, a, 7)[1:-1] for a in box.half_widths]
         pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
     else:
-        spec, spectrum = _annulus_spectrum_for(args.eps, min(t_grid))
+        spec, spectrum = _annulus_spectrum_for(args.eps, min(args.t))
         pts = _sample_points_annulus(spec)
-    audit = heatkernel.equilibration_audit(spectrum, t_grid, pts)
+    audit = heatkernel.equilibration_audit(spectrum, args.t, pts)
     rel = abs(audit["fitted_rate"] - audit["spectral_gap"]) / audit["spectral_gap"]
     checks = [_check("decay_rate_matches_gap", "pass" if rel <= 0.05 else "fail",
                      fitted=audit["fitted_rate"], gap=audit["spectral_gap"],
@@ -273,8 +287,8 @@ def _cmd_heat_kernel(args, config):
 
 
 def _cmd_box_kernel(args, config):
-    box = heatkernel.Box(tuple(_float_list(args.half_widths, "--half-widths")))
-    audit = heatkernel.box_kernel_bounds_check(box, _time_list(args.t))
+    box = heatkernel.Box(tuple(args.half_widths))
+    audit = heatkernel.box_kernel_bounds_check(box, args.t)
     ok = audit["deviation_constant"] <= 10.0
     checks = [_check("deviation_envelope", "pass" if ok else "fail",
                      constant=audit["deviation_constant"], bound=10.0)]
@@ -301,10 +315,7 @@ def _cmd_hke_fit(args, config):
 
 
 def _cmd_sector(args, config):
-    if args.nodes < 1:
-        raise ValueError(f"--nodes needs a positive count, got {args.nodes}")
-    betas = _float_list(args.beta, "--beta")
-    report = auditors.sector_counterexample(betas, nodes=args.nodes)
+    report = auditors.sector_counterexample(args.beta, nodes=args.nodes)
     checks = [_check("ratio_increasing",
                      "pass" if report.summary["ratio_increasing_as_beta_shrinks"] else "fail")]
     for row in report.rows:
@@ -317,9 +328,6 @@ def _cmd_sector(args, config):
 
 
 def _cmd_perturb_box(args, config):
-    if not 0.0 < args.h < math.inf:
-        raise ValueError(f"--h needs a positive finite grid step, got {args.h}")
-    _require_bound(args.bound)
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:
@@ -339,7 +347,6 @@ def _cmd_perturb_box(args, config):
 
 
 def _cmd_perturb_annulus(args, config):
-    _require_bound(args.bound)
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:
@@ -384,7 +391,7 @@ def _cmd_report(args, config, out_dir: Path):
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="annulab",
         description="Eigenpairs, heat kernels, and metric-measure audits on annular domains",
     )
@@ -393,72 +400,72 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="radial shell eigenvalues")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_from(2), default=3)
+    sp.add_argument("--a", type=_positive, default=1.0)
+    sp.add_argument("--b", type=_positive, default=2.0)
     sp.add_argument("--base", default="full", choices=["full", "arc", "orthant"])
-    sp.add_argument("--theta1", type=float, default=math.pi)
-    sp.add_argument("--k-coords", type=int, default=1)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--grid", type=int, default=1024)
+    sp.add_argument("--theta1", type=_positive, default=math.pi)
+    sp.add_argument("--k-coords", type=_int_from(1), default=1)
+    sp.add_argument("--count", type=_int_from(1), default=1)
+    sp.add_argument("--grid", type=_int_from(64), default=1024)
 
     sp = sub.add_parser("bounds", help="two-sided annulus eigenvalue bounds")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=2.0)
+    sp.add_argument("--n", type=_int_from(2), default=2)
+    sp.add_argument("--a", type=_positive, default=1.0)
+    sp.add_argument("--b", type=_positive, default=2.0)
 
     sp = sub.add_parser("caricature", help="evaluate a comparison profile")
     sp.add_argument("--kind", default="thin", choices=["thin", "wide"])
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=1.5)
-    sp.add_argument("--points", default="")
+    sp.add_argument("--n", type=_int_from(2), default=2)
+    sp.add_argument("--a", type=_positive, default=1.0)
+    sp.add_argument("--b", type=_positive, default=1.5)
+    sp.add_argument("--points", type=_positive_list, default=None)
 
     sp = sub.add_parser("hadamard", help="eigenvalue sensitivity scan")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--t", default="0.05,0.1,0.5,1.0")
-    sp.add_argument("--grid", type=int, default=1024)
+    sp.add_argument("--n", type=_int_from(2), default=3)
+    sp.add_argument("--t", type=_positive_list, default="0.05,0.1,0.5,1.0")
+    sp.add_argument("--grid", type=_int_from(64), default=1024)
 
     sp = sub.add_parser("vd-audit", help="volume doubling audit on a thin annulus")
-    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--eps", type=_positive, default=0.1)
     sp.add_argument("--weight", default="phi2", choices=["phi2", "uniform"])
-    sp.add_argument("--bound", type=float, default=64.0)
+    sp.add_argument("--bound", type=_ratio, default=64.0)
 
     sp = sub.add_parser("pi-audit", help="Poincare constant audit on a thin annulus")
-    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--eps", type=_positive, default=0.1)
     sp.add_argument("--weight", default="phi2", choices=["phi2", "uniform"])
     sp.add_argument("--mode", default="continuous", choices=["continuous", "discrete"])
-    sp.add_argument("--window", type=float, nargs=2, default=(0.01, 1.0))
+    sp.add_argument("--window", type=_positive, nargs=2, action=_Window, default=(0.01, 1.0))
 
     sp = sub.add_parser("heat-kernel", help="equilibration audit")
     sp.add_argument("--domain", default="box", choices=["box", "annulus"])
-    sp.add_argument("--half-widths", default="1.0")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--t", default="0.5,1,2,3,4,5")
-    sp.add_argument("--modes", type=int, default=64)
+    sp.add_argument("--half-widths", type=_positive_list, default="1.0")
+    sp.add_argument("--eps", type=_positive, default=0.1)
+    sp.add_argument("--t", type=_positive_list, default="0.5,1,2,3,4,5")
+    sp.add_argument("--modes", type=_int_from(1), default=64)
 
     sp = sub.add_parser("box-kernel", help="box kernel envelope check")
-    sp.add_argument("--half-widths", default="1.0")
-    sp.add_argument("--t", default="1,2,4,8,16")
+    sp.add_argument("--half-widths", type=_positive_list, default="1.0")
+    sp.add_argument("--t", type=_positive_list, default="1,2,4,8,16")
 
     sp = sub.add_parser("hke-fit", help="Gaussian envelope fit on a thin annulus")
-    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--eps", type=_positive, default=0.1)
 
     sp = sub.add_parser("sector", help="sector doubling counterexample")
-    sp.add_argument("--beta", default="0.2")
-    sp.add_argument("--nodes", type=int, default=4096)
+    sp.add_argument("--beta", type=_positive_list, default="0.2")
+    sp.add_argument("--nodes", type=_int_from(1), default=4096)
 
     sp = sub.add_parser("perturb-box", help="box sandwich audit")
     sp.add_argument("--scenario", default=None)
-    sp.add_argument("--h", type=float, default=1.0 / 128.0)
-    sp.add_argument("--bound", type=float, default=10.0)
+    sp.add_argument("--h", type=_positive, default=1.0 / 128.0)
+    sp.add_argument("--bound", type=_ratio, default=10.0)
 
     sp = sub.add_parser("perturb-annulus", help="shell sandwich audit")
     sp.add_argument("--scenario", default=None)
-    sp.add_argument("--eps", type=float, default=0.3)
-    sp.add_argument("--nr", type=int, default=48)
-    sp.add_argument("--ntheta", type=int, default=384)
-    sp.add_argument("--bound", type=float, default=10.0)
+    sp.add_argument("--eps", type=_positive, default=0.3)
+    sp.add_argument("--nr", type=_int_from(1), default=48)
+    sp.add_argument("--ntheta", type=_int_from(1), default=384)
+    sp.add_argument("--bound", type=_ratio, default=10.0)
 
     sub.add_parser("report", help="aggregate JSON summaries into a pass/fail table")
     return p, sub.choices
@@ -481,46 +488,34 @@ _DISPATCH = {
 
 
 def _apply_config_file(args, argv, parser, subcommands):
-    """key = value file entries become parser defaults, and argv is parsed
+    """key = value file entries are parsed as the flags they name, by the
+    subcommand's own parser, and become its defaults; argv is then parsed
     again over them, so flags still win."""
     if not args.config:
         return args
     with open(args.config, encoding="utf-8") as fh:
         entries = perturb.parse_key_values(fh.read(), "config")
-    defaults = {}
+    sub = subcommands[args.command]
     for key, val in entries.items():
         key = key.replace("-", "_")
+        if key == "out":
+            parser.set_defaults(out=val)
+            continue
         if key in ("config", "command") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(args, key)
+        tokens = val.split() if key == "window" else [val]
         try:
-            if isinstance(current, int):
-                defaults[key] = int(val)
-            elif isinstance(current, float):
-                defaults[key] = float(val)
-            elif isinstance(current, (tuple, list)):
-                parts = val.split()
-                if len(parts) != len(current):
-                    raise ValueError(f"takes {len(current)} values, got {len(parts)}")
-                defaults[key] = tuple(type(c)(v) for c, v in zip(current, parts))
-            else:
-                defaults[key] = val
+            flag = sub.parse_args(["--" + key.replace("_", "-"), *tokens])
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    if "out" in defaults:
-        parser.set_defaults(out=defaults.pop("out"))
-    subcommands[args.command].set_defaults(**defaults)
+        sub.set_defaults(**{key: getattr(flag, key)})
     return parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
     parser, subcommands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        args = _apply_config_file(args, argv, parser, subcommands)
+        args = _apply_config_file(parser.parse_args(argv), argv, parser, subcommands)
         out_dir = Path(args.out or os.environ.get("OUT_DIR", "."))
         config = {
             k: v for k, v in sorted(vars(args).items())
@@ -531,6 +526,8 @@ def run(argv: list[str]) -> int:
             rows, checks, results = _cmd_report(args, config, out_dir)
         else:
             rows, checks, results = _DISPATCH[args.command](args, config)
+    except SystemExit:  # --help; refusals raise ValueError (_Parser)
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

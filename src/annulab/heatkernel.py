@@ -283,7 +283,8 @@ def _fit_decay_rate(ts, devs):
     devs = np.asarray(devs, dtype=float)
     keep = (devs > 1e-12) & (devs < 0.5) & np.isfinite(devs)
     if keep.sum() < 2:
-        return math.nan
+        raise RuntimeError(f"decay fit window (1e-12, 0.5) holds the sup deviation at "
+                           f"{keep.sum()} of {len(ts)} times; a rate needs two")
     slope, _ = np.polyfit(ts[keep], np.log(devs[keep]), 1)
     return float(-slope)
 
@@ -295,6 +296,7 @@ def equilibration_audit(spectrum: Spectrum, t_grid: Sequence[float],
     Rows hold sup_{x,y in points} |e^(lam_1 t) p/(phi_1 phi_1) - 1| per t;
     the tail of the decay is fitted log-linearly and compared with the
     spectral gap, which is the exact asymptotic rate of the spectral sum.
+    Raises RuntimeError when fewer than two deviations lie in the fit window.
     """
     ts = sorted(t_grid)
     rows = [{"t": float(t), "sup_dev": float(np.max(np.abs(R - 1.0)))}

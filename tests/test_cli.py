@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import resource
+import string
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import annulab
 from annulab.cli import run
@@ -125,12 +131,23 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["pi-audit", "--window", "1", "0.1"], id="pi-audit-window-reversed"),
     pytest.param(["pi-audit", "--window", "0", "1"], id="pi-audit-window-lo0"),
     pytest.param(["pi-audit", "--window", "nan", "1"], id="pi-audit-window-nan"),
+    # refused while argv is parsed, where argparse would print a usage block
+    pytest.param(["solve", "--n", "abc"], id="solve-n-abc"),
+    pytest.param(["sector", "--nodes", "1e300"], id="sector-nodes-1e300"),
+    pytest.param(["perturb-annulus", "--nr", "nan"], id="perturb-annulus-nr-nan"),
+    pytest.param(["perturb-annulus", "--eps", "inf"], id="perturb-annulus-eps-inf"),
+    pytest.param(["solve", "--nope"], id="solve-unknown-flag"),
+    pytest.param(["pi-audit", "--window", "0.1"], id="pi-audit-window-one-token"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
-    assert run(["--out", str(tmp_path / "out"), *argv]) == 1
+    # a warning would reach stderr ahead of the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not caught, [str(w.message) for w in caught]
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -138,7 +155,7 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     for command, flag in (("hadamard", "--t"), ("sector", "--beta"),
                           ("heat-kernel", "--half-widths"), ("box-kernel", "--half-widths")):
         assert run(["--out", str(tmp_path), command, flag, ""]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
 
 
 @pytest.mark.parametrize("command, text, named", [
@@ -151,6 +168,7 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     pytest.param("perturb-box", "kind = box\nb1 = 1 1 1\nb2 = 1.05 1.05 1.05\n", "b1 and b2",
                  id="box-scenario-three-widths"),
     pytest.param("solve", "n = abc\n", "key 'n'", id="config-value-not-an-int"),
+    pytest.param("solve", "base = nope\n", "key 'base'", id="config-value-not-a-choice"),
     pytest.param("perturb-annulus", "kind = annulus\neps = abc\n", "key 'eps'",
                  id="scenario-value-not-a-float"),
 ])
@@ -197,6 +215,98 @@ def test_annulus_kernel_at_tiny_time_is_refused_fast(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("numerical failure: ") and "modes" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["heat-kernel", "--domain", "annulus", "--eps", "1", "--t", "0.2,1,2,4"],
+                 id="annulus-one-time-in-window"),
+    pytest.param(["heat-kernel", "--t", "1e300"], id="box-no-time-in-window"),
+])
+def test_unmeasured_decay_rate_is_a_numerical_failure(tmp_path, capsys, argv):
+    # under two sup deviations in the fit window: no rate to compare with the gap
+    assert run(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "(1e-12, 0.5)" in err[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Flag domains of every computing subcommand, stated here rather than read
+# from the parser: an int is the least allowed integer, a tuple the choices.
+POSITIVE, RATIO, LIST, WINDOW = "positive", "ratio", "list", "window"
+FLAG_DOMAINS = {
+    "solve": {"--n": 2, "--a": POSITIVE, "--b": POSITIVE, "--base": ("full", "arc", "orthant"),
+              "--theta1": POSITIVE, "--k-coords": 1, "--count": 1, "--grid": 64},
+    "bounds": {"--n": 2, "--a": POSITIVE, "--b": POSITIVE},
+    "caricature": {"--kind": ("thin", "wide"), "--n": 2, "--a": POSITIVE, "--b": POSITIVE,
+                   "--points": LIST},
+    "hadamard": {"--n": 2, "--t": LIST, "--grid": 64},
+    "vd-audit": {"--eps": POSITIVE, "--weight": ("phi2", "uniform"), "--bound": RATIO},
+    "pi-audit": {"--eps": POSITIVE, "--weight": ("phi2", "uniform"),
+                 "--mode": ("continuous", "discrete"), "--window": WINDOW},
+    "heat-kernel": {"--domain": ("box", "annulus"), "--half-widths": LIST, "--eps": POSITIVE,
+                    "--t": LIST, "--modes": 1},
+    "box-kernel": {"--half-widths": LIST, "--t": LIST},
+    "hke-fit": {"--eps": POSITIVE},
+    "sector": {"--beta": LIST, "--nodes": 1},
+    "perturb-box": {"--h": POSITIVE, "--bound": RATIO},
+    "perturb-annulus": {"--eps": POSITIVE, "--nr": 1, "--ntheta": 1, "--bound": RATIO},
+}
+
+
+def _outside(domain):
+    """Strategy for argument tokens outside `domain`."""
+    junk = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e999", "0x10"])
+    good = st.floats(min_value=1e-300, max_value=1e300).map(repr)
+    if domain == POSITIVE:
+        return st.one_of(junk, st.floats(max_value=0.0).map(repr)).map(lambda v: [v])
+    if domain == RATIO:
+        return st.one_of(junk, st.floats(max_value=1.0, exclude_max=True).map(repr)
+                         ).map(lambda v: [v])
+    if domain == LIST:
+        bad = st.one_of(st.just(""), _outside(POSITIVE).map(lambda v: v[0]))
+        return st.tuples(st.lists(good, max_size=3), bad, st.lists(good, max_size=3)).map(
+            lambda parts: [",".join([*parts[0], parts[1], *parts[2]])])
+    if domain == WINDOW:
+        ordered = st.tuples(good, good).map(lambda w: sorted(w, key=float, reverse=True))
+        return st.one_of(good.map(lambda v: [v]), ordered,
+                         st.tuples(_outside(POSITIVE), good).map(lambda w: [w[0][0], w[1]]))
+    if isinstance(domain, tuple):
+        text = st.text(alphabet=string.ascii_letters + string.digits + "-_.", max_size=12)
+        return text.filter(lambda v: v not in domain).map(lambda v: [v])
+    return st.one_of(junk, st.floats().map(repr),
+                     st.integers(max_value=domain - 1).map(str)).map(lambda v: [v])
+
+
+@st.composite
+def _refused_input(draw):
+    command = draw(st.sampled_from(sorted(FLAG_DOMAINS)))
+    flag, domain = draw(st.sampled_from(sorted(FLAG_DOMAINS[command].items())))
+    return command, flag, draw(_outside(domain)), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_refused_input())
+def test_values_outside_a_flag_domain_are_one_error_line(case):
+    # as a flag or as a config entry, a value outside the flag's domain is
+    # refused while parsing: exit 1, one error line, no output, no warning
+    command, flag, tokens, via_config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if via_config:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {' '.join(tokens)}\n")
+            argv = ["--out", str(out), "--config", str(cfg), command]
+        else:
+            argv = ["--out", str(out), command, flag, *tokens]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        lines = err.getvalue().strip().splitlines()
+        assert code == 1, (argv, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert not caught and not out.exists(), argv
+
+
 def _child_env():
     # the child imports the same annulab as this test, whatever the caller's PYTHONPATH
     src = str(Path(annulab.__file__).resolve().parent.parent)
@@ -221,15 +331,6 @@ def test_out_of_memory_is_a_numerical_failure(tmp_path, command):
     assert cp.returncode == 2
     err = cp.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
-
-
-def test_perturb_annulus_zero_grid_warns_nothing(tmp_path):
-    # a warning would reach stderr ahead of the one error line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(["--out", str(tmp_path), "perturb-annulus", "--nr", "0"])
-    assert code == 1
-    assert not caught, [str(w.message) for w in caught]
 
 
 def test_config_file_overrides_defaults(tmp_path):
@@ -272,8 +373,9 @@ def test_config_file_list_reads_whitespace_separated_values(tmp_path):
     assert run(["--out", str(tmp_path / "file"), "--config", str(cfg), "box-kernel"]) == 0
     assert run(["--out", str(tmp_path / "flag"), "box-kernel", "--half-widths", "1,0.5",
                 "--t", "1, 4"]) == 0
-    rows = [(tmp_path / d / "box_kernel.csv").read_text().splitlines()[1:] for d in ("file", "flag")]
-    assert rows[0] == rows[1] and len(rows[0]) > 1
+    # both parse to the same lists, so even the config echo agrees
+    texts = [(tmp_path / d / "box_kernel.csv").read_text() for d in ("file", "flag")]
+    assert texts[0] == texts[1] and len(texts[0].splitlines()) > 2
 
 
 def test_config_file_wrong_value_count_exits_one(tmp_path, capsys):
