@@ -151,6 +151,15 @@ def test_input_errors_exit_one(tmp_path, capsys, argv):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+def test_perturb_annulus_zero_grid_warns_nothing(tmp_path):
+    # a warning would reach stderr ahead of the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--out", str(tmp_path), "perturb-annulus", "--nr", "0"])
+    assert code == 1
+    assert not caught, [str(w.message) for w in caught]
+
+
 def test_empty_list_error_names_the_flag(tmp_path, capsys):
     for command, flag in (("hadamard", "--t"), ("sector", "--beta"),
                           ("heat-kernel", "--half-widths"), ("box-kernel", "--half-widths")):
