@@ -12,6 +12,7 @@ fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ __all__ = [
     "doubling_profile_model",
     "interval_doubling_brute_force",
     "poincare_profile",
+    "separated_gap",
     "zero_flux_gap",
     "net_graph_gap",
     "sector_counterexample",
@@ -114,6 +116,12 @@ def interval_doubling_brute_force(a: float, b: float, density, center: float,
     return mass(2.0 * r) / v1
 
 
+def _kernel_check(mu1: float, mu2: float, form: str) -> None:
+    """mu_1 of a zero-flux form must vanish: the constants span its kernel."""
+    if not abs(mu1) <= max(1e-8 * abs(mu2), 1e-12):
+        raise RuntimeError(f"{form} kernel check failed: mu_1 = {mu1:.3e}")
+
+
 def _edge_form_gap(p, q, cond, mass, form: str) -> float:
     """mu_2 of K f = mu M f for the zero-flux form with conductances cond on
     the edges (p, q): K has the row sums of its edges on the diagonal, so the
@@ -129,9 +137,60 @@ def _edge_form_gap(p, q, cond, mass, form: str) -> float:
         op = numerics.SparseSymmetricOperator.from_matrix(L)
         shift = -1e-6 * float(np.max(L.diagonal()))
         (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=shift)
-    if not abs(mu1) <= max(1e-8 * abs(mu2), 1e-12):
-        raise RuntimeError(f"{form} kernel check failed: mu_1 = {mu1:.3e}")
+    _kernel_check(mu1, mu2, form)
     return float(mu2)
+
+
+def _path_eigenvalues(cond, mass, k: int, potential=0.0) -> np.ndarray:
+    """k smallest mu of (K + potential M) f = mu M f, for the path form K
+    with conductance cond[i] between nodes i and i + 1 and M = diag(mass)."""
+    d = 1.0 / np.sqrt(mass)
+    row_sums = np.concatenate(([0.0], cond)) + np.concatenate((cond, [0.0]))
+    diag = d * row_sums * d + potential
+    if len(mass) == 1:
+        return diag
+    return numerics.tridiag_smallest_eigenpairs(diag, d[:-1] * -cond * d[1:], k)[0]
+
+
+def _path_gap(cond, mass, form: str) -> float:
+    mu1, mu2 = _path_eigenvalues(cond, mass, 2)
+    _kernel_check(mu1, mu2, form)
+    return float(mu2)
+
+
+def _angular_gap(model: geometry.AnnulusModel, arc: tuple[int, int]) -> float:
+    """Smallest nonzero eigenvalue of the angular zero-flux form on an arc."""
+    cond, mass, cyclic = model.angular_form(arc)
+    if cyclic:
+        p = np.arange(len(mass))
+        return _edge_form_gap(p, (p + 1) % len(mass), cond, mass, "angular zero-flux")
+    return _path_gap(cond, mass, "angular zero-flux")
+
+
+def separated_gap(model: geometry.AnnulusModel, rows: slice, arc: tuple[int, int],
+                  angular_gap=None) -> float:
+    """Smallest nonzero eigenvalue of the weighted zero-flux operator on the
+    ball rows x arc of an AnnulusModel (see AnnulusModel.ball), from 1-D problems.
+
+    The form separates: K = K_r (x) M_t + (M_r R^-2) (x) K_t against M =
+    M_r (x) M_t, so its spectrum is the union over the angular eigenvalues
+    beta_k of the radial problems (K_r + beta_k M_r R^-2, M_r).  beta_0 = 0
+    gives the radial spectrum, kernel included, and every radial eigenvalue
+    grows with beta, so mu_2 is the lesser of the second radial eigenvalue
+    and the first at beta_1.  It equals zero_flux_gap on the same nodes up
+    to rounding.  angular_gap(arc) -> beta_1 may be passed to share it
+    between balls.
+    """
+    cond, mass = model.radial_form(rows)
+    if len(mass) * arc[1] < 2:
+        return math.nan
+    gaps = []
+    if len(mass) > 1:
+        gaps.append(_path_gap(cond, mass, "radial zero-flux"))
+    if arc[1] > 1:
+        beta1 = angular_gap(arc) if angular_gap else _angular_gap(model, arc)
+        gaps.append(float(_path_eigenvalues(cond, mass, 1, beta1 / model.r[rows] ** 2)[0]))
+    return min(gaps)
 
 
 def _kept_edges(edges, ids, size):
@@ -148,7 +207,8 @@ def zero_flux_gap(model, ids: np.ndarray) -> float:
 
     The operator keeps exactly the grid edges internal to the subset
     (reflecting boundary); the constant function lies in its kernel by
-    construction.
+    construction.  On an AnnulusModel this 2-D form is the oracle of
+    separated_gap.
     """
     pairs, conds = model.grid_edges()
     keep, p, q = _kept_edges(pairs, ids, len(model.node_measure))
@@ -174,7 +234,8 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
     """Ball Poincare constants P(x, r) on a planar shell.
 
     continuous_grid: P = 1/(r^2 mu_2) with mu_2 the weighted zero-flux gap of
-    the sigma-ball on the quadrature grid.  discrete_net: P = 1/(m^2 mu_2)
+    the sigma-ball on the quadrature grid, from its separated 1-D problems
+    (separated_gap).  discrete_net: P = 1/(m^2 mu_2)
     with the weighted net-graph form on the graph ball of radius m =
     max(1, round(r / 2 eps)); m is then remeasured as the true graph radius,
     so saturated balls are handled consistently.
@@ -185,13 +246,15 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
     if mode == "continuous_grid":
         model = geometry.annulus_model(spec, weight,
                                        resolve=min(min(radii), spec.b - spec.a))
+        # balls that share a column arc share its angular problem
+        angular_gap = functools.lru_cache(maxsize=None)(functools.partial(_angular_gap, model))
         for c in centers:
             for r in radii:
-                ids = model.ball_ids(c, r)
-                if len(ids) < 4:
+                ball_rows, arc = model.ball(c, r)
+                if (ball_rows.stop - ball_rows.start) * arc[1] < 4:
                     rows.append(_center_row(c, r, flag="ball_under_resolved"))
                     continue
-                mu2 = zero_flux_gap(model, ids)
+                mu2 = separated_gap(model, ball_rows, arc, angular_gap)
                 rows.append(_center_row(c, r, mu2=mu2, poincare=1.0 / (r * r * mu2)))
         grid_info = (len(model.r), len(model.th))
     else:

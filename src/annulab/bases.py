@@ -15,9 +15,10 @@ Coordinate conventions per variant:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "sphere_rectangle",
     "surface_measure",
     "base_eigendata",
+    "base_levels",
     "base_spectrum",
     "solve_sphere_rectangle",
     "dist_to_equator",
@@ -326,33 +328,46 @@ def base_eigendata(base: BaseDomain, N: int = 64) -> BaseEigenData:
     raise UnsupportedBaseError(f"unknown base kind {base.kind!r}")
 
 
-def base_spectrum(base: BaseDomain, count: int) -> BaseSpectrum:
-    """The lowest `count` eigenvalue levels of the base, ascending.
+def base_levels(base: BaseDomain) -> Iterator[BaseLevel]:
+    """Every eigenvalue level of the base, ascending, as an endless iterator.
 
-    Available analytically for the circle (n=2 full sphere: values m^2 with
-    multiplicity 2 for m >= 1, eigenfunctions cos(m theta) and sin(m
-    theta)) and for arcs (values (j pi / theta1)^2, simple, eigenfunctions
-    sin(j pi theta / theta1)).  Other variants raise UnsupportedBaseError.
+    The circle (n=2 full sphere) has the values m^2, of multiplicity 2 for
+    m >= 1; an arc has the simple values (j pi / theta1)^2.  Other variants
+    raise UnsupportedBaseError.
+    """
+    if base.kind == "full_sphere" and base.n == 2:
+        return itertools.chain([BaseLevel(0.0, 1)],
+                               (BaseLevel(float(m * m), 2) for m in itertools.count(1)))
+    if base.kind == "arc":
+        t1 = base.theta1
+        return (BaseLevel((j * math.pi / t1) ** 2, 1) for j in itertools.count(1))
+    raise UnsupportedBaseError(f"spectrum unavailable for base {base.label()}")
+
+
+def base_spectrum(base: BaseDomain, count: int) -> BaseSpectrum:
+    """The lowest `count` eigenvalue levels of the base (base_levels), ascending.
+
+    Eigenfunctions: cos(m theta) and sin(m theta) on the circle, sin(j pi
+    theta / theta1) on an arc.
     """
     if count < 1:
         raise ValueError("need count >= 1")
-    if base.kind == "full_sphere" and base.n == 2:
+    levels = tuple(itertools.islice(base_levels(base), count))
+    if base.kind == "full_sphere":
         freq = np.repeat(np.arange(count), 2)[1:].astype(float)  # 0, 1, 1, 2, 2, ...
         return BaseSpectrum(
-            levels=(BaseLevel(0.0, 1), *(BaseLevel(float(m * m), 2) for m in range(1, count))),
+            levels=levels,
             next_lambda0=float(count * count),
             freq=freq,
             amp=np.where(freq == 0, 1.0 / math.sqrt(2.0 * math.pi), 1.0 / math.sqrt(math.pi)),
             is_cos=np.r_[True, np.tile([True, False], count - 1)],
         )
-    if base.kind == "arc":
-        t1 = base.theta1
-        return BaseSpectrum(
-            levels=tuple(BaseLevel((j * math.pi / t1) ** 2, 1) for j in range(1, count + 1)),
-            next_lambda0=((count + 1) * math.pi / t1) ** 2,
-            freq=np.arange(1, count + 1) * math.pi,
-            amp=np.full(count, math.sqrt(2.0 / t1)),
-            is_cos=np.zeros(count, dtype=bool),
-            period=t1,
-        )
-    raise UnsupportedBaseError(f"spectrum unavailable for base {base.label()}")
+    t1 = base.theta1
+    return BaseSpectrum(
+        levels=levels,
+        next_lambda0=((count + 1) * math.pi / t1) ** 2,
+        freq=np.arange(1, count + 1) * math.pi,
+        amp=np.full(count, math.sqrt(2.0 / t1)),
+        is_cos=np.zeros(count, dtype=bool),
+        period=t1,
+    )

@@ -62,13 +62,28 @@ def _int_from(floor: int):
     return _domain(int, lambda v: v >= floor, f"an integer >= {floor}")
 
 
-def _positive_list(text: str) -> list[float]:
-    """Positive finite numbers separated by commas or whitespace, with no
-    empty comma item (an empty text is one)."""
-    items = text.split(",")
-    if not all(item.strip() for item in items):
-        raise argparse.ArgumentTypeError(f"has an empty item, got {text!r}")
-    return [_positive(v) for item in items for v in item.split()]
+def _shell_width(text: str) -> float:
+    """A positive finite width eps of the shell (1, 1 + eps), which must
+    not round to the empty shell (1, 1)."""
+    value = _positive(text)
+    if 1.0 + value == 1.0:
+        raise argparse.ArgumentTypeError(
+            f"1 + {text} rounds to 1, so the shell (1, 1 + {text}) is empty")
+    return value
+
+
+def _list_of(item):
+    """An argparse type: items of type `item` separated by commas or
+    whitespace, with no empty comma item (an empty text is one)."""
+    def convert(text: str) -> list:
+        items = text.split(",")
+        if not all(part.strip() for part in items):
+            raise argparse.ArgumentTypeError(f"has an empty item, got {text!r}")
+        return [item(v) for part in items for v in part.split()]
+    return convert
+
+
+_positive_list = _list_of(_positive)
 
 
 class _Window(argparse.Action):
@@ -269,10 +284,19 @@ def _sample_points_annulus(spec):
     return np.array([(r, th) for r in radii for th in angles])
 
 
+def _on_half_widths(fn, *args):
+    """fn(*args) on the box of --half-widths.  Once the flags have parsed, a
+    ValueError there can only come from the widths, so it names the flag."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"argument --half-widths: {exc}") from None
+
+
 def _cmd_heat_kernel(args, config):
     if args.domain == "box":
         box = heatkernel.Box(tuple(args.half_widths))
-        spectrum = heatkernel.box_spectrum(box, args.modes)
+        spectrum = _on_half_widths(heatkernel.box_spectrum, box, args.modes)
         grids = [np.linspace(-a, a, 7)[1:-1] for a in box.half_widths]
         pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
     else:
@@ -288,7 +312,7 @@ def _cmd_heat_kernel(args, config):
 
 def _cmd_box_kernel(args, config):
     box = heatkernel.Box(tuple(args.half_widths))
-    audit = heatkernel.box_kernel_bounds_check(box, args.t)
+    audit = _on_half_widths(heatkernel.box_kernel_bounds_check, box, args.t)
     ok = audit["deviation_constant"] <= 10.0
     checks = [_check("deviation_envelope", "pass" if ok else "fail",
                      constant=audit["deviation_constant"], bound=10.0)]
@@ -423,16 +447,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("hadamard", help="eigenvalue sensitivity scan")
     sp.add_argument("--n", type=_int_from(2), default=3)
-    sp.add_argument("--t", type=_positive_list, default="0.05,0.1,0.5,1.0")
+    sp.add_argument("--t", type=_list_of(_shell_width), default="0.05,0.1,0.5,1.0")
     sp.add_argument("--grid", type=_int_from(64), default=1024)
 
     sp = sub.add_parser("vd-audit", help="volume doubling audit on a thin annulus")
-    sp.add_argument("--eps", type=_positive, default=0.1)
+    sp.add_argument("--eps", type=_shell_width, default=0.1)
     sp.add_argument("--weight", default="phi2", choices=["phi2", "uniform"])
     sp.add_argument("--bound", type=_ratio, default=64.0)
 
     sp = sub.add_parser("pi-audit", help="Poincare constant audit on a thin annulus")
-    sp.add_argument("--eps", type=_positive, default=0.1)
+    sp.add_argument("--eps", type=_shell_width, default=0.1)
     sp.add_argument("--weight", default="phi2", choices=["phi2", "uniform"])
     sp.add_argument("--mode", default="continuous", choices=["continuous", "discrete"])
     sp.add_argument("--window", type=_positive, nargs=2, action=_Window, default=(0.01, 1.0))
@@ -440,7 +464,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = sub.add_parser("heat-kernel", help="equilibration audit")
     sp.add_argument("--domain", default="box", choices=["box", "annulus"])
     sp.add_argument("--half-widths", type=_positive_list, default="1.0")
-    sp.add_argument("--eps", type=_positive, default=0.1)
+    sp.add_argument("--eps", type=_shell_width, default=0.1)
     sp.add_argument("--t", type=_positive_list, default="0.5,1,2,3,4,5")
     sp.add_argument("--modes", type=_int_from(1), default=64)
 
@@ -449,7 +473,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--t", type=_positive_list, default="1,2,4,8,16")
 
     sp = sub.add_parser("hke-fit", help="Gaussian envelope fit on a thin annulus")
-    sp.add_argument("--eps", type=_positive, default=0.1)
+    sp.add_argument("--eps", type=_shell_width, default=0.1)
 
     sp = sub.add_parser("sector", help="sector doubling counterexample")
     sp.add_argument("--beta", type=_positive_list, default="0.2")
@@ -462,7 +486,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = sub.add_parser("perturb-annulus", help="shell sandwich audit")
     sp.add_argument("--scenario", default=None)
-    sp.add_argument("--eps", type=_positive, default=0.3)
+    sp.add_argument("--eps", type=_shell_width, default=0.3)
     sp.add_argument("--nr", type=_int_from(1), default=48)
     sp.add_argument("--ntheta", type=_int_from(1), default=384)
     sp.add_argument("--bound", type=_ratio, default=10.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,10 +46,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative weight density on the shell, as a (r, theta) sampler."""
+    """Nonnegative weight density f(r) g(theta) on the shell.
+
+    radial samples f and angular samples g; sampler is their product.
+    """
 
     tag: str  # "dirichlet_phi_squared" or "uniform"
-    sampler: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    radial: Callable[[np.ndarray], np.ndarray]
+    angular: Callable[[np.ndarray], np.ndarray]
+
+    def sampler(self, r, theta) -> np.ndarray:
+        return self.radial(r) * self.angular(theta)
 
 
 def _check_planar(spec: radial.AnnularDomainSpec) -> float:
@@ -63,10 +71,13 @@ def uniform_weight(spec: radial.AnnularDomainSpec) -> WeightFunction:
     volume = window * (spec.b**2 - spec.a**2) / 2.0
     c = 1.0 / volume
 
-    def sampler(r, theta):
-        return np.full(np.broadcast(np.asarray(r), np.asarray(theta)).shape, c)
+    def radial_factor(r):
+        return np.full(np.shape(r), c)
 
-    return WeightFunction("uniform", sampler)
+    def angular_factor(theta):
+        return np.ones(np.shape(theta))
+
+    return WeightFunction("uniform", radial_factor, angular_factor)
 
 
 def dirichlet_weight(spec: radial.AnnularDomainSpec, N: int = 1024) -> WeightFunction:
@@ -80,10 +91,13 @@ def dirichlet_weight(spec: radial.AnnularDomainSpec, N: int = 1024) -> WeightFun
     f = radial._radial_table(res.grid, res.f[None])
     g = data.phi0
 
-    def sampler(r, theta):
-        return f(np.asarray(r, dtype=float))[0] ** 2 * g(theta) ** 2
+    def radial_factor(r):
+        return f(np.asarray(r, dtype=float))[0] ** 2
 
-    return WeightFunction("dirichlet_phi_squared", sampler)
+    def angular_factor(theta):
+        return g(theta) ** 2
+
+    return WeightFunction("dirichlet_phi_squared", radial_factor, angular_factor)
 
 
 def base_arc_distance(t1: np.ndarray, t2: np.ndarray, wrap: bool) -> np.ndarray:
@@ -115,14 +129,56 @@ def surrogate_distance(x, y, spec: radial.AnnularDomainSpec) -> float:
     )
 
 
+def _axis_run(n: int, first: int, last: int, inside, cyclic: bool) -> tuple[int, int]:
+    """(start, count) of the one run of axis indices j with inside(j).
+
+    On a cycle the run is read from start on, modulo n, and count = n is the
+    whole cycle.  first and last locate the run's ends to within rounding,
+    and only the few indices near each end are tested.
+    """
+    if not cyclic:
+        first, last = max(first, 0), min(last, n - 1)
+
+    def test(j0: int, j1: int):
+        j = np.arange(j0, j1) if cyclic else np.arange(max(j0, 0), min(j1, n))
+        return j, inside(j % n)
+
+    if cyclic and n <= 32:
+        # few enough to test all, read from an index outside the run
+        j, ok = test(0, n)
+        if ok.all():
+            return 0, n
+        k = int(np.argmin(ok))
+        j = np.flatnonzero(np.roll(ok, -k)) + k
+    elif cyclic and last - first >= n - 8:
+        # nearly the whole cycle: find the indices the run misses
+        if last - 3 >= first + n + 4:
+            return 0, n
+        j, ok = test(last - 3, first + n + 4)
+        miss = j[~ok]
+        if miss.size == 0:
+            return 0, n
+        return int(miss[-1] + 1) % n, n - int(miss[-1] - miss[0] + 1)
+    elif last - first < 8:
+        j, ok = test(first - 3, last + 4)
+        j = j[ok]
+    else:
+        (j0, ok0), (j1, ok1) = test(first - 3, first + 4), test(last - 3, last + 4)
+        j = np.concatenate((j0[ok0], j1[ok1]))
+    return (int(j[0]) % n, int(j[-1] - j[0] + 1)) if j.size else (0, 0)
+
+
 @dataclass
 class AnnulusModel:
-    """Midpoint quadrature model of a weighted planar shell.
+    """Midpoint quadrature model of a weighted planar shell, kept as its two axes.
 
-    Nodes are cell centers of an (nr, nt) polar product grid; node_measure
-    already contains the weight density times the Lebesgue cell measure
-    r hr ht.  sigma-balls are coordinate rectangles, evaluated exactly on
-    the node set.
+    Nodes are the cell centers of an (nr, nt) polar product grid.  The
+    weight separates, so the node measure f(r_i) g(theta_j) r_i hr ht is the
+    radial mass f(r_i) r_i hr times the angular mass g(theta_j) ht.  A
+    sigma-ball is a coordinate rectangle: a run of rows times an arc of
+    columns (`ball`), and its measure is the product of two 1-D sums.  The
+    2-D node arrays are built on first use only, for nets and as the oracle
+    of the separated quantities.
     """
 
     spec: radial.AnnularDomainSpec
@@ -132,10 +188,87 @@ class AnnulusModel:
     wrap: bool
     hr: float
     ht: float
-    node_r: np.ndarray = field(repr=False)
-    node_th: np.ndarray = field(repr=False)
-    node_measure: np.ndarray = field(repr=False)
-    node_lebesgue: np.ndarray = field(repr=False)
+    radial_density: np.ndarray = field(repr=False)
+    angular_density: np.ndarray = field(repr=False)
+    radial_mass: np.ndarray = field(repr=False)
+    angular_mass: np.ndarray = field(repr=False)
+
+    def rows(self, r0: float, radius: float) -> slice:
+        """The rows i with |r_i - r0| < radius, the test distances_to makes."""
+        start, count = _axis_run(
+            len(self.r),
+            math.floor((r0 - radius - self.spec.a) / self.hr - 0.5),
+            math.ceil((r0 + radius - self.spec.a) / self.hr - 0.5),
+            lambda i: np.abs(self.r[i] - r0) < radius, False)
+        return slice(start, start + count)
+
+    def columns(self, th0: float, radius: float) -> tuple[int, int]:
+        """(start, count) of the columns j with a d(theta_j, th0) < radius,
+        the test distances_to makes.
+
+        On a circle base they form an arc of the cycle, read from start and
+        past the seam back to column 0 (count = nt is the whole cycle); on
+        an arc base, an interval.
+        """
+        half = radius / self.spec.a
+        return _axis_run(
+            len(self.th),
+            math.floor((th0 - half) / self.ht - 0.5),
+            math.ceil((th0 + half) / self.ht - 0.5),
+            lambda j: self.spec.a * base_arc_distance(self.th[j], th0, self.wrap) < radius,
+            self.wrap)
+
+    def ball(self, center, radius: float) -> tuple[slice, tuple[int, int]]:
+        """The sigma-ball as (rows, (start, count) of its column arc)."""
+        return self.rows(center[0], radius), self.columns(center[1], radius)
+
+    def _on_arc(self, values: np.ndarray, arc: tuple[int, int]) -> np.ndarray:
+        """The entries of a per-column array along an arc, in arc order."""
+        start, count = arc
+        stop = start + count
+        if stop <= len(values):
+            return values[start:stop]
+        return np.concatenate((values[start:], values[:stop - len(values)]))
+
+    def ball_measure(self, center, radius: float) -> float:
+        rows, arc = self.ball(center, radius)
+        return float(self.radial_mass[rows].sum() * self._on_arc(self.angular_mass, arc).sum())
+
+    def radial_form(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(conductances, masses) of the radial zero-flux form on a run of rows.
+
+        Conductance 0.5 (f_i + f_(i+1)) r_face / hr joins rows i and i + 1;
+        row i has mass f_i r_i hr.
+        """
+        f, r = self.radial_density[rows], self.r[rows]
+        cond = 0.5 * (f[:-1] + f[1:]) * (0.5 * (r[:-1] + r[1:])) / self.hr
+        return cond, self.radial_mass[rows]
+
+    def angular_form(self, arc: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(conductances, masses, cyclic) of the angular zero-flux form on an arc.
+
+        Conductance 0.5 (g_j + g_(j+1)) / ht joins consecutive columns; column
+        j has mass g_j ht.  On the whole cycle of a circle base (cyclic) the
+        last conductance joins the last column back to the first.
+        """
+        g = self._on_arc(self.angular_density, arc)
+        cyclic = self.wrap and arc[1] == len(self.th)
+        if cyclic:
+            g = np.append(g, g[0])
+        return 0.5 * (g[:-1] + g[1:]) / self.ht, self._on_arc(self.angular_mass, arc), cyclic
+
+    @cached_property
+    def node_r(self) -> np.ndarray:
+        return np.repeat(self.r, len(self.th))
+
+    @cached_property
+    def node_th(self) -> np.ndarray:
+        return np.tile(self.th, len(self.r))
+
+    @cached_property
+    def node_measure(self) -> np.ndarray:
+        """Weight density times the cell measure r hr ht at every node."""
+        return self.weight.sampler(self.node_r, self.node_th) * (self.node_r * self.hr * self.ht)
 
     def distances_to(self, center) -> np.ndarray:
         dr = np.abs(self.node_r - center[0])
@@ -143,10 +276,8 @@ class AnnulusModel:
         return np.maximum(dr, dt)
 
     def ball_ids(self, center, radius: float) -> np.ndarray:
+        """Node indices of the sigma-ball, scanned over every node."""
         return np.flatnonzero(self.distances_to(center) < radius)
-
-    def ball_measure(self, center, radius: float) -> float:
-        return float(self.node_measure[self.ball_ids(center, radius)].sum())
 
     def grid_edges(self):
         """Adjacent-node edges with weighted conductances and the node masses.
@@ -158,8 +289,7 @@ class AnnulusModel:
         """
         nr, nt = len(self.r), len(self.th)
         ids = np.arange(nr * nt).reshape(nr, nt)
-        w = self.node_measure / self.node_lebesgue  # density at nodes
-        w2 = w.reshape(nr, nt)
+        w2 = np.outer(self.radial_density, self.angular_density)  # density at nodes
         pairs = []
         conds = []
         # radial edges
@@ -224,13 +354,11 @@ def annulus_model(
     ht = window / ntheta
     r = spec.a + hr * (np.arange(nr) + 0.5)
     th = ht * (np.arange(ntheta) + 0.5)
-    R = np.repeat(r, ntheta)
-    TH = np.tile(th, nr)
-    lebesgue = R * hr * ht
-    density = weight.sampler(R, TH)
+    f = weight.radial(r)
+    g = weight.angular(th)
     return AnnulusModel(
         spec=spec, weight=weight, r=r, th=th, wrap=wrap, hr=hr, ht=ht,
-        node_r=R, node_th=TH, node_measure=density * lebesgue, node_lebesgue=lebesgue,
+        radial_density=f, angular_density=g, radial_mass=f * r * hr, angular_mass=g * ht,
     )
 
 

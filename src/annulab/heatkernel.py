@@ -141,6 +141,11 @@ def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
     """
     if modes_per_axis < 1:
         raise ValueError("need at least one mode per axis")
+    narrowest = min(box.half_widths)
+    top = (modes_per_axis + 1) * math.pi / (2.0 * narrowest)
+    if not box.dim * top * top < math.inf:
+        raise ValueError(f"half width {narrowest!r} puts the eigenvalues of {modes_per_axis} "
+                         "modes per axis past the float range")
     idx_grid = np.stack(
         np.meshgrid(*[np.arange(modes_per_axis) for _ in box.half_widths], indexing="ij"),
         axis=-1,
@@ -323,7 +328,8 @@ def box_kernel_bounds_check(box: Box, t_grid: Sequence[float]) -> dict:
     half = np.asarray(box.half_widths)
     grids = [np.linspace(-a, a, 9)[1:-1] for a in half]
     pts = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, box.dim)
-    t_equil = float(np.max(half) ** 2)
+    widest = max(box.half_widths)
+    t_equil = widest * widest  # inf past the float range, without a NumPy warning
     ts = sorted(t_grid)
     rows = []
     for t, R in zip(ts, normalized_kernel_matrix(spectrum, ts, pts)):

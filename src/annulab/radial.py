@@ -279,11 +279,10 @@ def spectrum_below(spec: AnnularDomainSpec, cutoff: float, N: int = 512):
 
     if not math.isfinite(cutoff):
         raise InsufficientSpectrumError(f"energy cutoff {cutoff} is not finite")
-    # every level holds at least one mode, so MAX_MODES + 1 levels always suffice
-    levels = bases.base_spectrum(spec.base, MAX_MODES + 1).levels
     radial_counts = []
     modes = 0
-    for level in levels:
+    # every kept level adds a mode, so at most MAX_MODES + 1 levels are read
+    for level in bases.base_levels(spec.base):
         k = 0
         while family_floor(spec, k + 1, level.lambda0) < cutoff:
             k += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -344,6 +345,11 @@ def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpec
     ny = int(round((y_hi - y_lo) / h))
     if nx < 8 or ny < 8:
         raise ValueError("grid too coarse: fewer than 8 cells across the box")
+    nodes = (nx - 1) * (ny - 1)
+    if nodes > np.iinfo(np.intp).max // 8:
+        # refused before NumPy is asked for an array it cannot index
+        raise MemoryError(f"h = {h!r} asks for a grid of {Decimal(nodes):.3e} nodes, "
+                          "more than one array can address")
     hx = (x_hi - x_lo) / nx
     hy = (y_hi - y_lo) / ny
     # nodes placed from the box center, so mirror-symmetric boxes give exactly

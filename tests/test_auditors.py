@@ -1,8 +1,11 @@
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annulab import auditors, bases, geometry, radial
 
@@ -78,6 +81,63 @@ def test_poincare_interval_weighted_two_resolution_oracle():
     mu_c = auditors.zero_flux_gap(coarse, np.arange(512))
     mu_f = auditors.zero_flux_gap(fine, np.arange(4096))
     assert mu_c == pytest.approx(mu_f, rel=0.02)
+
+
+@functools.lru_cache(maxsize=None)
+def small_model(base: str, weight: str, nr: int, nt: int):
+    """A coarse model of the shell (1, 1.3) over a circle or the arc (0, 2)."""
+    spec = radial.AnnularDomainSpec(
+        2, 1.0, 1.3, bases.full_sphere(2) if base == "circle" else bases.circle_arc(2.0))
+    w = geometry.dirichlet_weight(spec, N=256) if weight == "phi2" else geometry.uniform_weight(spec)
+    return geometry.annulus_model(spec, w, nr=nr, ntheta=nt)
+
+
+@st.composite
+def small_balls(draw):
+    """(model, center, radius): centers anywhere, radii from under a cell to
+    past the whole shell, so balls reach single rows and columns, arcs across
+    the seam and the whole circle."""
+    model = small_model(draw(st.sampled_from(["circle", "arc"])),
+                        draw(st.sampled_from(["phi2", "uniform"])),
+                        draw(st.integers(4, 12)), draw(st.integers(8, 128)))
+    window = model.th[-1] + model.ht / 2.0
+    center = (draw(st.floats(1.0, 1.3)), draw(st.floats(0.0, window)))
+    return model, center, math.exp(draw(st.floats(math.log(0.005), math.log(4.0))))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_balls())
+@example((small_model("circle", "phi2", 8, 32), (1.15, 0.05), 1.0)).via("arc across the seam")
+@example((small_model("circle", "uniform", 8, 32), (1.15, 2.0), 3.5)).via("whole circle")
+@example((small_model("circle", "phi2", 4, 128), (1.0375, 2.0), 0.07)).via("single row")
+@example((small_model("arc", "phi2", 12, 8), (1.15, 0.875), 0.1)).via("single column")
+@example((small_model("arc", "uniform", 6, 40), (1.2, 0.0), 0.3)).via("arc end")
+def test_separated_gap_matches_the_two_dimensional_oracle(case):
+    model, center, radius = case
+    rows, arc = model.ball(center, radius)
+    ids = model.ball_ids(center, radius)
+    nt = len(model.th)
+    cols = (arc[0] + np.arange(arc[1])) % nt
+    assert np.array_equal(np.sort((np.arange(rows.start, rows.stop)[:, None] * nt + cols).ravel()), ids)
+    oracle = auditors.zero_flux_gap(model, ids)
+    gap = auditors.separated_gap(model, rows, arc)
+    if math.isnan(oracle):
+        assert math.isnan(gap)
+    else:
+        assert gap == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+
+def test_poincare_profile_matches_the_two_dimensional_oracle():
+    for base in (bases.full_sphere(2), bases.circle_arc(2.0)):
+        spec = radial.AnnularDomainSpec(2, 1.0, 1.1, base)
+        for weight in (geometry.dirichlet_weight(spec, N=512), geometry.uniform_weight(spec)):
+            centers = [(1.05, 0.0), (1.01, 1.0)]
+            radii = [0.05, 0.2, 0.8, 3.2]
+            report = auditors.poincare_profile(spec, weight, centers, radii)
+            model = geometry.annulus_model(spec, weight, resolve=0.05)
+            for row in report.rows:
+                ids = model.ball_ids((row["center_r"], row["center_th"]), row["r"])
+                assert row["mu2"] == pytest.approx(auditors.zero_flux_gap(model, ids), rel=1e-10)
 
 
 def test_poincare_continuous_thin_annulus_window():

@@ -180,3 +180,14 @@ def test_rectangle_eigendata_sampler():
     data = bases.base_eigendata(base, N=48)
     assert data.lambda0 == pytest.approx(6.0, rel=2e-3)
     assert data.phi0(np.array([math.pi / 2.0]), np.array([0.7]))[0] > 0
+
+
+@pytest.mark.parametrize("base", [bases.full_sphere(2), bases.circle_arc(2.0)])
+def test_base_levels_extend_base_spectrum(base):
+    levels = bases.base_levels(base)
+    assert bases.base_spectrum(base, 40).levels == tuple(next(levels) for _ in range(40))
+
+
+def test_base_levels_unsupported_base_raises():
+    with pytest.raises(bases.UnsupportedBaseError):
+        bases.base_levels(bases.sphere_wedge(1.0))

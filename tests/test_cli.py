@@ -330,8 +330,9 @@ def _cap_address_space():
 
 @pytest.mark.parametrize("command", ["vd-audit", "pi-audit"])
 def test_out_of_memory_is_a_numerical_failure(tmp_path, command):
-    # --eps 1e-6 sizes an annulus model of several GiB; the child runs under a
-    # 1.5 GiB address-space cap so that the allocation fails instead
+    # --eps 1e-6 sizes the model's angular axis at 67M columns, 512 MiB per
+    # array; the child runs under a 1.5 GiB address-space cap so that an
+    # allocation fails
     cp = subprocess.run(
         [sys.executable, "-m", "annulab", "--out", str(tmp_path), command, "--eps", "1e-6"],
         capture_output=True, text=True, env=_child_env(), preexec_fn=_cap_address_space,
@@ -340,6 +341,59 @@ def test_out_of_memory_is_a_numerical_failure(tmp_path, command):
     assert cp.returncode == 2
     err = cp.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def test_thin_doubling_audit_fits_the_address_space_cap(tmp_path):
+    # the model keeps two 1-D axes: at --eps 1e-5 that is 8.4M columns, no 2-D grid
+    cp = subprocess.run(
+        [sys.executable, "-m", "annulab", "--out", str(tmp_path), "vd-audit", "--eps", "1e-5"],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=_cap_address_space,
+        timeout=600,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert read_summary(tmp_path, "vd_audit")["checks"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["vd-audit", "--eps", "1e-300"], "--eps", id="vd-audit"),
+    pytest.param(["pi-audit", "--eps", "1e-300"], "--eps", id="pi-audit"),
+    pytest.param(["hke-fit", "--eps", "1e-300"], "--eps", id="hke-fit"),
+    pytest.param(["heat-kernel", "--domain", "annulus", "--eps", "1e-17"], "--eps",
+                 id="heat-kernel"),
+    pytest.param(["perturb-annulus", "--eps", "1e-16"], "--eps", id="perturb-annulus"),
+    pytest.param(["hadamard", "--t", "0.1,1e-300"], "--t", id="hadamard"),
+])
+def test_shell_width_rounding_to_nothing_names_the_flag(tmp_path, capsys, argv, flag):
+    assert run(["--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: ")
+    assert "rounds to 1" in err[0]
+
+
+def test_unaddressable_box_grid_is_a_numerical_failure(tmp_path, capsys):
+    # refused from the node count, before NumPy is asked for the arrays
+    assert run(["--out", str(tmp_path), "perturb-box", "--h", "1e-300"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "4.410e+600 nodes" in err[0]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["box-kernel", "--half-widths", "1e300"], 2, id="box-kernel-wide"),
+    pytest.param(["box-kernel", "--half-widths", "1e-300"], 1, id="box-kernel-narrow"),
+    pytest.param(["heat-kernel", "--half-widths", "1,1e-300"], 1, id="heat-kernel-narrow"),
+])
+def test_extreme_half_widths_print_one_line(tmp_path, capsys, argv, code):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--out", str(tmp_path), *argv]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert not caught, [str(w.message) for w in caught]
+    assert len(err) == 1
+    if code == 1:
+        assert err[0].startswith("error: argument --half-widths: ")
+    else:
+        assert err[0].startswith("numerical failure: ")
 
 
 def test_config_file_overrides_defaults(tmp_path):

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulab import bases, geometry, radial
 
@@ -113,6 +116,27 @@ def test_thin_ball_factorizes_into_product():
     radial_mass = float(np.sum((res.f**2 * res.grid * wr)[keep]))
     angular_mass = 2.0 * r / (2.0 * math.pi)
     assert v == pytest.approx(radial_mass * angular_mass, rel=0.1)
+
+
+@functools.lru_cache(maxsize=None)
+def shell_model(base: str, weight: str, eps: float, nr: int, nt: int):
+    spec = radial.AnnularDomainSpec(
+        2, 1.0, 1.0 + eps, bases.full_sphere(2) if base == "circle" else bases.circle_arc(2.0))
+    w = geometry.dirichlet_weight(spec, N=256) if weight == "phi2" else geometry.uniform_weight(spec)
+    return geometry.annulus_model(spec, w, nr=nr, ntheta=nt)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["circle", "arc"]), st.sampled_from(["phi2", "uniform"]),
+       st.sampled_from([0.001, 0.1, 1.0]), st.integers(4, 40), st.integers(8, 4096),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-9.0, 2.0))
+def test_ball_measure_equals_the_node_sum(base, weight, eps, nr, nt, u, v, log_radius):
+    # the product of two 1-D interval sums against the sum over the 2-D nodes
+    model = shell_model(base, weight, eps, nr, nt)
+    center = (1.0 + eps * u, v * (model.th[-1] + model.ht / 2.0))
+    radius = math.exp(log_radius)
+    node_sum = float(model.node_measure[model.ball_ids(center, radius)].sum())
+    assert model.ball_measure(center, radius) == pytest.approx(node_sum, rel=1e-12, abs=0.0)
 
 
 def test_ball_measure_monotone_in_radius():
