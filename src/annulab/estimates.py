@@ -264,8 +264,15 @@ def hadamard_scan(n: int, t_grid, N: int = 1024) -> list[dict]:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"t must lie in (0, 1], got {t}")
         h = t / 100.0
-        lam_plus = radial.solve_radial(n, 1.0, 1.0 + t + h, 0.0, N=N)[0].lam
-        lam_minus = radial.solve_radial(n, 1.0, 1.0 + t - h, 0.0, N=N)[0].lam
+        b_plus, b_minus = 1.0 + t + h, 1.0 + t - h
+        # the float radii must realize the step 2h to within the 1% the
+        # n = 3 check allows; near t ~ 1e-13 they stop doing so
+        if not abs((b_plus - b_minus) - 2.0 * h) <= 0.01 * 2.0 * h:
+            raise FloatingPointError(
+                f"t = {t!r}: the outer radii 1 + t +- t/100 round to a step of "
+                f"{b_plus - b_minus!r}, not {2.0 * h!r}")
+        lam_plus = radial.solve_radial(n, 1.0, b_plus, 0.0, N=N)[0].lam
+        lam_minus = radial.solve_radial(n, 1.0, b_minus, 0.0, N=N)[0].lam
         deriv = (lam_plus - lam_minus) / (2.0 * h)
         rows.append({"t": t, "t3_dlam": t**3 * abs(deriv)})
     return rows

@@ -321,7 +321,8 @@ def box_kernel_bounds_check(box: Box, t_grid: Sequence[float]) -> dict:
 
     Upper: R <= C_up prod(1 + (a_i/sqrt(t))^3) for all t; lower: R >=
     c_low prod(1 - (a_i/sqrt(t))^3) once t >= max a_i^2.  Also reports the
-    deviation constant max |R-1| / prod-envelope-gap for t >= max a_i^2.
+    deviation constant max |R-1| / prod-envelope-gap for t >= max a_i^2; a
+    deviation envelope that underflows to 0 there raises FloatingPointError.
     Samples 7 interior points per axis with 80 modes per axis.
     """
     spectrum = box_spectrum(box, 80)
@@ -349,6 +350,11 @@ def box_kernel_bounds_check(box: Box, t_grid: Sequence[float]) -> dict:
     low_rows = [r for r in rows if r["t"] >= t_equil and r["lower_envelope"] > 0.05]
     c_low = min((r["min_ratio"] / r["lower_envelope"] for r in low_rows), default=math.nan)
     dev_rows = [r for r in rows if r["t"] >= t_equil]
+    for r in dev_rows:
+        if r["deviation_envelope"] == 0.0:
+            raise FloatingPointError(
+                f"the deviation envelope sum (a_i/sqrt(t))^3 underflows to 0 at t = {r['t']!r} "
+                f"for half widths {box.half_widths}")
     c_dev = max((r["max_abs_dev"] / r["deviation_envelope"] for r in dev_rows), default=math.nan)
     return {
         "rows": rows,

@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Thin wrappers around LAPACK/ARPACK with the conventions the rest of the
+Thin wrappers around LAPACK/SuperLU with the conventions the rest of the
 package relies on: eigenvalues ascending, eigenvectors unit-norm with a
 deterministic sign, explicit residual checks, and simple quadrature helpers.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, qr
 
 __all__ = [
     "SparseSymmetricOperator",
@@ -28,6 +28,9 @@ __all__ = [
 
 # Relative residual every returned sparse eigenpair must meet.
 _RESIDUAL_TOL = 1e-8
+# Lanczos stops once every wanted Ritz pair of the shift-inverted operator
+# has a residual estimate below this fraction of its Ritz value.
+_RITZ_TOL = 1e-14
 
 
 class NonConvergenceError(RuntimeError):
@@ -129,13 +132,18 @@ def sparse_smallest_eigenpairs(
     Contract: `shift` lies strictly below the spectrum, so A - shift*I is
     symmetric positive definite.  It is factored once, with a symmetric
     minimum-degree ordering and diagonal pivots (stable for SPD matrices),
-    and the factorization serves every step of shift-invert Lanczos.  The
-    closer `shift` sits below lambda_1, the fewer steps are needed.  A
-    returned eigenvalue at or below `shift` raises NonConvergenceError; a
-    shift inside the spectrum is caught whenever an eigenvalue below it is
-    among the k nearest.
+    and the factorization serves every step of a shift-invert block Lanczos
+    (Golub & Underwood 1977) on (A - shift*I)^{-1}: block size k, so
+    eigenvalues of multiplicity up to k are found, and full
+    reorthogonalization.  Its k Ritz values theta of largest |theta| are
+    tested after every step and it stops once each has the residual
+    estimate |B_j y_last| <= _RITZ_TOL * |theta|, or when the basis spans
+    the whole space.  The closer `shift` sits below lambda_1, the fewer
+    steps are needed.  A returned eigenvalue at or below `shift` raises
+    NonConvergenceError; a shift inside the spectrum is caught whenever an
+    eigenvalue below it is among the k nearest.
 
-    Lanczos starts from a fixed pseudo-random vector so that repeated calls
+    Lanczos starts from a fixed pseudo-random block so that repeated calls
     return the same pairs (a constant start would be orthogonal to
     antisymmetric modes).  Each returned pair satisfies |Av - lambda v| <=
     _RESIDUAL_TOL * max(|lambda|, lambda_max_computed).
@@ -143,13 +151,11 @@ def sparse_smallest_eigenpairs(
     n = op.dimension
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= dimension-1 = {n - 1}, got k={k}")
-    v0 = np.random.default_rng(0).standard_normal(n)
     lu = spla.splu((op.matrix - shift * sparse.identity(n, format="csr")).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    vals, vecs = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM", OPinv=op_inv,
-                            maxiter=20 * n, v0=v0, tol=0)
+    theta, vecs = _block_lanczos(lu.solve, np.random.default_rng(0).standard_normal((k, n)).T)
+    vals = shift + 1.0 / theta
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -167,6 +173,63 @@ def sparse_smallest_eigenpairs(
                 f"eigenpair {i} (lambda={lam:.6g}) missed the residual target", res
             )
     return vals, vecs
+
+
+def _block_lanczos(apply, start):
+    """The k = start.shape[1] Ritz pairs of largest |theta| of the symmetric
+    map `apply` (n x b blocks to n x b blocks), by block Lanczos from `start`.
+
+    The basis is kept in a preallocated array that doubles when full.  Each
+    new block is orthogonalized against the whole basis twice (classical
+    Gram-Schmidt; the first pass holds the three-term recurrence, its
+    coefficients on the newest block give the diagonal block A_j).  Stops
+    when each wanted pair has |B_j y_last| <= _RITZ_TOL * |theta| (B_j the
+    newest subdiagonal block, y_last the entries of the Ritz vector in the
+    block tridiagonal projection that belong to the newest block), or when
+    the basis spans all n dimensions; the block that would pass n columns
+    is cut to fit, so the last Ritz pairs are exact.  Returns (theta,
+    ritz_vectors)."""
+    n, k = start.shape
+    cap = min(n, 16 * k)
+    basis = np.empty((n, cap), order="F")
+    proj = np.zeros((cap, cap))
+    block, _ = qr(start, mode="economic", check_finite=False)
+    m = 0
+    while True:
+        b = block.shape[1]
+        basis[:, m:m + b] = block
+        w = apply(block)
+        span = basis[:, :m + b]
+        coef = span.T @ w
+        w -= span @ coef
+        w -= span @ (span.T @ w)
+        proj[m:m + b, m:m + b] = (coef[m:] + coef[m:].T) / 2.0
+        m += b
+        block, coupling = qr(w, mode="economic", check_finite=False)
+        if b > 1:
+            # dividing by an ill-conditioned R (one column of w converged
+            # away) amplifies w's rounding along the basis; a pass restores
+            # the orthogonality
+            block -= span @ (span.T @ block)
+            block, again = qr(block, mode="economic", check_finite=False)
+            coupling = again @ coupling
+        theta, y = np.linalg.eigh(proj[:m, :m])
+        wanted = np.argsort(-np.abs(theta), kind="stable")[:k]
+        estimate = np.linalg.norm(coupling @ y[m - b:m, wanted], axis=0)
+        if np.all(estimate <= _RITZ_TOL * np.abs(theta[wanted])) or m == n:
+            return theta[wanted], span @ y[:, wanted]
+        if m + b > n:
+            # at most n - m directions are left: keep those of block @ coupling
+            u, sv, vt = np.linalg.svd(coupling)
+            block, coupling = block @ u[:, :n - m], sv[:n - m, None] * vt[:n - m]
+        if m + block.shape[1] > cap:
+            cap = min(n, 2 * cap)
+            grown = np.empty((n, cap), order="F")
+            grown[:, :m] = span
+            basis = grown
+            proj = np.pad(proj, ((0, cap - len(proj)),) * 2)
+        proj[m:m + len(coupling), m - b:m] = coupling
+        proj[m - b:m, m:m + len(coupling)] = coupling.T
 
 
 def integrate_samples(values: np.ndarray, weights: np.ndarray) -> float:

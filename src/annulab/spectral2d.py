@@ -12,7 +12,6 @@ sharpened by Richardson extrapolation over two resolutions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -169,39 +168,81 @@ def _hull_ground_state(cond_0, cond_1, mass, wrap):
     return float(vals[0]), psi
 
 
-def _mirror_basis(mask, cond_0, cond_1, mass, wrap):
-    """Orthonormal basis of the symmetric functions on the mask, or None.
+def _orbits(mask, cond_0, cond_1, mass, wrap):
+    """Orbits of the mask nodes under the grid's symmetries, or None.
 
     The symmetries are the grid's mirrors and its x<->y transpose.  An axis
     that does not wrap mirrors the grid when mask, conductances and mass all
     equal their reversal along it; a square grid that does not wrap is
     transposed into itself when mask == mask.T, mass == mass.T and
-    cond_0 == cond_1.T.  Column o of the returned sparse (mask.sum(), orbits)
-    matrix S is 1/sqrt(|o|) on the nodes of the orbit o of the group these
-    generate (up to the 8 symmetries of the square).  S^T L S is the operator
-    restricted to the symmetric subspace, which holds the ground state since
-    it is simple and positive.
+    cond_0 == cond_1.T.  The group these generate (up to the 8 symmetries
+    of the square) maps (i, j) into its representative in closed form:
+    min(i, n - 1 - i) along each mirrored axis, then the sorted pair under
+    the transpose.  That is the smallest index of the orbit, so the orbits
+    are numbered in the row-major order of their representatives.  Returns
+    (reps, oid, size): the flat indices of the representatives, each mask
+    node's orbit number (in row-major node order) and the orbit sizes.  The
+    ground state is simple and positive, so it is constant on orbits.
     """
-    moves = [functools.partial(np.flip, axis=axis) for axis in ((0,) if wrap else (0, 1))
-             if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
-    if (not wrap and np.array_equal(mask, mask.T) and np.array_equal(mass, mass.T)
-            and np.array_equal(cond_0, cond_1.T)):
-        moves.append(np.transpose)
-    if not moves:
+    n0, n1 = mask.shape
+    mirrored = [axis for axis in ((0,) if wrap else (0, 1))
+                if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
+    transposed = (not wrap and np.array_equal(mask, mask.T) and np.array_equal(mass, mass.T)
+                  and np.array_equal(cond_0, cond_1.T))
+    if not mirrored and not transposed:
         return None
-    # each node's representative: the smallest index in its orbit, reached by
-    # applying the generators until nothing changes
-    rep = np.arange(mask.size).reshape(mask.shape)
-    stable = False
-    while not stable:
-        last = rep
-        for move in moves:
-            rep = np.minimum(rep, move(rep))
-        stable = np.array_equal(rep, last)
-    _, orbit, size = np.unique(rep[mask], return_inverse=True, return_counts=True)
-    m = len(orbit)
-    return sparse.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(m), orbit)),
-                             shape=(m, len(size)))
+    i, j = np.nonzero(mask)
+    node = i * n1 + j
+    if 0 in mirrored:
+        i = np.minimum(i, n0 - 1 - i)
+    if 1 in mirrored:
+        j = np.minimum(j, n1 - 1 - j)
+    if transposed:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    rep = i * n1 + j
+    reps = node[rep == node]
+    number = np.empty(mask.size, dtype=np.int64)
+    number[reps] = np.arange(len(reps))
+    oid = number[rep]
+    return reps, oid, np.bincount(oid, minlength=len(reps))
+
+
+def _folded_operator(mask, cond_0, cond_1, mass, wrap, reps, oid, size):
+    """The symmetrized operator L restricted to the functions constant on
+    orbits, in the orthonormal orbit basis (1/sqrt|b| on the nodes of b).
+
+    L commutes with the symmetries, so the entry (a, b) is
+    sqrt(|a|/|b|) * sum over q in b of L[p_a, q], read from the row of the
+    representative p_a alone; the full operator is never built."""
+    n0, n1 = mask.shape
+    orbit = -np.ones(mask.size, dtype=np.int64)
+    orbit[mask.ravel()] = oid
+    d = 1.0 / np.sqrt(mass.ravel())
+    ri, rj = np.divmod(reps, n1)
+    # the faces of each representative, to (i +- 1, j) and (i, j +- 1), the
+    # latter mod n1 when wrapping; every face loads the diagonal, and a face
+    # to an outside node is a wall
+    up, down, right, left = (cond_0[ri + 1, rj], cond_0[ri, rj],
+                             cond_1[ri, rj + 1], cond_1[ri, rj])
+    faces = [(ri + 1, rj, up), (ri - 1, rj, down), (ri, rj + 1, right), (ri, rj - 1, left)]
+    a = np.arange(len(reps))
+    diag = ((up + down) + right) + left
+    rows, cols, vals = [a], [a], [d[reps] * diag * d[reps]]
+    for qi, qj, c in faces:
+        if wrap:
+            qj = qj % n1
+        inside = (qi >= 0) & (qi < n0) & (qj >= 0) & (qj < n1)
+        q = np.where(inside, qi * n1 + qj, 0)
+        b = np.where(inside, orbit[q], -1)
+        keep = b >= 0
+        rows.append(a[keep])
+        cols.append(b[keep])
+        vals.append(np.sqrt(size[keep] / size[b[keep]])
+                    * (d[reps[keep]] * -c[keep] * d[q[keep]]))
+    m = len(reps)
+    L = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(m, m))
+    return (L + L.T) / 2.0
 
 
 def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
@@ -218,22 +259,27 @@ def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
         nb[1, :, -1] = -1
     inner = (idx >= 0) & (nb >= 0)
     p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
-    c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
+    # connectivity of the whole mask: a folded graph can be connected while
+    # the mask is two mirror-image pieces
     ncomp, _ = connected_components(sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(m, m)),
                                     directed=False)
     if ncomp > 1:
         raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
 
-    # every face loads the diagonal, walls included
-    diag = ((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1]
-    L = numerics.symmetrized_operator(p, q, c, diag[mask], mass[mask])
-    S = _mirror_basis(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
-    if S is not None:
-        L = S.T @ L @ S
-        L = (L + L.T) / 2.0
+    orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
+    if orbits is None:
+        # every face loads the diagonal, walls included
+        diag = ((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1]
+        c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
+        L = numerics.symmetrized_operator(p, q, c, diag[mask], mass[mask])
+    else:
+        L = _folded_operator(mask, cond_0, cond_1, mass, wrap, *orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
     lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
-    return lam, psi if S is None else S @ psi
+    if orbits is not None:
+        _, oid, size = orbits
+        psi = psi[oid] / np.sqrt(size[oid])[:, None]
+    return lam, psi
 
 
 def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
@@ -249,10 +295,12 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     its hull by separation (_hull_ground_state); a mask that is mirror
     symmetric along a non-wrapping axis, or square, non-wrapping and
     symmetric under the x<->y transpose, coefficients included, by
-    shift-invert Lanczos on the subspace invariant under those symmetries
-    (_mirror_basis; the four-notch box folds by all 8 symmetries of the
+    shift-invert Lanczos on the subspace invariant under those symmetries,
+    with the folded operator assembled from one row per orbit (_orbits,
+    _folded_operator; the four-notch box folds by all 8 symmetries of the
     square); any other grid, and every k >= 2, by shift-invert Lanczos on
-    the whole mask.  Lanczos runs from just below the hull eigenvalue.
+    the whole mask.  Lanczos (numerics.sparse_smallest_eigenpairs) runs from
+    just below the hull eigenvalue and stops once its Ritz pairs converge.
     Returns the eigenvalues and the eigenfunctions as (n0, n1) arrays
     normalized in the `mass` weights.
     """

@@ -378,12 +378,15 @@ def test_unaddressable_box_grid_is_a_numerical_failure(tmp_path, capsys):
     assert "4.410e+600 nodes" in err[0]
 
 
-@pytest.mark.parametrize("argv, code", [
-    pytest.param(["box-kernel", "--half-widths", "1e300"], 2, id="box-kernel-wide"),
-    pytest.param(["box-kernel", "--half-widths", "1e-300"], 1, id="box-kernel-narrow"),
-    pytest.param(["heat-kernel", "--half-widths", "1,1e-300"], 1, id="heat-kernel-narrow"),
+@pytest.mark.parametrize("argv, code, names", [
+    pytest.param(["box-kernel", "--half-widths", "1e300"], 2, (), id="box-kernel-wide"),
+    pytest.param(["box-kernel", "--half-widths", "1e-300"], 1, (), id="box-kernel-narrow"),
+    pytest.param(["heat-kernel", "--half-widths", "1,1e-300"], 1, (), id="heat-kernel-narrow"),
+    # parses, but (a/sqrt(t))^3 underflows to 0 in the deviation envelope
+    pytest.param(["box-kernel", "--half-widths", "1e-150"], 2, ("1e-150", "envelope"),
+                 id="box-kernel-underflow"),
 ])
-def test_extreme_half_widths_print_one_line(tmp_path, capsys, argv, code):
+def test_extreme_half_widths_print_one_line(tmp_path, capsys, argv, code, names):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["--out", str(tmp_path), *argv]) == code
@@ -394,6 +397,14 @@ def test_extreme_half_widths_print_one_line(tmp_path, capsys, argv, code):
         assert err[0].startswith("error: argument --half-widths: ")
     else:
         assert err[0].startswith("numerical failure: ")
+    assert all(name in err[0] for name in names)
+
+
+def test_hadamard_step_below_float_resolution_is_a_numerical_failure(tmp_path, capsys):
+    # 1 + t > 1, but 1 + t + t/100 and 1 + t - t/100 are the same float
+    assert run(["--out", str(tmp_path), "hadamard", "--t", "2e-16"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: t = 2e-16: ")
 
 
 def test_config_file_overrides_defaults(tmp_path):

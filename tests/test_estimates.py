@@ -152,6 +152,19 @@ def test_hadamard_scan_exact_n3():
         assert row["t3_dlam"] == pytest.approx(2.0 * math.pi**2, rel=1e-2)
 
 
+@pytest.mark.parametrize("t", [2e-16, 1e-14, 1e-13])
+def test_hadamard_scan_refuses_a_step_the_radii_do_not_resolve(t):
+    # the realized step 1 + t + t/100 - (1 + t - t/100) is 0 or 11% off
+    with pytest.raises(FloatingPointError, match=f"t = {t!r}: "):
+        estimates.hadamard_scan(3, [0.5, t])
+
+
+def test_hadamard_scan_exact_n3_down_to_the_resolved_steps():
+    # the smallest t whose float radii still realize the step to 0.1%
+    [row] = estimates.hadamard_scan(3, [1e-12])
+    assert row["t3_dlam"] == pytest.approx(2.0 * math.pi**2, rel=1e-2)
+
+
 def test_hadamard_scan_window_n2():
     rows = estimates.hadamard_scan(2, [0.05, 0.1, 0.5, 1.0], N=1024)
     for row in rows:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sparse
+from scipy.linalg import eigh
 
 from annulab import numerics
 
@@ -159,3 +162,59 @@ def test_sparse_shift_inside_spectrum_raises():
     lam2 = discrete_interval_eigenvalue(2, 64)
     with pytest.raises(numerics.NonConvergenceError, match="below the spectrum"):
         numerics.sparse_smallest_eigenpairs(op, 2, shift=lam1 + 0.25 * (lam2 - lam1))
+
+
+def cycle_laplacian(n):
+    """Graph Laplacian of the n-cycle: 2 - 2 cos(2 pi j / n), each j != 0,
+    n/2 twice."""
+    ring = sparse.diags([np.ones(n - 1), [1.0]], [1, 1 - n], shape=(n, n))
+    return (2.0 * sparse.identity(n) - ring - ring.T).tocsr()
+
+
+def _assert_matches_dense(A, k, shift):
+    """Eigenvalues, and the spans of eigenvectors of equal eigenvalue, as dense eigh."""
+    op = numerics.SparseSymmetricOperator.from_matrix(A)
+    vals, vecs = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
+    dense_vals, dense_vecs = eigh(A.toarray(), subset_by_index=(0, k - 1))
+    scale = np.max(np.abs(dense_vals))
+    assert np.allclose(vals, dense_vals, rtol=0.0, atol=1e-10 * scale)
+    assert np.allclose(vecs.T @ vecs, np.eye(k), atol=1e-10)
+    # compare projectors on clusters of equal eigenvalues, which are only
+    # defined up to a rotation inside the eigenspace
+    clusters = np.split(np.arange(k), np.flatnonzero(np.diff(dense_vals) > 1e-8 * scale) + 1)
+    for c in clusters:
+        if c[-1] == k - 1 and k < A.shape[0]:
+            full = eigh(A.toarray(), eigvals_only=True, subset_by_index=(0, k))
+            if full[k] - full[k - 1] <= 1e-8 * scale:
+                continue  # the cluster runs past k: only part of it is returned
+        P = vecs[:, c] @ vecs[:, c].T
+        Q = dense_vecs[:, c] @ dense_vecs[:, c].T
+        assert np.max(np.abs(P - Q)) <= 1e-8
+    return vals
+
+
+def test_sparse_cycle_finds_the_double_eigenvalue():
+    # mu_2 = mu_3 exactly: block size k = 3 holds the whole eigenspace
+    vals = _assert_matches_dense(cycle_laplacian(64), 3, shift=-0.1)
+    mu = 2.0 - 2.0 * math.cos(2.0 * math.pi / 64)
+    assert vals == pytest.approx([0.0, mu, mu], abs=1e-12)
+
+
+def test_sparse_unit_square_finds_the_double_eigenvalue():
+    # lambda_12 = lambda_21 on the square
+    _assert_matches_dense(laplacian_2d(16), 3, shift=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 80), st.integers(1, 4),
+       st.sampled_from([1e-3, 0.5, 5.0]))
+@example(seed=0, n=9, k=4, gap=1e-3)  # needs the second pass over a nearly deflated block
+def test_sparse_matches_dense_on_random_sparse_operators(seed, n, k, gap):
+    # small n: the last Lanczos block is cut to the dimension; a shift close
+    # below lambda_1: the shift-inverted operator is ill-conditioned
+    rng = np.random.default_rng(seed)
+    B = sparse.random(n, n, density=0.1, random_state=rng)
+    A = (B + B.T + sparse.diags(rng.uniform(0.0, 1.0, n))).tocsr()
+    lam_min = eigh(A.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
+    _assert_matches_dense(A, k, shift=lam_min - gap)
+

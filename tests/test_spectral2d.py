@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
@@ -307,6 +309,12 @@ def test_mirror_symmetric_mask_folds(grid_solves, sparse_solves, solve, orbits):
     _assert_matches_oracle(args, result)
 
 
+def _orbit_basis(oid, size):
+    """Sparse S: column o is 1/sqrt(|o|) on the nodes of orbit o."""
+    return sparse.csr_matrix((1.0 / np.sqrt(size[oid]), (np.arange(len(oid)), oid)),
+                             shape=(len(oid), len(size)))
+
+
 @SYMMETRIC_GRIDS
 def test_mirror_basis_is_orthonormal_over_orbits(monkeypatch, solve, orbits):
     grids = []
@@ -318,11 +326,130 @@ def test_mirror_basis_is_orthonormal_over_orbits(monkeypatch, solve, orbits):
     monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
     solve()
     [args] = grids
-    S = spectral2d._mirror_basis(*args[:5]).tocsc()
-    assert S.shape[0] == args[0].sum()
+    mask = args[0]
+    reps, oid, size = spectral2d._orbits(*args[:5])
+    S = _orbit_basis(oid, size)
+    assert S.shape == (mask.sum(), len(reps))
     assert abs(S.T @ S - sparse.identity(S.shape[1])).max() <= 1e-15
-    sizes = np.diff(S.indptr)
-    assert set(sizes) <= {1, 2, 4, 8} and sizes.max() == orbits
+    assert set(size) <= {1, 2, 4, 8} and size.max() == orbits
+    # each orbit's representative is its smallest node index
+    nodes = np.flatnonzero(mask)
+    smallest = np.full(len(reps), mask.size)
+    np.minimum.at(smallest, oid, nodes)
+    assert np.array_equal(smallest, reps)
+
+
+def _iterated_orbits(mask, moves):
+    """Orbit labels by the definition: each node's smallest index over the
+    images under the generators, applied until nothing changes."""
+    rep = np.arange(mask.size).reshape(mask.shape)
+    while True:
+        last = rep
+        for move in moves:
+            rep = np.minimum(rep, move(rep))
+        if np.array_equal(rep, last):
+            break
+    return np.unique(rep[mask], return_inverse=True, return_counts=True)
+
+
+def _mirrored(a, axes):
+    for axis in axes:
+        a = (a + np.flip(a, axis)) / 2.0
+    return a
+
+
+@st.composite
+def symmetric_grids(draw):
+    """(mask, cond_0, cond_1, mass, wrap, moves): a random grid with exact
+    symmetries of one of five kinds, and the generators of its group."""
+    kind = draw(st.sampled_from(["square-8", "rectangle-2-mirrors", "square-transpose",
+                                 "arc-theta-mirror", "wrapped-mirror"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n0 = draw(st.integers(3, 12))
+    n1 = n0 if kind.startswith("square") else draw(st.integers(3, 12).filter(lambda n: n != n0))
+    mask = rng.random((n0, n1)) < draw(st.floats(0.4, 0.95))
+    wrap = kind == "wrapped-mirror"
+    if kind.startswith("square"):
+        mass = rng.uniform(0.5, 2.0, (n0, n0))
+        cond_0 = rng.uniform(0.5, 2.0, (n0 + 1, n0))
+        if kind == "square-8":
+            mass, cond_0 = _mirrored(mass, (0, 1)), _mirrored(cond_0, (0, 1))
+            mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
+        mass, mask, cond_1 = (mass + mass.T) / 2.0, mask | mask.T, cond_0.T.copy()
+        moves = [np.transpose] + ([np.flipud, np.fliplr] if kind == "square-8" else [])
+    elif kind == "rectangle-2-mirrors":
+        mass = _mirrored(rng.uniform(0.5, 2.0, (n0, n1)), (0, 1))
+        cond_0 = _mirrored(rng.uniform(0.5, 2.0, (n0 + 1, n1)), (0, 1))
+        cond_1 = _mirrored(rng.uniform(0.5, 2.0, (n0, n1 + 1)), (0, 1))
+        mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
+        moves = [np.flipud, np.fliplr]
+    else:
+        # polar coefficients, varying in r only: mirrored in theta (axis 1);
+        # a wrapped grid mirrored in its own non-periodic axis 0 instead
+        r = np.sort(rng.uniform(1.0, 2.0, n0 + 1))
+        cond_0 = np.broadcast_to(r[:, None], (n0 + 1, n1)).copy()
+        cond_1 = np.broadcast_to(1.0 / r[:-1, None], (n0, n1 + 1)).copy()
+        mass = np.broadcast_to(r[:-1, None], (n0, n1)).copy()
+        if wrap:
+            cond_0, cond_1, mass = (_mirrored(a, (0,)) for a in (cond_0, cond_1, mass))
+            mask = mask | mask[::-1]
+            moves = [np.flipud]
+        else:
+            mask = mask | mask[:, ::-1]
+            moves = [np.fliplr]
+    assume(mask.any())
+    return mask, cond_0, cond_1, mass, wrap, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_grids())
+def test_folded_operator_equals_the_orbit_basis_projection(grid):
+    mask, cond_0, cond_1, mass, wrap, moves = grid
+    reps, oid, size = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
+    # the closed-form orbit map against the iterated one
+    first, label, count = _iterated_orbits(mask, moves)
+    assert np.array_equal(reps, first)
+    assert np.array_equal(oid, label) and np.array_equal(size, count)
+    # the direct assembly against S^T L S with L from the node-by-node oracle
+    K, M = _oracle_operator(mask, cond_0, cond_1, mass, wrap)
+    d = sparse.diags(1.0 / np.sqrt(M.diagonal()))
+    S = _orbit_basis(label, count)
+    projected = (S.T @ (d @ K @ d) @ S).toarray()
+    folded = spectral2d._folded_operator(mask, cond_0, cond_1, mass, wrap, reps, oid, size)
+    assert (folded != folded.T).nnz == 0
+    assert np.allclose(folded.toarray(), projected, rtol=0.0,
+                       atol=1e-13 * np.max(np.abs(projected)))
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """Right-hand sides solved by each factorization, in call order."""
+    counts = []
+    factor = spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            counts[-1] += 1 if b.ndim == 1 else b.shape[1]
+            return self.lu.solve(b)
+
+    def counted_splu(*args, **kwargs):
+        counts.append(0)
+        return Counted(factor(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    return counts
+
+
+@pytest.mark.parametrize("solve, count", [(_symmetric_notched_box, 4), (_perturbed_annulus, 26)],
+                         ids=["folded-box", "perturbed-annulus"])
+def test_lanczos_stops_once_the_ground_pair_converges(lu_solves, solve, count):
+    # one solve per Lanczos step at k = 1, and the steps stop at the first
+    # that meets the convergence test
+    solve()
+    assert lu_solves == [count]
 
 
 def test_notched_rectangle_folds_by_the_two_mirrors(grid_solves, sparse_solves):
