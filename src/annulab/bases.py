@@ -292,16 +292,7 @@ class _RectangleSampler:
         self.theta, self.phi, self.g = theta, phi, g
 
     def __call__(self, theta, phi):
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (self.theta, self.phi), self.g, bounds_error=False, fill_value=0.0
-        )
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        pts = np.stack([np.broadcast_to(theta, np.broadcast(theta, phi).shape).ravel(),
-                        np.broadcast_to(phi, np.broadcast(theta, phi).shape).ravel()], axis=1)
-        return interp(pts).reshape(np.broadcast(theta, phi).shape)
+        return numerics.bilinear((self.theta, self.phi), self.g, theta, phi)
 
 
 def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:

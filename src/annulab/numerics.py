@@ -20,6 +20,7 @@ __all__ = [
     "symmetrized_operator",
     "tridiag_smallest_eigenpairs",
     "sparse_smallest_eigenpairs",
+    "bilinear",
     "integrate_samples",
     "trapezoid_weights",
     "richardson",
@@ -230,6 +231,31 @@ def _block_lanczos(apply, start):
             proj = np.pad(proj, ((0, cap - len(proj)),) * 2)
         proj[m:m + len(coupling), m - b:m] = coupling
         proj[m - b:m, m:m + len(coupling)] = coupling.T
+
+
+def bilinear(axes, values: np.ndarray, x, y) -> np.ndarray:
+    """Bilinear interpolation of `values` (shape len(axes[0]) x len(axes[1]))
+    on the ascending grid `axes` at the points (x, y), broadcast together;
+    0 at points strictly outside the axes.
+
+    The cell along each axis is searchsorted(side="right") - 1 clipped to
+    the last cell, so a point on the last node lies in the last cell, and
+    the four corner terms are summed in a fixed order: the rule and the
+    rounding of scipy's RegularGridInterpolator (linear, fill value 0).
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    cells, weights = [], []
+    inside = np.ones(x.shape, dtype=bool)
+    for axis, p in zip(axes, (x, y)):
+        i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
+        cells.append(i)
+        weights.append((p - axis[i]) / (axis[i + 1] - axis[i]))
+        inside &= (p >= axis[0]) & (p <= axis[-1])
+    (i, j), (s, t) = cells, weights
+    v = values
+    out = (v[i, j] * (1 - s) * (1 - t) + v[i, j + 1] * (1 - s) * t
+           + v[i + 1, j] * s * (1 - t) + v[i + 1, j + 1] * s * t)
+    return np.where(inside, out, 0.0)
 
 
 def integrate_samples(values: np.ndarray, weights: np.ndarray) -> float:

@@ -5,7 +5,10 @@ terms from their logarithms with explicit sign tracking, and a companion
 log-magnitude variant is provided for quantities that underflow double
 precision.  Where the series cancels, mpmath.besselj recomputes the value.
 First positive zeros come from a certified bracket refined by Brent's
-method.  An independent evaluation through the Poisson-type integral
+method (Brent 1973, *Algorithms for Minimization without Derivatives*,
+ch. 4), ported from the zeroin loop of scipy.optimize.brentq so that the
+zeros are the same to the bit without importing scipy.optimize.  An
+independent evaluation through the Poisson-type integral
 representation
 
     J_nu(r) = (r/2)^nu / (Gamma(nu+1/2) sqrt(pi)) * int_{-1}^{1} (1-t^2)^{nu-1/2} cos(rt) dt
@@ -17,9 +20,10 @@ from __future__ import annotations
 
 import math
 
+# Eager on purpose: a sector audit calls the cancellation rescue dozens of
+# times, so a lazy import would only move mpmath's load into the first audit.
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "log_gamma",
@@ -32,6 +36,12 @@ __all__ = [
 # Series terms are dropped once their log-magnitude falls this far below the
 # running maximum term; 40 nats ~ 4e-18 relative, beyond double precision.
 _SERIES_CUTOFF_NATS = 40.0
+
+# Brent's method keeps the stopping rule of scipy.optimize.brentq at xtol =
+# 1e-12 with brentq's default rtol and step limit, so the zeros match brentq's.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 # When the alternating series loses more than ~10 digits to cancellation the
 # value is recomputed by mpmath.besselj at 40 significant digits.
@@ -126,10 +136,8 @@ def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
         raise ValueError("need r >= 0")
     if np.any(r**2 / 4.0 > (nu + 1.0) / 2.0):
         raise ValueError("grid variant needs r^2/4 <= (nu+1)/2; use bessel_j_log")
-    from scipy.special import gammaln
-
     k = np.arange(40)
-    log_coeff = -(gammaln(k + 1.0) + gammaln(k + nu + 1.0))
+    log_coeff = -np.array([math.lgamma(j + 1.0) + math.lgamma(j + nu + 1.0) for j in range(40)])
     with np.errstate(divide="ignore"):
         lr = np.log(r / 2.0)
     lt = (nu + 2.0 * k)[None, :] * lr[..., None] + log_coeff[None, :]
@@ -208,6 +216,55 @@ def _first_zero_bracket(nu: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _brent(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method: each step interpolates (secant), extrapolates (inverse quadratic)
+    or bisects, and the bracket [cur, blk] always holds a sign change.  The
+    zeroin loop of scipy.optimize.brentq, step for step, so the roots agree
+    to the bit.  Stops once half the bracket is below (xtol + rtol |x|) / 2,
+    and raises RuntimeError after _BRENT_MAXITER steps.
+    """
+    xtol, rtol = _BRENT_XTOL, _BRENT_RTOL
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} iterations, "
+                       f"value is {xcur}")
+
+
 def first_positive_zero(nu: float) -> float:
     """Smallest alpha > 0 with J_nu(alpha) = 0, to absolute 1e-12.
 
@@ -215,11 +272,13 @@ def first_positive_zero(nu: float) -> float:
     nu > 0, hi = lo + 1.033150 nu^(-1/3) (Qu & Wong, Trans. AMS 351, 1999;
     DLMF 10.21(vii)), capped by sqrt(nu+1) (sqrt(nu+2) + 1) (Chambers,
     Math. Comp. 38, 1982) near nu = 0, where the Qu-Wong term blows up.
-    J_nu(lo) > 0 > J_nu(hi) is checked at run time (J_0(0) = 1), and Brent's
-    method refines the bracket.  There is no tolerance knob.
+    J_nu(lo) > 0 > J_nu(hi) is checked at run time (J_0(0) = 1), and
+    Brent's method (`_brent`, the zeroin loop of scipy.optimize.brentq at
+    xtol = 1e-12, rtol = 4 eps and at most 100 steps) refines the bracket,
+    with the zeros of brentq to the bit.  There is no tolerance knob.
     """
     _check_order(nu)
     lo, hi = _first_zero_bracket(nu)
     if not bessel_j(nu, lo) > 0.0 > bessel_j(nu, hi):
         raise RuntimeError(f"failed to bracket the first zero of J_{nu} on [{lo}, {hi}]")
-    return brentq(lambda x: bessel_j(nu, x), lo, hi, xtol=1e-12)
+    return _brent(lambda x: bessel_j(nu, x), lo, hi)

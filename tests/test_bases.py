@@ -182,6 +182,24 @@ def test_rectangle_eigendata_sampler():
     assert data.phi0(np.array([math.pi / 2.0]), np.array([0.7]))[0] > 0
 
 
+def test_rectangle_sampler_matches_regular_grid_interpolator():
+    from scipy.interpolate import RegularGridInterpolator
+
+    _, theta, phi, g = bases.solve_sphere_rectangle(1.5, (0.6, 2.0), 32)
+    sampler = bases._RectangleSampler(theta, phi, g)
+    rgi = RegularGridInterpolator((theta, phi), g, bounds_error=False, fill_value=0.0)
+    rng = np.random.default_rng(5)
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    tt = np.concatenate([T.ravel(), rng.uniform(0.0, 1.6, 3000), [theta[-1], 1.49]])
+    pp = np.concatenate([P.ravel(), rng.uniform(0.5, 2.1, 3000), [phi[-1], 2.05]])
+    got = sampler(tt, pp)
+    assert np.array_equal(got, rgi(np.stack([tt, pp], axis=1)))
+    assert np.array_equal(got[:g.size], g.ravel())
+    assert got[-1] == 0.0
+    # scalars broadcast against arrays, as the base eigendata calls it
+    assert np.array_equal(sampler(theta[3], phi), g[3])
+
+
 @pytest.mark.parametrize("base", [bases.full_sphere(2), bases.circle_arc(2.0)])
 def test_base_levels_extend_base_spectrum(base):
     levels = bases.base_levels(base)

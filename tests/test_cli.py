@@ -328,6 +328,29 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def test_runs_import_no_optimize_interpolate_or_special(tmp_path):
+    # their import cost must neither come back at start-up nor move into a
+    # first run: a sector audit (Bessel zeros, log-grid series), a shell
+    # perturbation audit (bilinear ratios) and an S^2 rectangle's sampler
+    code = f"""
+import math, sys
+import annulab.cli
+from annulab import bases
+heavy = ("scipy.optimize", "scipy.interpolate", "scipy.special")
+assert not [m for m in heavy if m in sys.modules], "at import"
+annulab.cli.run(["--out", {str(tmp_path)!r}, "sector", "--beta", "0.03125"])
+annulab.cli.run(["--out", {str(tmp_path)!r}, "perturb-annulus", "--nr", "24", "--ntheta", "192"])
+data = bases.base_eigendata(bases.sphere_rectangle(1.0, (0.5, 2.0)), N=16)
+float(data.phi0(0.5, 1.0))
+print("loaded:", *(m for m in heavy if m in sys.modules))
+"""
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                        env=_child_env(), timeout=300)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip().splitlines()[-1] == "loaded:"
+    assert (tmp_path / "sector.csv").exists() and (tmp_path / "perturb_annulus.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["vd-audit", "pi-audit"])
 def test_out_of_memory_is_a_numerical_failure(tmp_path, command):
     # --eps 1e-6 sizes the model's angular axis at 67M columns, 512 MiB per

@@ -218,3 +218,25 @@ def test_sparse_matches_dense_on_random_sparse_operators(seed, n, k, gap):
     lam_min = eigh(A.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
     _assert_matches_dense(A, k, shift=lam_min - gap)
 
+
+
+def test_bilinear_matches_regular_grid_interpolator_on_nodes_edges_and_outside():
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 12))
+    y = np.linspace(-1.0, 2.0, 9)
+    v = rng.standard_normal((12, 9))
+    rgi = RegularGridInterpolator((x, y), v, bounds_error=False, fill_value=0.0)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    inside_x = rng.uniform(x[0], x[-1], 500)
+    inside_y = rng.uniform(y[0], y[-1], 500)
+    px = np.concatenate([X.ravel(), inside_x, [x[-1], x[-1], x[0] - 1e-12, x[-1] + 1e-12, 0.0]])
+    py = np.concatenate([Y.ravel(), inside_y, [y[-1], y[3], y[2], y[2], y[-1] + 5.0]])
+    got = numerics.bilinear((x, y), v, px, py)
+    assert np.array_equal(got, rgi(np.stack([px, py], axis=1)))
+    # nodes give the node values, points strictly outside give 0
+    assert np.array_equal(got[:v.size], v.ravel())
+    assert np.all(got[-3:] == 0.0)
+    # arguments broadcast together
+    assert numerics.bilinear((x, y), v, X, y[4]).shape == X.shape

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab import perturb
+from annulab import estimates, perturb, spectral2d
 
 
 def test_box_conditions_identical_boxes():
@@ -187,3 +187,65 @@ def test_box_audit_dilation_invariant():
     assert a2["upper_ratio"] == pytest.approx(a1["upper_ratio"], rel=1e-9)
     assert a2["lower_ratio"] == pytest.approx(a1["lower_ratio"], rel=1e-9)
     assert a2["lam_u"] == pytest.approx(a1["lam_u"] / 4.0, rel=1e-9)
+
+
+def _rgi_reference(sol, wrap):
+    """The interpolant as it was built with scipy's RegularGridInterpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    r, th = sol.axes
+    vals = sol.values[0]
+    if wrap:
+        th = np.concatenate([th, [th[0] + 2.0 * math.pi]])
+        vals = np.concatenate([vals, vals[:, :1]], axis=1)
+    rgi = RegularGridInterpolator((r, th), vals, bounds_error=False, fill_value=0.0)
+
+    def fn(rr, tt):
+        if wrap:
+            tt = np.mod(tt, 2.0 * math.pi)
+        return rgi(np.stack([rr.ravel(), tt.ravel()], axis=1)).reshape(rr.shape)
+
+    return fn
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+def test_interp_on_matches_regular_grid_interpolator(wrap):
+    scenario = bumpy_scenario() if wrap else perturb.PerturbationScenario(
+        kind="annulus", eps=0.3, a_eps=0.027, b_eps=0.027, eta=0.05, theta1=2.0,
+        rmin_const=0.99, rmax_const=1.31)
+    dom = spectral2d.PolarDomain2D(
+        r_min=scenario.r_min(), r_max=scenario.r_max(), wrap=wrap,
+        **({} if wrap else {"theta_lo": -0.05, "theta_hi": 2.05}))
+    sol = spectral2d.solve_polar(dom, 16, 96, k=1)
+    r, th = sol.axes
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    rng = np.random.default_rng(7)
+    rr = np.concatenate([R.ravel(), rng.uniform(r[0] - 0.05, r[-1] + 0.05, 4000),
+                         [r[-1], r[-1], r[0] - 1e-9]])
+    tt = np.concatenate([TH.ravel(), rng.uniform(-7.0, 14.0, 4000),
+                         [th[-1], th[0] + 2.0 * math.pi, th[3]]])
+    got = perturb._interp_on(sol, wrap)(rr, tt)
+    assert np.array_equal(got, _rgi_reference(sol, wrap)(rr, tt))
+    assert np.array_equal(got[:R.size], sol.values[0].ravel())
+    assert got[-1] == 0.0
+    if wrap:
+        # theta outside [0, 2 pi) wraps onto the grid (up to the rounding of the shift)
+        for turns in (-1.0, 2.0):
+            shifted = perturb._interp_on(sol, True)(R, TH + turns * 2.0 * math.pi)
+            assert np.max(np.abs(shifted - sol.values[0])) <= 1e-12 * np.max(sol.values[0])
+    else:
+        assert np.all(got[R.size:][(tt[R.size:] < th[0]) | (tt[R.size:] > th[-1])] == 0.0)
+
+
+def test_box_phi_is_the_box_caricature_on_the_nodes():
+    x = np.linspace(-1.05, 1.05, 85)
+    y = np.linspace(-1.05, 1.05, 85)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    for widths, nodes in (((1.05, 1.05), (np.abs(X) < 1.0) & (np.abs(Y) < 1.04)),
+                          ((1.0, 0.9), (np.abs(X) < 0.95) & (np.abs(Y) < 0.85))):
+        expected = estimates.caricature_eval(estimates.box_caricature(widths),
+                                             np.stack([X[nodes], Y[nodes]], axis=1))
+        assert np.array_equal(perturb._box_phi(widths, (x, y), nodes), expected)
+    # a node on or beyond the box wall is refused, as caricature_eval refuses it
+    with pytest.raises(ValueError, match="outside the box"):
+        perturb._box_phi((1.0, 1.0), (x, y), np.abs(X) <= 1.05)

@@ -101,6 +101,57 @@ def test_first_zero_bracket_changes_sign():
         assert sp.jv(nu, lo) > 0.0 > sp.jv(nu, hi), (nu, lo, hi)
 
 
+# The sector orders 1/beta of every benchmark variant: the fixed openings,
+# and beta = 1/m for the integer orders m = 8, 16, 32 moved by at most one.
+SECTOR_ORDERS = [1.0 / b for b in (0.333, 0.25, 0.2, 0.125, 0.0625, 0.03125)] + [
+    1.0 / (1.0 / m) for m in (7, 8, 9, 15, 16, 17, 31, 32, 33)]
+
+
+def test_first_zero_is_brentq_to_the_bit():
+    from scipy.optimize import brentq
+
+    for nu in [0.0, 0.5, 1.0, 2.5, 7.3, 31.15, 64.0, 99.5, 100.0] + SECTOR_ORDERS:
+        lo, hi = specfun._first_zero_bracket(nu)
+        expected = brentq(lambda x: specfun.bessel_j(nu, x), lo, hi, xtol=1e-12)
+        assert specfun.first_positive_zero(nu) == expected, nu
+
+
+def test_brent_refusals_match_brentq(monkeypatch):
+    from scipy.optimize import brentq
+
+    def f(x):
+        return math.tan(x) - x - 1.0
+
+    # a sign change is required
+    with pytest.raises(ValueError, match="different signs"):
+        specfun._brent(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    # too few steps: both fail to converge; with enough, both land on one bit
+    assert specfun._brent(f, 0.1, 1.5) == brentq(f, 0.1, 1.5, xtol=1e-12)
+    for steps in (1, 2, 5):
+        monkeypatch.setattr(specfun, "_BRENT_MAXITER", steps)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            specfun._brent(f, 0.1, 1.5)
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.1, 1.5, maxiter=steps)
+    # an end point that is a root is returned as it is
+    assert specfun._brent(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+
+def test_bessel_log_grid_matches_gammaln_coefficients():
+    # the log-coefficients come from math.lgamma; scipy's gammaln is the oracle
+    for nu in SECTOR_ORDERS + [0.0, 1.5, 150.0]:
+        u = np.linspace(0.0, min(1.0, math.sqrt(2.0 * (nu + 1.0))), 257)[1:]
+        k = np.arange(40)
+        log_coeff = -(sp.gammaln(k + 1.0) + sp.gammaln(k + nu + 1.0))
+        lt = (nu + 2.0 * k)[None, :] * np.log(u / 2.0)[:, None] + log_coeff[None, :]
+        m = lt.max(axis=-1)
+        expected = m + np.log(np.abs(np.sum((-1.0) ** k * np.exp(lt - m[:, None]), axis=-1)))
+        got = specfun.bessel_j_log_grid(nu, u)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected)), nu
+
+
 def test_first_zero_monotone_in_order():
     zeros = [specfun.first_positive_zero(nu) for nu in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0)]
     assert all(z2 > z1 for z1, z2 in zip(zeros, zeros[1:]))
