@@ -15,6 +15,7 @@ Coordinate conventions per variant:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -285,23 +286,15 @@ def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int
     return float(lam[0]), theta, phi, phis[0]
 
 
-class _RectangleSampler:
-    """Bilinear interpolation of a rectangle eigenfunction on its grid."""
-
-    def __init__(self, theta, phi, g):
-        self.theta, self.phi, self.g = theta, phi, g
-
-    def __call__(self, theta, phi):
-        return numerics.bilinear((self.theta, self.phi), self.g, theta, phi)
-
-
 def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:
     lam_c, *_ = solve_sphere_rectangle(base.theta1, base.phi_range, N)
     lam_f, theta, phi, g = solve_sphere_rectangle(base.theta1, base.phi_range, 2 * N)
     lam = numerics.richardson(lam_c, lam_f)
     lo, hi = base.phi_range
     measure = base.theta1 * (math.cos(lo) - math.cos(hi))
-    return BaseEigenData(base, lam, _RectangleSampler(theta, phi, g), measure)
+    # phi0 between the grid nodes: bilinear interpolation of the fine-grid eigenfunction
+    return BaseEigenData(base, lam, functools.partial(numerics.bilinear, (theta, phi), g),
+                         measure)
 
 
 def base_eigendata(base: BaseDomain, N: int = 64) -> BaseEigenData:

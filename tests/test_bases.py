@@ -185,8 +185,9 @@ def test_rectangle_eigendata_sampler():
 def test_rectangle_sampler_matches_regular_grid_interpolator():
     from scipy.interpolate import RegularGridInterpolator
 
+    # base_eigendata samples the solve at 2N
     _, theta, phi, g = bases.solve_sphere_rectangle(1.5, (0.6, 2.0), 32)
-    sampler = bases._RectangleSampler(theta, phi, g)
+    sampler = bases.base_eigendata(bases.sphere_rectangle(1.5, (0.6, 2.0)), N=16).phi0
     rgi = RegularGridInterpolator((theta, phi), g, bounds_error=False, fill_value=0.0)
     rng = np.random.default_rng(5)
     T, P = np.meshgrid(theta, phi, indexing="ij")
