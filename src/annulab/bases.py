@@ -30,6 +30,7 @@ __all__ = [
     "BaseEigenData",
     "BaseLevel",
     "BaseSpectrum",
+    "ModeTable",
     "UnsupportedBaseError",
     "full_sphere",
     "orthant_intersection",
@@ -40,6 +41,7 @@ __all__ = [
     "base_eigendata",
     "base_levels",
     "base_spectrum",
+    "sine_modes",
     "solve_sphere_rectangle",
     "dist_to_equator",
     "orthant_norm_quadrature",
@@ -133,27 +135,45 @@ class BaseLevel:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """One-coordinate eigenfunctions as arrays: row i is amp[i] * cos(freq[i]
+    * (x - origin) / period) where is_cos[i], else amp[i] * sin(...)."""
+
+    freq: np.ndarray
+    amp: np.ndarray
+    is_cos: np.ndarray
+    period: float
+    origin: float
+
+    def __call__(self, x) -> np.ndarray:
+        """(F, m) table of every row at the m coordinates x."""
+        arg = self.freq[:, None] * (np.asarray(x, dtype=float)[None, :] - self.origin) / self.period
+        rows = np.sin(arg)
+        rows[self.is_cos] = np.cos(arg[self.is_cos])
+        return self.amp[:, None] * rows
+
+
+def sine_modes(length: float, count: int, origin: float) -> ModeTable:
+    """The first `count` Dirichlet modes of the interval (origin, origin + length),
+    orthonormal: sin(j pi (x - origin) / length) / sqrt(length / 2), j = 1..count."""
+    return ModeTable(freq=np.arange(1, count + 1) * math.pi,
+                     amp=np.full(count, 1.0 / math.sqrt(length / 2.0)),
+                     is_cos=np.zeros(count, dtype=bool), period=length, origin=origin)
+
+
+@dataclass(frozen=True, eq=False)
 class BaseSpectrum:
     """The lowest eigenvalue levels of a circle or arc with their eigenfunctions.
 
-    Eigenfunction i is amp[i] * cos(freq[i] * theta / period) where is_cos[i],
-    else amp[i] * sin(...); the eigenfunctions of each level are the next
-    multiplicity rows, in level order.  next_lambda0 is the first eigenvalue
-    left out, a lower bound for every omitted level.
+    table holds the eigenfunctions of each level as its next multiplicity
+    rows, in level order.  next_lambda0 is the first eigenvalue left out, a
+    lower bound for every omitted level.
     """
 
     levels: tuple
     next_lambda0: float
-    freq: np.ndarray
-    amp: np.ndarray
-    is_cos: np.ndarray
-    period: float = 1.0
-
-    def table(self, theta) -> np.ndarray:
-        """(G, m) table of every eigenfunction at the m angles theta."""
-        arg = self.freq[:, None] * np.asarray(theta, dtype=float)[None, :] / self.period
-        return self.amp[:, None] * np.where(self.is_cos[:, None], np.cos(arg), np.sin(arg))
+    table: ModeTable
 
 
 def dist_to_equator(points: np.ndarray, i: int) -> np.ndarray:
@@ -339,19 +359,10 @@ def base_spectrum(base: BaseDomain, count: int) -> BaseSpectrum:
     levels = tuple(itertools.islice(base_levels(base), count))
     if base.kind == "full_sphere":
         freq = np.repeat(np.arange(count), 2)[1:].astype(float)  # 0, 1, 1, 2, 2, ...
-        return BaseSpectrum(
-            levels=levels,
-            next_lambda0=float(count * count),
+        table = ModeTable(
             freq=freq,
             amp=np.where(freq == 0, 1.0 / math.sqrt(2.0 * math.pi), 1.0 / math.sqrt(math.pi)),
-            is_cos=np.r_[True, np.tile([True, False], count - 1)],
-        )
+            is_cos=np.r_[True, np.tile([True, False], count - 1)], period=1.0, origin=0.0)
+        return BaseSpectrum(levels, float(count * count), table)
     t1 = base.theta1
-    return BaseSpectrum(
-        levels=levels,
-        next_lambda0=((count + 1) * math.pi / t1) ** 2,
-        freq=np.arange(1, count + 1) * math.pi,
-        amp=np.full(count, math.sqrt(2.0 / t1)),
-        is_cos=np.zeros(count, dtype=bool),
-        period=t1,
-    )
+    return BaseSpectrum(levels, ((count + 1) * math.pi / t1) ** 2, sine_modes(t1, count, 0.0))

@@ -88,7 +88,7 @@ def dirichlet_weight(spec: radial.AnnularDomainSpec, N: int = 1024) -> WeightFun
     _check_planar(spec)
     data = bases.base_eigendata(spec.base)
     res = radial.solve_radial(spec.n, spec.a, spec.b, data.lambda0, N=N)[0]
-    f = radial._radial_table(res.grid, res.f[None])
+    f = radial.RadialTable(res.grid, res.f[None])
     g = data.phi0
 
     def radial_factor(r):

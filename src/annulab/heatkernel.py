@@ -1,11 +1,12 @@
 """Spectral Dirichlet heat kernels and their equilibration/envelope audits.
 
 The kernel is the truncated eigenfunction sum p(t,x,y) = sum e^{-lam_k t}
-phi_k(x) phi_k(y).  A Spectrum holds its modes as separable factors (sine
-tables per box axis; a radial table times an angular table for shells), so
-Spectrum.modes(points) builds the whole (K, m) mode table with array
-operations; it is built once per point set and reused across times, and
-each sum over modes is one matrix product.
+phi_k(x) phi_k(y).  A Spectrum is plain data: its modes are separable
+factors held as arrays (a bases.ModeTable of interval sine modes per box
+axis; a radial.RadialTable times the base's angular ModeTable for shells),
+so it pickles, and Spectrum.modes(points) builds the whole (K, m) mode
+table with array operations; it is built once per point set and reused
+across times, and each sum over modes is one matrix product.
 
 The truncation tail is bounded by domination by the free Gaussian
 (Davies, Heat Kernels and Spectral Theory, 1989): with Lam a lower bound on
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry, radial
+from . import bases, geometry, radial
 
 __all__ = [
     "Spectrum",
@@ -57,7 +58,8 @@ class InsufficientSpectrumError(RuntimeError):
 class Spectrum:
     """Truncated product spectrum held as eigenvalues plus mode-table factors.
 
-    factors holds one (table, index) pair per coordinate: table maps an (m,)
+    factors holds one (table, index) pair per coordinate: table is a
+    bases.ModeTable or radial.RadialTable, array data that maps an (m,)
     array of that coordinate's values to an (F, m) array of one-coordinate
     eigenfunctions, and index (K,) picks the row each mode uses, so mode k
     is prod_d table_d(x_d)[index_d[k]].  The modes are orthonormal in the
@@ -98,8 +100,11 @@ class Spectrum:
         With Lam = omitted_floor and any s in (0, t], the omitted diagonal
         sum is at most e^(-Lam (t - s)) p(s,x,x) <= e^(-Lam (t - s)) (4 pi
         s)^(-dim/2), least at s = dim / (2 Lam) if that lies in (0, t), else
-        at s = t.
+        at s = t.  Every kernel evaluation reaches this bound, so it is where
+        a time t <= 0 is refused.
         """
+        if not t > 0:
+            raise ValueError(f"need t > 0, got {t!r}")
         lam, d = self.omitted_floor, self.dim
         s = t if lam * t <= d / 2.0 else d / (2.0 * lam)
         log_bound = reference * t - lam * (t - s) - d / 2.0 * math.log(4.0 * math.pi * s)
@@ -120,17 +125,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.half_widths)
-
-
-def _sine_table(a: float, count: int):
-    """Table of the first `count` Dirichlet modes of (-a, a), one row each."""
-    jpi = np.arange(1, count + 1) * math.pi
-    amp = 1.0 / math.sqrt(a)
-
-    def table(x):
-        return amp * np.sin(jpi[:, None] * (x + a) / (2.0 * a))
-
-    return table
 
 
 def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
@@ -160,7 +154,8 @@ def box_spectrum(box: Box, modes_per_axis: int) -> Spectrum:
                    for d in range(box.dim))
     return Spectrum(
         eigenvalues=eigenvalues[order],
-        factors=tuple((_sine_table(a, modes_per_axis), idx_grid[order, d])
+        # axis d is the interval (0, 2 a_d) read from origin -a_d
+        factors=tuple((bases.sine_modes(2.0 * a, modes_per_axis, -a), idx_grid[order, d])
                       for d, a in enumerate(box.half_widths)),
         omitted_floor=float(next_lam),
         dim=box.dim,
@@ -211,21 +206,19 @@ def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
     Raises InsufficientSpectrumError when the tail estimate exceeds
     TAIL_RELATIVE_LIMIT of the value at the requested time.
     """
-    if t <= 0:
-        raise ValueError("need t > 0")
+    tail = spectrum.tail_bound(t)
     xp = np.atleast_2d(np.asarray(x, dtype=float))
     yp = np.atleast_2d(np.asarray(y, dtype=float))
     phix, phiy = spectrum.modes(np.vstack([xp[0], yp[0]])).T
     value = float(np.sum(np.exp(-spectrum.eigenvalues * t) * phix * phiy))
-    tail = spectrum.tail_bound(t)
     _certify(tail, abs(value), t)
     return value, tail
 
 
 def kernel_matrix(spectrum: Spectrum, t: float, points: np.ndarray) -> np.ndarray:
     """Kernel on all pairs of the given points (vectorized spectral sum)."""
-    phis = spectrum.modes(points)
     tail = spectrum.tail_bound(t)
+    phis = spectrum.modes(points)
     P = _mode_sum(phis, np.exp(-spectrum.eigenvalues * t))
     _certify(tail, float(np.max(np.abs(P))), t)
     return P
@@ -247,8 +240,9 @@ def normalized_kernel_matrix(spectrum: Spectrum, t, points: np.ndarray):
     ground = np.outer(phi1, phi1)
     out = []
     for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        tail = spectrum.tail_bound(tk, reference=lam[0])
         P = _mode_sum(phis, np.exp(-(lam - lam[0]) * tk))
-        _certify(spectrum.tail_bound(tk, reference=lam[0]), float(np.max(np.abs(P))), tk)
+        _certify(tail, float(np.max(np.abs(P))), tk)
         out.append(P / ground)
     return out if np.ndim(t) else out[0]
 
@@ -272,11 +266,11 @@ def normalized_kernel_value(spectrum: Spectrum, t, x, y):
     if np.any(phix[0] == 0) or np.any(phiy[0] == 0):
         raise ValueError("sample points must avoid the zero set of the ground state")
     lam = spectrum.eigenvalues
+    tails = {tk: spectrum.tail_bound(tk, reference=lam[0]) for tk in dict.fromkeys(ts.tolist())}
     w = np.exp(-np.outer(lam - lam[0], ts))
     pxy = np.sum(w * phix * phiy, axis=0)
     scale = np.max(np.abs([np.sum(w * phix * phix, axis=0), pxy,
                            np.sum(w * phiy * phiy, axis=0)]), axis=0)
-    tails = {tk: spectrum.tail_bound(tk, reference=lam[0]) for tk in dict.fromkeys(ts.tolist())}
     for tk, s in zip(ts.tolist(), scale.tolist()):
         _certify(tails[tk], s, tk)
     R = pxy / (phix[0] * phiy[0])

@@ -25,6 +25,7 @@ from . import bases, numerics
 __all__ = [
     "AnnularDomainSpec",
     "RadialEigenResult",
+    "RadialTable",
     "radial_potential_coefficient",
     "solve_radial",
     "solve_radial_weighted",
@@ -171,20 +172,23 @@ def solve_radial_weighted(
     return np.array([numerics.richardson(c, f) for c, f in zip(vc, vf)])
 
 
-def _radial_table(grid: np.ndarray, rows: np.ndarray):
-    """Table of radial eigenfunctions sampled on grid, interpolated linearly.
+@dataclass(frozen=True, eq=False)
+class RadialTable:
+    """Radial eigenfunctions sampled on one grid, a row each, interpolated linearly.
 
     Radial coordinates outside [a, b] = [grid[0], grid[-1]] are refused
     rather than clamped onto the boundary values.
     """
-    a, b = grid[0], grid[-1]
 
-    def table(r):
+    grid: np.ndarray
+    rows: np.ndarray
+
+    def __call__(self, r) -> np.ndarray:
+        """(F, m) table of every row at the m radii r."""
+        a, b = self.grid[0], self.grid[-1]
         if np.any((r < a) | (r > b)):
             raise ValueError(f"radial coordinates must lie in [a, b] = [{a:g}, {b:g}]")
-        return np.stack([np.interp(r, grid, f) for f in rows])
-
-    return table
+        return np.stack([np.interp(r, self.grid, f) for f in self.rows])
 
 
 # Most modes spectrum_below may keep: a cutoff that needs more is refused
@@ -231,7 +235,7 @@ def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
     return Spectrum(
         eigenvalues=np.asarray(eigenvalues)[order],
         # every radial solve on (a, b) shares one grid
-        factors=((_radial_table(radials[0].grid, np.array(radial_rows)),
+        factors=((RadialTable(radials[0].grid, np.array(radial_rows)),
                   np.asarray(radial_index)[order]),
                  (base.table, np.asarray(angular_index)[order])),
         omitted_floor=min([family_floor(spec, k + 1, level.lambda0)

@@ -128,7 +128,8 @@ def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
 
     Restricted to the dominant-first-term regime r^2/4 <= (nu+1)/2, where
     the alternating series has no cancellation to speak of; this is the fast
-    path for log-space quadratures at large order.
+    path for log-space quadratures at large order.  At r = 0 it returns
+    bessel_j_log(nu, 0.0): 0 for nu = 0, else -inf.
     """
     _check_order(nu)
     r = np.asarray(r, dtype=float)
@@ -138,12 +139,12 @@ def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
         raise ValueError("grid variant needs r^2/4 <= (nu+1)/2; use bessel_j_log")
     k = np.arange(40)
     log_coeff = -np.array([math.lgamma(j + 1.0) + math.lgamma(j + nu + 1.0) for j in range(40)])
-    with np.errstate(divide="ignore"):
-        lr = np.log(r / 2.0)
-    lt = (nu + 2.0 * k)[None, :] * lr[..., None] + log_coeff[None, :]
+    out = np.full(r.shape, bessel_j_log(nu, 0.0)[0])
+    pos = r != 0
+    lt = (nu + 2.0 * k)[None, :] * np.log(r[pos] / 2.0)[:, None] + log_coeff[None, :]
     m = lt.max(axis=-1)
-    s = np.sum((-1.0) ** k * np.exp(lt - m[..., None]), axis=-1)
-    out = np.where(r > 0, m + np.log(np.abs(np.where(s == 0, 1.0, s))), -np.inf)
+    s = np.sum((-1.0) ** k * np.exp(lt - m[:, None]), axis=-1)
+    out[pos] = m + np.log(np.abs(np.where(s == 0, 1.0, s)))
     return out
 
 

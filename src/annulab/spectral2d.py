@@ -81,8 +81,8 @@ class CartesianDomain2D:
 class GridSpectrum:
     """Eigenpairs on a masked structured grid.
 
-    values[k] is a (n0, n1) array, zero outside the mask, normalized so that
-    sum(values^2 * cell_measure) = 1.  axes holds the node coordinates of
+    values is one (k, n0, n1) array; values[j] is zero outside the mask and
+    normalized so that sum(values[j]^2 * cell_measure) = 1.  axes holds the node coordinates of
     the two grid directions.  Within a degenerate eigenspace (for k >= 2 on
     rotationally symmetric domains, where the angular modes cos and sin
     share an eigenvalue) only the eigenvalues are well defined: the values
@@ -90,7 +90,7 @@ class GridSpectrum:
     """
 
     eigenvalues: np.ndarray
-    values: list[np.ndarray]
+    values: np.ndarray
     axes: tuple[np.ndarray, np.ndarray]
     mask: np.ndarray
     cell_measure: np.ndarray
@@ -180,8 +180,8 @@ def _orbits(mask, cond_0, cond_1, mass, wrap):
     min(i, n - 1 - i) along each mirrored axis, then the sorted pair under
     the transpose.  That is the smallest index of the orbit, so the orbits
     are numbered in the row-major order of their representatives.  Returns
-    (reps, oid, size): the flat indices of the representatives, each mask
-    node's orbit number (in row-major node order) and the orbit sizes.  The
+    (reps, oid, size) in mask-node numbering (row-major over the mask): the
+    representatives, each node's orbit number and the orbit sizes.  The
     ground state is simple and positive, so it is constant on orbits.
     """
     n0, n1 = mask.shape
@@ -200,48 +200,35 @@ def _orbits(mask, cond_0, cond_1, mass, wrap):
     if transposed:
         i, j = np.minimum(i, j), np.maximum(i, j)
     rep = i * n1 + j
-    reps = node[rep == node]
+    reps = np.flatnonzero(rep == node)
     number = np.empty(mask.size, dtype=np.int64)
-    number[reps] = np.arange(len(reps))
+    number[node[reps]] = np.arange(len(reps))
     oid = number[rep]
     return reps, oid, np.bincount(oid, minlength=len(reps))
 
 
-def _folded_operator(mask, cond_0, cond_1, mass, wrap, reps, oid, size):
-    """The symmetrized operator L restricted to the functions constant on
-    orbits, in the orthonormal orbit basis (1/sqrt|b| on the nodes of b).
+def _folded_operator(p, q, c, diag, mass, reps, oid, size):
+    """The symmetrized operator L of the face list (p, q, c) with diagonal
+    `diag` and weights `mass` (numerics.symmetrized_operator), restricted to
+    the functions constant on orbits, in the orthonormal orbit basis
+    (1/sqrt|b| on the nodes of b).
 
     L commutes with the symmetries, so the entry (a, b) is
     sqrt(|a|/|b|) * sum over q in b of L[p_a, q], read from the row of the
-    representative p_a alone; the full operator is never built."""
-    n0, n1 = mask.shape
-    orbit = -np.ones(mask.size, dtype=np.int64)
-    orbit[mask.ravel()] = oid
-    d = 1.0 / np.sqrt(mass.ravel())
-    ri, rj = np.divmod(reps, n1)
-    # the faces of each representative, to (i +- 1, j) and (i, j +- 1), the
-    # latter mod n1 when wrapping; every face loads the diagonal, and a face
-    # to an outside node is a wall
-    up, down, right, left = (cond_0[ri + 1, rj], cond_0[ri, rj],
-                             cond_1[ri, rj + 1], cond_1[ri, rj])
-    faces = [(ri + 1, rj, up), (ri - 1, rj, down), (ri, rj + 1, right), (ri, rj - 1, left)]
-    a = np.arange(len(reps))
-    diag = ((up + down) + right) + left
-    rows, cols, vals = [a], [a], [d[reps] * diag * d[reps]]
-    for qi, qj, c in faces:
-        if wrap:
-            qj = qj % n1
-        inside = (qi >= 0) & (qi < n0) & (qj >= 0) & (qj < n1)
-        q = np.where(inside, qi * n1 + qj, 0)
-        b = np.where(inside, orbit[q], -1)
-        keep = b >= 0
-        rows.append(a[keep])
-        cols.append(b[keep])
-        vals.append(np.sqrt(size[keep] / size[b[keep]])
-                    * (d[reps[keep]] * -c[keep] * d[q[keep]]))
-    m = len(reps)
-    L = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(m, m))
+    representative p_a alone: its diagonal and the faces that touch it,
+    from either end.  The full operator is never built."""
+    d = 1.0 / np.sqrt(mass)
+    is_rep = np.zeros(len(mass), dtype=bool)
+    is_rep[reps] = True
+    # each face read from every end that is a representative: (near, far)
+    at_p, at_q = is_rep[p], is_rep[q]
+    near, far, cf = (np.concatenate([x[at_p], y[at_q]]) for x, y in ((p, q), (q, p), (c, c)))
+    a, b = oid[near], oid[far]
+    own = np.arange(len(reps))
+    vals = np.concatenate([d[reps] * diag[reps] * d[reps],
+                           np.sqrt(size[a] / size[b]) * (d[near] * -cf * d[far])])
+    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
+                          shape=(len(reps), len(reps)))
     return (L + L.T) / 2.0
 
 
@@ -251,14 +238,17 @@ def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
     m = int(mask.sum())
     idx = -np.ones(mask.shape, dtype=np.int64)
     idx[mask] = np.arange(m)
-    # inner faces: each node to its neighbor at i+1 (nb[0]) and at j+1
-    # (nb[1], mod n1 when wrapping); a face to an outside node is a wall
+    # the one face list: each node to its neighbor at i+1 (nb[0]) and at j+1
+    # (nb[1], mod n1 when wrapping); a face to an outside node is a wall, and
+    # every face loads the diagonal, walls included
     nb = np.stack([np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1)])
     nb[0, -1] = -1
     if not wrap:
         nb[1, :, -1] = -1
     inner = (idx >= 0) & (nb >= 0)
     p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
+    c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
+    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1])[mask]
     # connectivity of the whole mask: a folded graph can be connected while
     # the mask is two mirror-image pieces
     ncomp, _ = connected_components(sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(m, m)),
@@ -268,12 +258,9 @@ def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
 
     orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
     if orbits is None:
-        # every face loads the diagonal, walls included
-        diag = ((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1]
-        c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
-        L = numerics.symmetrized_operator(p, q, c, diag[mask], mass[mask])
+        L = numerics.symmetrized_operator(p, q, c, diag, mass[mask])
     else:
-        L = _folded_operator(mask, cond_0, cond_1, mass, wrap, *orbits)
+        L = _folded_operator(p, q, c, diag, mass[mask], *orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
     lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
     if orbits is not None:
@@ -301,8 +288,8 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     square); any other grid, and every k >= 2, by shift-invert Lanczos on
     the whole mask.  Lanczos (numerics.sparse_smallest_eigenpairs) runs from
     just below the hull eigenvalue and stops once its Ritz pairs converge.
-    Returns the eigenvalues and the eigenfunctions as (n0, n1) arrays
-    normalized in the `mass` weights.
+    Returns the eigenvalues and the eigenfunctions as one (k, n0, n1) array,
+    each normalized in the `mass` weights.
     """
     n0, n1 = mask.shape
     ids = np.flatnonzero(mask.ravel())
@@ -315,15 +302,11 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     else:
         lam, psi = _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k,
                                       shift=(1.0 - _HULL_SHIFT_MARGIN) * lam_hull)
-    phis = []
-    for j in range(k):
-        phi = np.zeros(n0 * n1)
-        phi[ids] = d_half * psi[:, j]
-        phi = phi.reshape(n0, n1)
-        if j == 0 and phi.sum() < 0:
-            phi = -phi
-        phis.append(phi)
-    return lam, phis
+    phis = np.zeros((k, n0 * n1))
+    phis[:, ids] = (d_half[:, None] * psi).T
+    if phis[0].sum() < 0:
+        phis[0] = -phis[0]
+    return lam, phis.reshape(k, n0, n1)
 
 
 def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> GridSpectrum:

@@ -505,6 +505,24 @@ def test_report_aggregates(tmp_path):
     assert len(rows) >= 3  # comment, header, at least two checks
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb-box", "--h", "0.03125"],
+    ["heat-kernel", "--domain", "annulus", "--t", "2,4,8"],
+], ids=lambda argv: argv[0])
+def test_outputs_identical_across_processes(tmp_path, argv):
+    # one run in a fresh interpreter with this process's environment, one in
+    # this process after other runs: no state of either may reach the bytes
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    cp = subprocess.run([sys.executable, "-m", "annulab.cli", "--out", str(tmp_path / "fresh"),
+                         *argv], capture_output=True, text=True, timeout=300,
+                        env={k: v for k, v in env.items() if v is not None})
+    assert cp.returncode == 0, cp.stderr
+    assert run(["--out", str(tmp_path / "here"), *argv]) == 0
+    stem = argv[0].replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}_summary.json"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
 def test_cli_module_entrypoint(tmp_path):
     cp = subprocess.run(
         [sys.executable, "-m", "annulab.cli", "--out", str(tmp_path),

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -315,3 +317,45 @@ def test_kernel_sums_over_many_times_match_single_calls():
     # each pair is certified on its own: one short time refuses the batch
     with pytest.raises(heatkernel.InsufficientSpectrumError):
         heatkernel.normalized_kernel_value(spectrum, [0.8, 1e-4, 2.0], xs, ys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [0.0, -1.0])
+@pytest.mark.parametrize("evaluate", [
+    lambda s, t, pts: heatkernel.kernel_eval(s, t, pts[0], pts[1]),
+    lambda s, t, pts: heatkernel.kernel_matrix(s, t, pts),
+    lambda s, t, pts: heatkernel.normalized_kernel_matrix(s, t, pts),
+    lambda s, t, pts: heatkernel.normalized_kernel_value(s, t, pts[:1], pts[1:]),
+], ids=["kernel_eval", "kernel_matrix", "normalized_kernel_matrix", "normalized_kernel_value"])
+def test_kernels_refuse_a_time_that_is_not_positive_with_one_message(evaluate, t):
+    spectrum = heatkernel.box_spectrum(heatkernel.Box((1.0, 0.5)), 8)
+    pts = np.array([[0.2, 0.1], [-0.5, 0.3]])
+    with pytest.raises(ValueError, match=r"^need t > 0, got "):
+        evaluate(spectrum, t, pts)
+
+
+def _arc_shell():
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.5, bases.circle_arc(math.pi / 2.0))
+    return radial.assemble_spectrum(spec, M_base=4, K_radial=2, N=64)
+
+
+def _circle_shell():
+    return radial.spectrum_below(radial.AnnularDomainSpec(2, 1.0, 1.3, bases.full_sphere(2)),
+                                 400.0, N=64)
+
+
+@pytest.mark.parametrize("make, pts", [
+    (lambda: heatkernel.box_spectrum(heatkernel.Box((1.0, 0.5)), 6),
+     [[0.2, 0.1], [-0.7, 0.3], [0.9, -0.45]]),
+    (lambda: heatkernel.interval_spectrum(0.75, 12), [[0.0], [-0.5], [0.7]]),
+    (_circle_shell, [[1.1, 0.3], [1.2, 5.0], [1.3, 2.0]]),
+    (_arc_shell, [[1.0, 0.3], [1.25, 1.0], [1.4, 1.5]]),
+], ids=["box", "interval", "circle-shell", "arc-shell"])
+def test_spectra_are_data_that_pickle(make, pts):
+    spectrum = make()
+    assert not any(inspect.isfunction(table) or inspect.ismethod(table)
+                   for table, _ in spectrum.factors)
+    back = pickle.loads(pickle.dumps(spectrum))
+    assert np.array_equal(back.eigenvalues, spectrum.eigenvalues)
+    assert back.omitted_floor == spectrum.omitted_floor
+    assert np.array_equal(back.modes(pts), spectrum.modes(pts))

@@ -152,6 +152,17 @@ def test_bessel_log_grid_matches_gammaln_coefficients():
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected)), nu
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nu", [0.0, 0.5, 3.0, 150.0])
+def test_bessel_log_grid_at_zero_is_the_closed_form(nu):
+    # log|J_nu(0)| is 0 for nu = 0 and -inf above it, with no warning; the
+    # other points keep the values they have without the zero
+    u = np.array([0.0, 0.25, 0.0, 1.0])
+    got = specfun.bessel_j_log_grid(nu, u)
+    assert np.array_equal(got[[0, 2]], [specfun.bessel_j_log(nu, 0.0)[0]] * 2)
+    assert np.array_equal(got[[1, 3]], specfun.bessel_j_log_grid(nu, u[[1, 3]]))
+
+
 def test_first_zero_monotone_in_order():
     zeros = [specfun.first_positive_zero(nu) for nu in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0)]
     assert all(z2 > z1 for z1, z2 in zip(zeros, zeros[1:]))

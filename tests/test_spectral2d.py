@@ -49,6 +49,17 @@ def test_polar_positivity_and_normalization():
     assert float(np.sum(phi**2 * sol.cell_measure)) == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.3), 16, 64, k=3),
+    lambda: spectral2d.solve_cartesian(box_domain(1.0, 0.5), 1.0 / 16.0),
+], ids=["polar-k3", "cartesian-k1"])
+def test_grid_spectrum_values_are_one_array(solve):
+    sol = solve()
+    assert type(sol.values) is np.ndarray
+    assert sol.values.shape == (len(sol.eigenvalues), *sol.mask.shape)
+    assert np.all(sol.values[:, ~sol.mask] == 0.0)
+
+
 def box_domain(ax, ay):
     return spectral2d.CartesianDomain2D(
         indicator=lambda X, Y: (np.abs(X) < ax) & (np.abs(Y) < ay),
@@ -332,11 +343,11 @@ def test_mirror_basis_is_orthonormal_over_orbits(monkeypatch, solve, orbits):
     assert S.shape == (mask.sum(), len(reps))
     assert abs(S.T @ S - sparse.identity(S.shape[1])).max() <= 1e-15
     assert set(size) <= {1, 2, 4, 8} and size.max() == orbits
-    # each orbit's representative is its smallest node index
+    # each orbit's representative (a mask-node number) is its smallest node index
     nodes = np.flatnonzero(mask)
     smallest = np.full(len(reps), mask.size)
     np.minimum.at(smallest, oid, nodes)
-    assert np.array_equal(smallest, reps)
+    assert np.array_equal(smallest, nodes[reps])
 
 
 def _iterated_orbits(mask, moves):
@@ -408,14 +419,17 @@ def test_folded_operator_equals_the_orbit_basis_projection(grid):
     reps, oid, size = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
     # the closed-form orbit map against the iterated one
     first, label, count = _iterated_orbits(mask, moves)
-    assert np.array_equal(reps, first)
+    assert np.array_equal(np.flatnonzero(mask)[reps], first)
     assert np.array_equal(oid, label) and np.array_equal(size, count)
     # the direct assembly against S^T L S with L from the node-by-node oracle
     K, M = _oracle_operator(mask, cond_0, cond_1, mass, wrap)
     d = sparse.diags(1.0 / np.sqrt(M.diagonal()))
     S = _orbit_basis(label, count)
     projected = (S.T @ (d @ K @ d) @ S).toarray()
-    folded = spectral2d._folded_operator(mask, cond_0, cond_1, mass, wrap, reps, oid, size)
+    # folded from the oracle's own face list: its entries above the diagonal
+    faces = sparse.triu(K, 1).tocoo()
+    folded = spectral2d._folded_operator(faces.row, faces.col, -faces.data, K.diagonal(),
+                                         mass[mask], reps, oid, size)
     assert (folded != folded.T).nnz == 0
     assert np.allclose(folded.toarray(), projected, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(projected)))
