@@ -232,15 +232,16 @@ def _folded_operator(p, q, c, diag, mass, reps, oid, size):
     return (L + L.T) / 2.0
 
 
-def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
-    """k smallest eigenpairs of the symmetrized masked operator by shift-invert
-    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace."""
+def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
+    """The symmetrized masked operator from the one face list: on the whole
+    mask, or folded onto `orbits` (from _orbits) when they are given.  The
+    face arrays are freed on return, before any factorization."""
     m = int(mask.sum())
     idx = -np.ones(mask.shape, dtype=np.int64)
     idx[mask] = np.arange(m)
-    # the one face list: each node to its neighbor at i+1 (nb[0]) and at j+1
-    # (nb[1], mod n1 when wrapping); a face to an outside node is a wall, and
-    # every face loads the diagonal, walls included
+    # each node to its neighbor at i+1 (nb[0]) and at j+1 (nb[1], mod n1
+    # when wrapping); a face to an outside node is a wall, and every face
+    # loads the diagonal, walls included
     nb = np.stack([np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1)])
     nb[0, -1] = -1
     if not wrap:
@@ -255,12 +256,16 @@ def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
                                     directed=False)
     if ncomp > 1:
         raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
-
-    orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
     if orbits is None:
-        L = numerics.symmetrized_operator(p, q, c, diag, mass[mask])
-    else:
-        L = _folded_operator(p, q, c, diag, mass[mask], *orbits)
+        return numerics.symmetrized_operator(p, q, c, diag, mass[mask])
+    return _folded_operator(p, q, c, diag, mass[mask], *orbits)
+
+
+def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
+    """k smallest eigenpairs of the symmetrized masked operator by shift-invert
+    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace."""
+    orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
+    L = _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
     lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
     if orbits is not None:
