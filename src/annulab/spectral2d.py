@@ -82,8 +82,8 @@ class GridSpectrum:
     """Eigenpairs on a masked structured grid.
 
     values is one (k, n0, n1) array; values[j] is zero outside the mask and
-    normalized so that sum(values[j]^2 * cell_measure) = 1.  axes holds the node coordinates of
-    the two grid directions.  Within a degenerate eigenspace (for k >= 2 on
+    normalized so that sum(values[j]^2 * cell_measure) = 1.  axes holds the
+    node coordinates of the two grid directions.  Within a degenerate eigenspace (for k >= 2 on
     rotationally symmetric domains, where the angular modes cos and sin
     share an eigenvalue) only the eigenvalues are well defined: the values
     are a repeatable but arbitrary orthonormal basis of the eigenspace.
