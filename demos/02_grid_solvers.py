@@ -7,6 +7,8 @@ one-dimensional solvers to the grid's second-order accuracy.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +45,9 @@ dom = spectral2d.PolarDomain2D(
     r_max=lambda th: 1.3 - 0.01 * np.sin(3 * th))
 sol = spectral2d.solve_polar(dom, 40, 256)
 print(f"bumpy shell ground eigenvalue: {sol.eigenvalues[0]:.5f}")
-spectral2d.save_mask("/tmp/bumpy_mask.txt", sol.mask,
-                     sol.meta["r_range"], sol.meta["theta_range"])
-mask, r_range, th_range = spectral2d.load_mask("/tmp/bumpy_mask.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "bumpy_mask.txt"
+    spectral2d.save_mask(path, sol.mask, sol.meta["r_range"], sol.meta["theta_range"])
+    mask, r_range, th_range = spectral2d.load_mask(path)
 sol2 = spectral2d.solve_polar_mask(mask, r_range, th_range, wrap=True)
 print(f"re-solved from the saved mask:  {sol2.eigenvalues[0]:.5f}")

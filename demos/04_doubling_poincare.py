@@ -9,6 +9,8 @@ factor.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 from annulab import auditors, bases, geometry, radial
 
@@ -23,8 +25,10 @@ model = geometry.annulus_model(spec, weight, resolve=0.1)
 checks = geometry.verify_net(net, model)
 print(f"vertices: {net.size}, edges: {len(net.edges)}, max degree: {net.max_degree()}")
 print(f"separation >= eps: {checks['separated']}, covered within eps: {checks['covered']}")
-geometry.export_net(net, "/tmp/shell_net.txt")
-print("net exported to /tmp/shell_net.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "shell_net.txt"
+    geometry.export_net(net, path)
+    print(f"net exported: {len(path.read_text().splitlines())} lines")
 
 print("\n== doubling ratios across the thickness ladder ==")
 for eps in (1.0, 0.5, 0.25, 0.1):

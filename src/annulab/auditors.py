@@ -36,12 +36,11 @@ __all__ = [
 
 @dataclass
 class AuditReport:
-    """Tabular audit outcome: rows, a summary, and the config that made them."""
+    """Tabular audit outcome: rows and a summary."""
 
     name: str
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
 
 def doubling_profile_model(model, centers, radii) -> AuditReport:
@@ -67,7 +66,6 @@ def doubling_profile_model(model, centers, radii) -> AuditReport:
             "rows": len(rows),
             "skipped": skipped,
         },
-        config={"centers": len(list(centers)), "radii": list(map(float, radii))},
     )
 
 
@@ -88,13 +86,7 @@ def doubling_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
         model = geometry.annulus_model(spec, weight, resolve=min(min_r, spec.b - spec.a))
     else:
         model = geometry.annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
-    report = doubling_profile_model(model, centers, radii)
-    report.config.update({
-        "domain": f"({spec.a:g},{spec.b:g}) x {spec.base.label()}",
-        "weight": weight.tag, "metric": "product_surrogate",
-        "grid": (len(model.r), len(model.th)),
-    })
-    return report
+    return doubling_profile_model(model, centers, radii)
 
 
 def interval_doubling_brute_force(a: float, b: float, density, center: float,
@@ -256,7 +248,6 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
                     continue
                 mu2 = separated_gap(model, ball_rows, arc, angular_gap)
                 rows.append(_center_row(c, r, mu2=mu2, poincare=1.0 / (r * r * mu2)))
-        grid_info = (len(model.r), len(model.th))
     else:
         if epsilon is None:
             raise ValueError("discrete_net mode needs epsilon")
@@ -292,7 +283,6 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
                     c, r, graph_radius=m_eff, mu2=mu2,
                     poincare=1.0 / (m_eff * m_eff * mu2),
                 ))
-        grid_info = ("net", net.size)
     vals = [row["poincare"] for row in rows if "poincare" in row]
     return AuditReport(
         name=f"poincare_{mode}",
@@ -302,11 +292,6 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
             "poincare_min": min(vals) if vals else math.nan,
             "rows": len(rows),
             "skipped": sum(1 for row in rows if "flag" in row),
-        },
-        config={
-            "domain": f"({spec.a:g},{spec.b:g}) x {spec.base.label()}",
-            "weight": weight.tag, "metric": "product_surrogate",
-            "mode": mode, "epsilon": epsilon, "grid": grid_info,
         },
     )
 
@@ -389,5 +374,4 @@ def sector_counterexample(beta_values, nodes: int = 4096) -> AuditReport:
             "normalization_constant_discrepancy": "statement vs pre-normalization "
             "closing constants are both logged per row",
         },
-        config={"nodes": nodes, "betas": list(map(float, beta_values))},
     )

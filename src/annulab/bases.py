@@ -293,17 +293,15 @@ def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int
     hp = (hi - lo) / N
     theta = ht * np.arange(1, N)
     phi = lo + hp * np.arange(1, N)
-    nt, nph = len(theta), len(phi)
     sin_phi = np.sin(phi)
     sin_half = np.sin(lo + hp * (np.arange(N) + 0.5))  # at phi half-points
-    # axis 0 is theta, axis 1 is phi; every grid node lies inside
-    cond_theta = np.broadcast_to(hp / (sin_phi * ht), (nt + 1, nph))
-    cond_phi = np.broadcast_to(sin_half * ht / hp, (nt, nph + 1))
-    mass = np.broadcast_to(sin_phi * ht * hp, (nt, nph))
+    # the coefficients vary in phi, so phi is axis 0 (the profile axis) and
+    # theta axis 1; every grid node lies inside
     lam, phis = spectral2d._assemble_and_solve(
-        np.ones((nt, nph), dtype=bool), cond_theta, cond_phi, mass, False, 1)
+        np.ones((len(phi), len(theta)), dtype=bool), sin_half * ht / hp,
+        hp / (sin_phi * ht), sin_phi * ht * hp, False, 1)
     # L2(sin phi) normalization: sum g^2 * mass = |psi|^2 = 1 already by construction
-    return float(lam[0]), theta, phi, phis[0]
+    return float(lam[0]), theta, phi, phis[0].T
 
 
 def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:

@@ -155,7 +155,7 @@ def _base_from_args(args) -> bases.BaseDomain:
     return bases.orthant_intersection(args.n, args.k_coords)
 
 
-def _cmd_solve(args, config):
+def _cmd_solve(args):
     base = _base_from_args(args)
     data = bases.base_eigendata(base)
     results = radial.solve_radial(args.n, args.a, args.b, data.lambda0,
@@ -166,7 +166,7 @@ def _cmd_solve(args, config):
     return rows, checks, {"lambda": results[0].lam, "lambda0_base": data.lambda0}
 
 
-def _cmd_bounds(args, config):
+def _cmd_bounds(args):
     report = estimates.annulus_eigenvalue_bounds(args.n, args.a, args.b)
     rows = [{"lambda": report.value, "lower": report.lower, "upper": report.upper,
              "C1": report.extra["C1"], "C2": report.extra["C2"]}]
@@ -176,7 +176,7 @@ def _cmd_bounds(args, config):
                           "lambda": report.value}
 
 
-def _cmd_caricature(args, config):
+def _cmd_caricature(args):
     if args.kind == "thin":
         fn = estimates.thin_annulus_caricature(args.n, args.a, args.b)
     else:
@@ -187,7 +187,7 @@ def _cmd_caricature(args, config):
     return rows, [_check("caricature_eval", "report-only", kind=args.kind)], {}
 
 
-def _cmd_hadamard(args, config):
+def _cmd_hadamard(args):
     rows = estimates.hadamard_scan(args.n, args.t, N=args.grid)
     checks = []
     if args.n == 3:
@@ -229,7 +229,7 @@ def _dyadic_radii(spec, eps):
     return radii[::-1]
 
 
-def _cmd_vd_audit(args, config):
+def _cmd_vd_audit(args):
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
@@ -240,7 +240,7 @@ def _cmd_vd_audit(args, config):
     return report.rows, checks, report.summary
 
 
-def _cmd_pi_audit(args, config):
+def _cmd_pi_audit(args):
     lo, hi = args.window
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
@@ -293,7 +293,7 @@ def _on_half_widths(fn, *args):
         raise ValueError(f"argument --half-widths: {exc}") from None
 
 
-def _cmd_heat_kernel(args, config):
+def _cmd_heat_kernel(args):
     if args.domain == "box":
         box = heatkernel.Box(tuple(args.half_widths))
         spectrum = _on_half_widths(heatkernel.box_spectrum, box, args.modes)
@@ -310,7 +310,7 @@ def _cmd_heat_kernel(args, config):
     return audit["rows"], checks, {k: v for k, v in audit.items() if k != "rows"}
 
 
-def _cmd_box_kernel(args, config):
+def _cmd_box_kernel(args):
     box = heatkernel.Box(tuple(args.half_widths))
     audit = _on_half_widths(heatkernel.box_kernel_bounds_check, box, args.t)
     ok = audit["deviation_constant"] <= 10.0
@@ -319,7 +319,7 @@ def _cmd_box_kernel(args, config):
     return audit["rows"], checks, {k: v for k, v in audit.items() if k != "rows"}
 
 
-def _cmd_hke_fit(args, config):
+def _cmd_hke_fit(args):
     eps = args.eps
     diam2 = math.pi**2
     t_grid = [eps**2, 4 * eps**2, 0.1 * diam2, diam2]
@@ -338,7 +338,7 @@ def _cmd_hke_fit(args, config):
     return audit["rows"], checks, {k: v for k, v in audit.items() if k != "rows"}
 
 
-def _cmd_sector(args, config):
+def _cmd_sector(args):
     report = auditors.sector_counterexample(args.beta, nodes=args.nodes)
     checks = [_check("ratio_increasing",
                      "pass" if report.summary["ratio_increasing_as_beta_shrinks"] else "fail")]
@@ -351,7 +351,7 @@ def _cmd_sector(args, config):
     return report.rows, checks, report.summary
 
 
-def _cmd_perturb_box(args, config):
+def _cmd_perturb_box(args):
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:
@@ -370,7 +370,7 @@ def _cmd_perturb_box(args, config):
     return rows, checks, {k: v for k, v in audit.items() if k != "conditions"}
 
 
-def _cmd_perturb_annulus(args, config):
+def _cmd_perturb_annulus(args):
     if args.scenario:
         scenario = perturb.load_scenario(args.scenario)
     else:
@@ -394,7 +394,7 @@ def _cmd_perturb_annulus(args, config):
     return rows, checks, audit
 
 
-def _cmd_report(args, config, out_dir: Path):
+def _cmd_report(args, out_dir: Path):
     rows = []
     n_pass = n_fail = 0
     for path in sorted(out_dir.glob("*_summary.json")):
@@ -547,9 +547,9 @@ def run(argv: list[str]) -> int:
         }
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "report":
-            rows, checks, results = _cmd_report(args, config, out_dir)
+            rows, checks, results = _cmd_report(args, out_dir)
         else:
-            rows, checks, results = _DISPATCH[args.command](args, config)
+            rows, checks, results = _DISPATCH[args.command](args)
     except SystemExit:  # --help; refusals raise ValueError (_Parser)
         return 0
     except (ValueError, KeyError, OSError) as exc:
@@ -580,8 +580,6 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, estimates.BoundsReport):
-        return _jsonable(vars(obj))
     return obj
 
 

@@ -213,17 +213,23 @@ def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
 
     Its omitted_floor is the least family_floor over the omitted families:
     j = radial_counts[i] + 1 on each kept level and j = 1 on the first
-    omitted one.
+    omitted one.  The potential (alpha + lambda0) / r^2 makes the j = 1
+    eigenvalue strictly increasing in lambda0.  On a shell so thin that the
+    rounding of the radial solve, about machine epsilon times |T|, exceeds
+    that spacing, the levels come out of order, and
+    heatkernel.InsufficientSpectrumError is raised.
     """
-    from .heatkernel import Spectrum
+    from .heatkernel import InsufficientSpectrumError, Spectrum
 
     eigenvalues = []
+    ground = []
     radial_index = []
     angular_index = []
     radial_rows = []
     first_g = 0
     for level, k in zip(base.levels, radial_counts):
         radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=k)
+        ground.append(radials[0].lam)
         for res in radials:
             for gi in range(first_g, first_g + level.multiplicity):
                 eigenvalues.append(res.lam)
@@ -231,6 +237,10 @@ def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
                 angular_index.append(gi)
             radial_rows.append(res.f)
         first_g += level.multiplicity
+    if np.any(np.diff(ground) <= 0.0):
+        raise InsufficientSpectrumError(
+            f"shell ({spec.a!r}, {spec.b!r}) is too thin for the radial solve: its j = 1 "
+            "eigenvalues do not increase with the base level lambda0")
     order = np.argsort(eigenvalues)
     return Spectrum(
         eigenvalues=np.asarray(eigenvalues)[order],

@@ -94,7 +94,6 @@ class GridSpectrum:
     axes: tuple[np.ndarray, np.ndarray]
     mask: np.ndarray
     cell_measure: np.ndarray
-    kind: str
     wrap: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -127,75 +126,64 @@ class GridSpectrum:
 _HULL_SHIFT_MARGIN = 1e-6
 
 
-def _hull_ground_state(cond_0, cond_1, mass, wrap):
+def _hull_ground_state(cond_0, cond_1, mass, n1, wrap):
     """Ground state of the 5-point operator on the full (n0, n1) grid.
 
-    The coefficients vary along one axis only (r on polar grids, phi on S^2,
-    neither on Cartesian grids), so the hull operator separates: a
-    tridiagonal problem along that axis plus tau_min times the conductance
+    The coefficients are row profiles, so the hull operator separates: a
+    tridiagonal problem along axis 0 plus tau_min times the conductance
     across it, where tau_min is the smallest eigenvalue of the second
-    difference along the constant axis.  Returns (lambda_hull, psi): psi is
-    the (n0, n1) unit eigenvector of the symmetrized operator, the
-    tridiagonal eigenvector times the ground mode of the constant axis (the
-    constant 1/sqrt(n) with tau_min = 0 when that axis wraps, else the
-    normalised discrete sine sin(pi j/(n+1))).  A masked operator is a
+    difference along axis 1.  Returns (lambda_hull, u, mode): the unit
+    eigenvector u of the tridiagonal and the ground mode of axis 1 (the
+    constant 1/sqrt(n1) with tau_min = 0 when axis 1 wraps, else the
+    normalised discrete sine sin(pi j/(n1+1))), whose outer product is the
+    ground state of the symmetrized operator.  A masked operator is a
     principal submatrix of the hull operator in the same symmetrized form,
     so by Cauchy interlacing lambda_hull is a lower bound of its spectrum.
     """
-    n0, n1 = mass.shape
-
-    def constant_along(axis):
-        return all(np.all(a == a.take([0], axis=axis)) for a in (cond_0, cond_1, mass))
-
-    if constant_along(1):
-        varying, along, across, mu, n_const, const_wraps = (
-            0, cond_0[:, 0], cond_1[:, 0], mass[:, 0], n1, wrap)
-    elif constant_along(0) and not wrap:
-        varying, along, across, mu, n_const, const_wraps = (
-            1, cond_1[0, :], cond_0[0, :], mass[0, :], n0, False)
+    if wrap:
+        tau_min, mode = 0.0, np.full(n1, 1.0 / math.sqrt(n1))
     else:
-        raise ValueError("grid coefficients must vary along one non-periodic axis only")
-    if const_wraps:
-        tau_min, mode = 0.0, np.full(n_const, 1.0 / math.sqrt(n_const))
-    else:
-        tau_min = 2.0 - 2.0 * math.cos(math.pi / (n_const + 1))
-        mode = np.sin(math.pi * np.arange(1, n_const + 1) / (n_const + 1))
+        tau_min = 2.0 - 2.0 * math.cos(math.pi / (n1 + 1))
+        mode = np.sin(math.pi * np.arange(1, n1 + 1) / (n1 + 1))
         mode /= np.linalg.norm(mode)
-    diag = (along[:-1] + along[1:] + tau_min * across) / mu
-    offdiag = -along[1:-1] / np.sqrt(mu[:-1] * mu[1:])
+    diag = (cond_0[:-1] + cond_0[1:] + tau_min * cond_1) / mass
+    offdiag = -cond_0[1:-1] / np.sqrt(mass[:-1] * mass[1:])
     vals, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, 1)
-    psi = np.outer(vecs[:, 0], mode) if varying == 0 else np.outer(mode, vecs[:, 0])
-    return float(vals[0]), psi
+    return float(vals[0]), vecs[:, 0], mode
 
 
 def _orbits(mask, cond_0, cond_1, mass, wrap):
     """Orbits of the mask nodes under the grid's symmetries, or None.
 
-    The symmetries are the grid's mirrors and its x<->y transpose.  An axis
-    that does not wrap mirrors the grid when mask, conductances and mass all
-    equal their reversal along it; a square grid that does not wrap is
-    transposed into itself when mask == mask.T, mass == mass.T and
-    cond_0 == cond_1.T.  The group these generate (up to the 8 symmetries
-    of the square) maps (i, j) into its representative in closed form:
-    min(i, n - 1 - i) along each mirrored axis, then the sorted pair under
-    the transpose.  That is the smallest index of the orbit, so the orbits
-    are numbered in the row-major order of their representatives.  Returns
-    (reps, oid, size) in mask-node numbering (row-major over the mask): the
-    representatives, each node's orbit number and the orbit sizes.  The
-    ground state is simple and positive, so it is constant on orbits.
+    The symmetries are the grid's mirrors and its x<->y transpose.  The
+    row profiles reverse under the mirror of axis 0, so it maps the grid
+    into itself when the mask and the three profiles equal their reversals;
+    they do not change along axis 1, so a non-wrapping axis 1 mirrors the
+    grid when the mask equals its flip.  A square grid that does not wrap
+    is transposed into itself when mask == mask.T, the profiles are one
+    constant with cond_0 == cond_1 and the mass is constant.  The group
+    these generate (up to the 8 symmetries of the square) maps (i, j) into
+    its representative in closed form: min(i, n - 1 - i) along each
+    mirrored axis, then the sorted pair under the transpose.  That is the
+    smallest index of the orbit, so the orbits are numbered in the
+    row-major order of their representatives.  Returns (reps, oid, size) in
+    mask-node numbering (row-major over the mask): the representatives,
+    each node's orbit number and the orbit sizes.  The ground state is
+    simple and positive, so it is constant on orbits.
     """
     n0, n1 = mask.shape
-    mirrored = [axis for axis in ((0,) if wrap else (0, 1))
-                if all(np.array_equal(a, np.flip(a, axis)) for a in (mask, cond_0, cond_1, mass))]
-    transposed = (not wrap and np.array_equal(mask, mask.T) and np.array_equal(mass, mass.T)
-                  and np.array_equal(cond_0, cond_1.T))
-    if not mirrored and not transposed:
+    mirror_0 = all(np.array_equal(a, a[::-1]) for a in (mask, cond_0, cond_1, mass))
+    mirror_1 = not wrap and np.array_equal(mask, mask[:, ::-1])
+    conds = np.concatenate([cond_0, cond_1])
+    transposed = (not wrap and np.array_equal(mask, mask.T)
+                  and np.all(conds == conds[0]) and np.all(mass == mass[0]))
+    if not (mirror_0 or mirror_1 or transposed):
         return None
     i, j = np.nonzero(mask)
     node = i * n1 + j
-    if 0 in mirrored:
+    if mirror_0:
         i = np.minimum(i, n0 - 1 - i)
-    if 1 in mirrored:
+    if mirror_1:
         j = np.minimum(j, n1 - 1 - j)
     if transposed:
         i, j = np.minimum(i, j), np.maximum(i, j)
@@ -235,8 +223,10 @@ def _folded_operator(p, q, c, diag, mass, reps, oid, size):
 def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     """The symmetrized masked operator from the one face list: on the whole
     mask, or folded onto `orbits` (from _orbits) when they are given.  The
-    face arrays are freed on return, before any factorization."""
+    row profiles are broadcast along axis 1 onto the faces.  The face
+    arrays are freed on return, before any factorization."""
     m = int(mask.sum())
+    rows = np.nonzero(mask)[0]
     idx = -np.ones(mask.shape, dtype=np.int64)
     idx[mask] = np.arange(m)
     # each node to its neighbor at i+1 (nb[0]) and at j+1 (nb[1], mod n1
@@ -248,8 +238,8 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
         nb[1, :, -1] = -1
     inner = (idx >= 0) & (nb >= 0)
     p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
-    c = np.stack([cond_0[1:], cond_1[:, 1:]])[inner]
-    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1[:, 1:]) + cond_1[:, :-1])[mask]
+    c = np.broadcast_to(np.stack([cond_0[1:], cond_1])[:, :, None], nb.shape)[inner]
+    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[rows]
     # connectivity of the whole mask: a folded graph can be connected while
     # the mask is two mirror-image pieces
     ncomp, _ = connected_components(sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(m, m)),
@@ -257,8 +247,8 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     if ncomp > 1:
         raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
     if orbits is None:
-        return numerics.symmetrized_operator(p, q, c, diag, mass[mask])
-    return _folded_operator(p, q, c, diag, mass[mask], *orbits)
+        return numerics.symmetrized_operator(p, q, c, diag, mass[rows])
+    return _folded_operator(p, q, c, diag, mass[rows], *orbits)
 
 
 def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
@@ -278,15 +268,18 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
 
     The one eigensolver for every structured grid: polar, Cartesian and
-    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).
-    cond_0[i, j]: conductance between nodes (i, j) and (i+1, j), length n0+1
-    along axis 0 so index i is the face below node i (virtual boundary rows
-    included); similarly cond_1 for axis 1 with wrap support.  Dirichlet
-    walls sit at masked-out neighbor nodes.  For k = 1 each grid is solved
-    in its smallest exact form, chosen by structure alone: a mask that fills
-    its hull by separation (_hull_ground_state); a mask that is mirror
-    symmetric along a non-wrapping axis, or square, non-wrapping and
-    symmetric under the x<->y transpose, coefficients included, by
+    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).  On each
+    of them the coefficients depend on the axis-0 coordinate alone, so they
+    come as row profiles: cond_0 (length n0+1) is the conductance of the
+    face below row i, between nodes (i-1, j) and (i, j), virtual boundary
+    rows included; cond_1 (length n0) that of every axis-1 face in row i,
+    wrapping faces and faces to the virtual boundary columns included; mass
+    (length n0) the node weight in row i.  Dirichlet walls sit at
+    masked-out neighbor nodes.  For k = 1 each grid is solved in its
+    smallest exact form, chosen by structure alone: a mask that fills its
+    hull by separation (_hull_ground_state); a grid that is mirror
+    symmetric along a non-wrapping axis, or square, non-wrapping, with
+    constant equal conductances and symmetric under the x<->y transpose, by
     shift-invert Lanczos on the subspace invariant under those symmetries,
     with the folded operator assembled from one row per orbit (_orbits,
     _folded_operator; the four-notch box folds by all 8 symmetries of the
@@ -300,10 +293,10 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     ids = np.flatnonzero(mask.ravel())
     if len(ids) == 0:
         raise EmptyDomainError("no grid nodes inside the domain")
-    d_half = 1.0 / np.sqrt(mass.ravel()[ids])
-    lam_hull, psi_hull = _hull_ground_state(cond_0, cond_1, mass, wrap)
+    d_half = 1.0 / np.sqrt(mass[ids // n1])
+    lam_hull, u, mode = _hull_ground_state(cond_0, cond_1, mass, n1, wrap)
     if k == 1 and len(ids) == mask.size:
-        lam, psi = np.array([lam_hull]), psi_hull.reshape(-1, 1)
+        lam, psi = np.array([lam_hull]), np.outer(u, mode).reshape(-1, 1)
     else:
         lam, psi = _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k,
                                       shift=(1.0 - _HULL_SHIFT_MARGIN) * lam_hull)
@@ -358,13 +351,11 @@ def solve_polar_mask(mask: np.ndarray, r_range: tuple[float, float],
     r = rlo + hr * np.arange(1, n0 + 1)
     th = tlo + ht * (np.arange(n1) if wrap else np.arange(1, n1 + 1))
     r_faces = rlo + hr * (np.arange(n0 + 1) + 0.5)
-    cond_r = np.broadcast_to((r_faces * ht / hr)[:, None], (n0 + 1, n1)).copy()
-    cond_t = np.broadcast_to((hr / (r * ht))[:, None], (n0, n1 + 1)).copy()
-    mass = np.broadcast_to((r * hr * ht)[:, None], (n0, n1)).copy()
-    lam, phis = _assemble_and_solve(mask, cond_r, cond_t, mass, wrap, k)
+    mass = r * hr * ht
+    lam, phis = _assemble_and_solve(mask, r_faces * ht / hr, hr / (r * ht), mass, wrap, k)
     return GridSpectrum(
         eigenvalues=lam, values=phis, axes=(r, th), mask=mask,
-        cell_measure=mass * mask, kind="polar", wrap=wrap,
+        cell_measure=mass[:, None] * mask, wrap=wrap,
         meta={"hr": hr, "ht": ht, "r_range": r_range, "theta_range": theta_range},
     )
 
@@ -394,14 +385,13 @@ def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpec
     y = (y_lo + y_hi) / 2.0 + hy * (np.arange(1, ny) - ny / 2.0)
     X, Y = np.meshgrid(x, y, indexing="ij")
     mask = np.asarray(domain.indicator(X, Y), dtype=bool)
-    n0, n1 = mask.shape
-    cond_0 = np.full((n0 + 1, n1), hy / hx)
-    cond_1 = np.full((n0, n1 + 1), hx / hy)
-    mass = np.full((n0, n1), hx * hy)
-    lam, phis = _assemble_and_solve(mask, cond_0, cond_1, mass, False, k)
+    n0 = len(x)
+    mass = np.full(n0, hx * hy)
+    lam, phis = _assemble_and_solve(mask, np.full(n0 + 1, hy / hx), np.full(n0, hx / hy),
+                                    mass, False, k)
     return GridSpectrum(
         eigenvalues=lam, values=phis, axes=(x, y), mask=mask,
-        cell_measure=mass * mask, kind="cartesian", wrap=False,
+        cell_measure=mass[:, None] * mask, wrap=False,
         meta={"h": h, "hx": hx, "hy": hy, "bbox": domain.bbox},
     )
 

@@ -200,6 +200,23 @@ def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("eps", ["1e-6", "3e-6"])
+def test_too_thin_annulus_heat_kernel_is_a_numerical_failure(tmp_path, capsys, eps):
+    # the radial solve cannot order the base levels of so thin a shell; the
+    # refusal names the solve, not the sample points
+    assert run(["--out", str(tmp_path), "heat-kernel", "--domain", "annulus", "--eps", eps]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "too thin" in err[0]
+
+
+def test_thin_annulus_heat_kernel_at_eps_1e_5_passes(tmp_path):
+    # the first spacings of the j = 1 eigenvalues, 0.99995 and 3.00005, are
+    # still resolved
+    assert run(["--out", str(tmp_path), "heat-kernel", "--domain", "annulus", "--eps", "1e-5"]) == 0
+    check = read_summary(tmp_path, "heat_kernel")["checks"][0]
+    assert (check["name"], check["status"]) == ("decay_rate_matches_gap", "pass")
+
+
 @pytest.mark.parametrize("eps", ["0.01", "2"])
 def test_hke_fit_certifies_thin_and_thick_shells(tmp_path, eps):
     # the energy cutoff keeps 1017 modes at eps = 0.01 and a single radial

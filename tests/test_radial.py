@@ -181,3 +181,13 @@ def test_spectrum_below_mode_limit_is_exact(monkeypatch):
     monkeypatch.setattr(radial, "MAX_MODES", 4)
     with pytest.raises(heatkernel.InsufficientSpectrumError, match="more than 4 modes"):
         radial.spectrum_below(spec, cutoff, N=64)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 3e-6])
+def test_too_thin_shell_is_refused(eps):
+    # the tridiagonal rounding, about machine epsilon times |T|, exceeds the
+    # spacing of the j = 1 eigenvalues over the base levels, which then read
+    # out of order
+    spec = radial.AnnularDomainSpec(2, 1.0, 1.0 + eps, bases.full_sphere(2))
+    with pytest.raises(heatkernel.InsufficientSpectrumError, match="too thin"):
+        radial.assemble_spectrum(spec, 6, 1, N=256)

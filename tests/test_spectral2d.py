@@ -141,9 +141,9 @@ def hull_eigenvalues(monkeypatch):
     hull = spectral2d._hull_ground_state
 
     def record(*args):
-        lam, psi = hull(*args)
-        seen.append(lam)
-        return lam, psi
+        result = hull(*args)
+        seen.append(result[0])
+        return result
 
     monkeypatch.setattr(spectral2d, "_hull_ground_state", record)
     return seen
@@ -178,22 +178,28 @@ def sparse_solves(monkeypatch):
 
 
 def _oracle_operator(mask, cond_0, cond_1, mass, wrap):
-    """(K, M) of the masked 5-point operator, assembled node by node."""
+    """(K, M) of the masked 5-point operator with row profiles, assembled
+    node by node."""
     n0, n1 = mask.shape
     idx = -np.ones(mask.shape, dtype=int)
     idx[mask] = np.arange(mask.sum())
     K = sparse.lil_matrix((mask.sum(), mask.sum()))
     for i, j in zip(*np.nonzero(mask)):
         p = idx[i, j]
-        faces = [((i + 1, j), cond_0[i + 1, j]), ((i - 1, j), cond_0[i, j]),
-                 ((i, j + 1), cond_1[i, j + 1]), ((i, j - 1), cond_1[i, j])]
+        faces = [((i + 1, j), cond_0[i + 1]), ((i - 1, j), cond_0[i]),
+                 ((i, j + 1), cond_1[i]), ((i, j - 1), cond_1[i])]
         for (qi, qj), c in faces:
             K[p, p] += c
             if wrap:
                 qj %= n1
             if 0 <= qi < n0 and 0 <= qj < n1 and mask[qi, qj]:
                 K[p, idx[qi, qj]] -= c
-    return K.tocsc(), sparse.diags(mass[mask]).tocsc()
+    return K.tocsc(), sparse.diags(_node_mass(mask, mass)).tocsc()
+
+
+def _node_mass(mask, mass):
+    """The mass profile read at each mask node, in row-major order."""
+    return mass[np.nonzero(mask)[0]]
 
 
 def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
@@ -363,16 +369,15 @@ def _iterated_orbits(mask, moves):
     return np.unique(rep[mask], return_inverse=True, return_counts=True)
 
 
-def _mirrored(a, axes):
-    for axis in axes:
-        a = (a + np.flip(a, axis)) / 2.0
-    return a
+def _palindrome(a):
+    return (a + a[::-1]) / 2.0
 
 
 @st.composite
 def symmetric_grids(draw):
-    """(mask, cond_0, cond_1, mass, wrap, moves): a random grid with exact
-    symmetries of one of five kinds, and the generators of its group."""
+    """(mask, cond_0, cond_1, mass, wrap, moves): a random grid with row
+    profiles and exact symmetries of one of five kinds, and the generators
+    of its group."""
     kind = draw(st.sampled_from(["square-8", "rectangle-2-mirrors", "square-transpose",
                                  "arc-theta-mirror", "wrapped-mirror"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -381,28 +386,27 @@ def symmetric_grids(draw):
     mask = rng.random((n0, n1)) < draw(st.floats(0.4, 0.95))
     wrap = kind == "wrapped-mirror"
     if kind.startswith("square"):
-        mass = rng.uniform(0.5, 2.0, (n0, n0))
-        cond_0 = rng.uniform(0.5, 2.0, (n0 + 1, n0))
+        # the transpose needs one constant conductance on both axes and a
+        # constant mass
+        c = rng.uniform(0.5, 2.0)
+        cond_0, cond_1, mass = np.full(n0 + 1, c), np.full(n0, c), np.full(n0, rng.uniform(0.5, 2.0))
         if kind == "square-8":
-            mass, cond_0 = _mirrored(mass, (0, 1)), _mirrored(cond_0, (0, 1))
             mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
-        mass, mask, cond_1 = (mass + mass.T) / 2.0, mask | mask.T, cond_0.T.copy()
-        moves = [np.transpose] + ([np.flipud, np.fliplr] if kind == "square-8" else [])
+        mask = mask | mask.T
+        # constant profiles leave every mirror of the mask a symmetry
+        moves = [np.transpose] + [flip for flip in (np.flipud, np.fliplr)
+                                  if np.array_equal(mask, flip(mask))]
     elif kind == "rectangle-2-mirrors":
-        mass = _mirrored(rng.uniform(0.5, 2.0, (n0, n1)), (0, 1))
-        cond_0 = _mirrored(rng.uniform(0.5, 2.0, (n0 + 1, n1)), (0, 1))
-        cond_1 = _mirrored(rng.uniform(0.5, 2.0, (n0, n1 + 1)), (0, 1))
+        cond_0, cond_1, mass = (_palindrome(rng.uniform(0.5, 2.0, n)) for n in (n0 + 1, n0, n0))
         mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
         moves = [np.flipud, np.fliplr]
     else:
-        # polar coefficients, varying in r only: mirrored in theta (axis 1);
-        # a wrapped grid mirrored in its own non-periodic axis 0 instead
+        # polar profiles: mirrored in theta (axis 1); a wrapped grid
+        # mirrored in its own non-periodic axis 0 instead
         r = np.sort(rng.uniform(1.0, 2.0, n0 + 1))
-        cond_0 = np.broadcast_to(r[:, None], (n0 + 1, n1)).copy()
-        cond_1 = np.broadcast_to(1.0 / r[:-1, None], (n0, n1 + 1)).copy()
-        mass = np.broadcast_to(r[:-1, None], (n0, n1)).copy()
+        cond_0, cond_1, mass = r, 1.0 / r[:-1], r[:-1]
         if wrap:
-            cond_0, cond_1, mass = (_mirrored(a, (0,)) for a in (cond_0, cond_1, mass))
+            cond_0, cond_1, mass = (_palindrome(a) for a in (cond_0, cond_1, mass))
             mask = mask | mask[::-1]
             moves = [np.flipud]
         else:
@@ -429,7 +433,7 @@ def test_folded_operator_equals_the_orbit_basis_projection(grid):
     # folded from the oracle's own face list: its entries above the diagonal
     faces = sparse.triu(K, 1).tocoo()
     folded = spectral2d._folded_operator(faces.row, faces.col, -faces.data, K.diagonal(),
-                                         mass[mask], reps, oid, size)
+                                         _node_mass(mask, mass), reps, oid, size)
     assert (folded != folded.T).nnz == 0
     assert np.allclose(folded.toarray(), projected, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(projected)))
@@ -478,6 +482,19 @@ def test_notched_rectangle_folds_by_the_two_mirrors(grid_solves, sparse_solves):
     _assert_matches_oracle(args, result)
 
 
+def test_square_grid_of_oblong_cells_folds_by_the_two_mirrors(grid_solves, sparse_solves):
+    # 63 x 63 nodes with hx != hy: the mask equals its transpose, but the
+    # conductances hy/hx and hx/hy differ, so the transpose is no symmetry
+    spectral2d.solve_cartesian(four_notch_box_domain(0.05, (0.95, 0.951)), 1.0 / 32.0)
+    [(args, result)] = grid_solves
+    [(op, _)] = sparse_solves
+    mask, cond_0, cond_1 = args[:3]
+    n0, n1 = mask.shape
+    assert n0 == n1 and np.array_equal(mask, mask.T) and cond_0[0] != cond_1[0]
+    assert op.dimension == mask[:(n0 + 1) // 2, :(n1 + 1) // 2].sum()
+    _assert_matches_oracle(args, result)
+
+
 def test_asymmetric_mask_solves_unfolded(grid_solves, sparse_solves):
     # no mirror and not the transpose maps this corner notch onto itself
     spectral2d.solve_cartesian(notched_box_domain(0.5, 0.75), 1.0 / 32.0)
@@ -486,7 +503,7 @@ def test_asymmetric_mask_solves_unfolded(grid_solves, sparse_solves):
     mask, mass = args[0], args[3]
     assert op.dimension == mask.sum()
     phi = np.zeros(mask.shape)
-    phi[mask] = psi[:, 0] / np.sqrt(mass[mask])
+    phi[mask] = psi[:, 0] / np.sqrt(_node_mass(mask, mass))
     assert np.array_equal(result[1][0], phi if phi.sum() > 0 else -phi)
     _assert_matches_oracle(args, result)
 
