@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -511,12 +512,19 @@ _DISPATCH = {
 }
 
 
-def _apply_config_file(args, argv, parser, subcommands):
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every run without --config, built once per process:
+    parsing leaves it unchanged."""
+    return _build_parser()[0]
+
+
+def _apply_config_file(args, argv):
     """key = value file entries are parsed as the flags they name, by the
     subcommand's own parser, and become its defaults; argv is then parsed
-    again over them, so flags still win."""
-    if not args.config:
-        return args
+    again over them, so flags still win.  The defaults go into a parser
+    built for this run alone, never into the shared one."""
+    parser, subcommands = _build_parser()
     with open(args.config, encoding="utf-8") as fh:
         entries = perturb.parse_key_values(fh.read(), "config")
     sub = subcommands[args.command]
@@ -537,9 +545,10 @@ def _apply_config_file(args, argv, parser, subcommands):
 
 
 def run(argv: list[str]) -> int:
-    parser, subcommands = _build_parser()
     try:
-        args = _apply_config_file(parser.parse_args(argv), argv, parser, subcommands)
+        args = _shared_parser().parse_args(argv)
+        if args.config:
+            args = _apply_config_file(args, argv)
         out_dir = Path(args.out or os.environ.get("OUT_DIR", "."))
         config = {
             k: v for k, v in sorted(vars(args).items())

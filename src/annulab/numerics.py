@@ -19,6 +19,7 @@ __all__ = [
     "NonConvergenceError",
     "symmetrized_operator",
     "tridiag_smallest_eigenpairs",
+    "tridiag_smallest_eigenvalues",
     "sparse_smallest_eigenpairs",
     "bilinear",
     "integrate_samples",
@@ -50,6 +51,18 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
+def _tridiag_arrays(diag, offdiag, k: int):
+    """(diag, offdiag) as float arrays, checked for a k-smallest solve."""
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(offdiag, dtype=float)
+    if d.ndim != 1 or e.ndim != 1 or len(d) < 2 or len(e) != len(d) - 1:
+        raise ValueError("need diag of length N >= 2 and offdiag of length N-1")
+    n = len(d)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    return d, e
+
+
 def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
     """k smallest eigenpairs of the symmetric tridiagonal matrix with the
     given diagonal (length N >= 2) and off-diagonal (length N - 1).
@@ -58,13 +71,7 @@ def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
     eigenvectors from inverse iteration (stein); eigenvalues are ascending,
     eigenvectors have unit Euclidean norm and a deterministic sign.
     """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(offdiag, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or len(d) < 2 or len(e) != len(d) - 1:
-        raise ValueError("need diag of length N >= 2 and offdiag of length N-1")
-    n = len(d)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    d, e = _tridiag_arrays(diag, offdiag, k)
     vals, vecs = eigh_tridiagonal(
         d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz"
     )
@@ -72,6 +79,15 @@ def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
     return vals, _fix_signs(vecs)
+
+
+def tridiag_smallest_eigenvalues(diag, offdiag, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of tridiag_smallest_eigenpairs(diag,
+    offdiag, k), ascending, without the inverse iteration for eigenvectors:
+    the same stebz bisection, so the same values to the bit."""
+    d, e = _tridiag_arrays(diag, offdiag, k)
+    return np.sort(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                    select_range=(0, k - 1), lapack_driver="stebz"))
 
 
 @dataclass

@@ -94,13 +94,13 @@ def radial_potential_coefficient(n: int) -> float:
     return (n - 3) * (n - 1) / 4.0
 
 
-def _transformed_eigen(n, a, b, lam0, N, k):
+def _transformed_operator(n, a, b, lam0, N):
+    """Interior nodes, diagonal and off-diagonal of the transformed operator
+    on N cells of (a, b)."""
     alpha = radial_potential_coefficient(n)
     h = (b - a) / N
     r = a + h * np.arange(1, N)
-    vals, vecs = numerics.tridiag_smallest_eigenpairs(
-        2.0 / h**2 + (alpha + lam0) / r**2, np.full(N - 2, -1.0 / h**2), k)
-    return r, vals, vecs
+    return r, 2.0 / h**2 + (alpha + lam0) / r**2, np.full(N - 2, -1.0 / h**2)
 
 
 def solve_radial(
@@ -114,7 +114,8 @@ def solve_radial(
     """k smallest radial eigenpairs of the shell problem on (a, b).
 
     Eigenvalues are Richardson-extrapolated over the (N, 2N) grids;
-    eigenfunctions are reported on the 2N grid.
+    eigenfunctions are reported on the 2N grid, so the N grid is solved for
+    eigenvalues only.
     """
     require_dimension(n)
     require_shell(a, b)
@@ -123,8 +124,10 @@ def solve_radial(
     if N < 64:
         raise ValueError(f"grid too coarse: need N >= 64, got {N}")
     alpha = radial_potential_coefficient(n)
-    _, vals_c, _ = _transformed_eigen(n, a, b, lambda0, N, k)
-    r, vals_f, vecs = _transformed_eigen(n, a, b, lambda0, 2 * N, k)
+    _, diag, offdiag = _transformed_operator(n, a, b, lambda0, N)
+    vals_c = numerics.tridiag_smallest_eigenvalues(diag, offdiag, k)
+    r, diag, offdiag = _transformed_operator(n, a, b, lambda0, 2 * N)
+    vals_f, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, k)
     vals = np.array([numerics.richardson(vc, vf) for vc, vf in zip(vals_c, vals_f)])
     grid = np.concatenate(([a], r, [b]))
     wts = numerics.trapezoid_weights(grid)
@@ -165,8 +168,7 @@ def solve_radial_weighted(
         mass = r ** (n - 1) * h
         diag = (cond[:-1] + cond[1:]) / mass + lambda0 / r**2
         off = -cond[1:-1] / np.sqrt(mass[:-1] * mass[1:])
-        vals, _ = numerics.tridiag_smallest_eigenpairs(diag, off, k)
-        return vals
+        return numerics.tridiag_smallest_eigenvalues(diag, off, k)
 
     vc, vf = eig(N), eig(2 * N)
     return np.array([numerics.richardson(c, f) for c, f in zip(vc, vf)])

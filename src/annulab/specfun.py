@@ -47,6 +47,10 @@ _BRENT_MAXITER = 100
 # value is recomputed by mpmath.besselj at 40 significant digits.
 _CANCELLATION_LIMIT = 1e6
 
+# Terms of the series that bessel_j_log_grid sums: term k over term k-1 is at
+# most 1/(2k) in size there, so term 40 is below 2^-40 / 40! of term 0.
+_GRID_TERMS = 40
+
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
@@ -126,25 +130,33 @@ def bessel_j(nu: float, r: float) -> float:
 def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
     """Vectorized log|J_nu| over an array of small arguments.
 
-    Restricted to the dominant-first-term regime r^2/4 <= (nu+1)/2, where
-    the alternating series has no cancellation to speak of; this is the fast
-    path for log-space quadratures at large order.  At r = 0 it returns
-    bessel_j_log(nu, 0.0): 0 for nu = 0, else -inf.
+    Restricted to the dominant-first-term regime x = r^2/4 <= (nu+1)/2,
+    the fast path for log-space quadratures at large order.  Term k of the
+    series (DLMF 10.2.2) over term k-1 is -x / (k (k+nu)), at most 1/(2k)
+    in size there, so the sum of the first _GRID_TERMS terms over term 0 is
+    1 + t with t = -x/(1+nu) (1 - x/(2(2+nu)) (1 - ...)) evaluated by
+    Horner's rule from the last ratio, and
+
+        log|J_nu(r)| = nu log(r/2) - log Gamma(nu+1) + log1p(t).
+
+    log1p keeps the relative accuracy where J_nu is close to 1 (nu = 0,
+    log|J_0(r)| ~ -r^2/4).  At r = 0 it returns bessel_j_log(nu, 0.0): 0
+    for nu = 0, else -inf.
     """
     _check_order(nu)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("need r >= 0")
-    if np.any(r**2 / 4.0 > (nu + 1.0) / 2.0):
+    x = r**2 / 4.0
+    if np.any(x > (nu + 1.0) / 2.0):
         raise ValueError("grid variant needs r^2/4 <= (nu+1)/2; use bessel_j_log")
-    k = np.arange(40)
-    log_coeff = -np.array([math.lgamma(j + 1.0) + math.lgamma(j + nu + 1.0) for j in range(40)])
     out = np.full(r.shape, bessel_j_log(nu, 0.0)[0])
     pos = r != 0
-    lt = (nu + 2.0 * k)[None, :] * np.log(r[pos] / 2.0)[:, None] + log_coeff[None, :]
-    m = lt.max(axis=-1)
-    s = np.sum((-1.0) ** k * np.exp(lt - m[:, None]), axis=-1)
-    out[pos] = m + np.log(np.abs(np.where(s == 0, 1.0, s)))
+    x = x[pos]
+    t = np.zeros_like(x)
+    for k in range(_GRID_TERMS - 1, 0, -1):
+        t = -x / (k * (k + nu)) * (1.0 + t)
+    out[pos] = nu * np.log(r[pos] / 2.0) - math.lgamma(nu + 1.0) + np.log1p(t)
     return out
 
 

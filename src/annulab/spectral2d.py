@@ -121,8 +121,8 @@ class GridSpectrum:
         return m
 
 
-# relative margin of the shift below the hull eigenvalue; it covers rounding
-# when the mask fills its hull and lambda_1 equals lambda_hull
+# relative margin of the shift below the a priori lower bound; it covers
+# rounding when the bound equals lambda_1 (a mask that fills its hull)
 _HULL_SHIFT_MARGIN = 1e-6
 
 
@@ -150,6 +150,72 @@ def _hull_ground_state(cond_0, cond_1, mass, n1, wrap):
     offdiag = -cond_0[1:-1] / np.sqrt(mass[:-1] * mass[1:])
     vals, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, 1)
     return float(vals[0]), vecs[:, 0], mode
+
+
+def _column_bound(mask, cond_0, cond_1, mass, wrap):
+    """Lower bound on lambda_1 of the masked operator from its columns.
+
+    Split the form at the mask's zero extension u into its axis-0 and axis-1
+    faces.  The axis-0 faces of column j give at least mu_j |u_j|^2 (mass
+    norm), with mu_j the ground eigenvalue of the column's own tridiagonal:
+    its mask rows, walls at every masked-out neighbor, and no coupling
+    across a gap between rows.  The axis-1 faces of row i carry cond_1[i] >=
+    kappa mass[i], kappa the least cond_1 / mass over the rows the mask
+    touches, so by Minkowski they give at least kappa (|u_{j+1}| - |u_j|)^2.
+    lambda_1 is then at least the ground eigenvalue of the chain diag(mu) +
+    kappa (second difference) over the column norms |u_j|.  An empty column
+    has |u_j| = 0, a wall: it splits the chain into runs, each walled at
+    both ends (as are the outer columns when axis 1 does not wrap).  A
+    wrapping ring with no empty column is cut at one face, which only
+    lowers the form, and its ends are left free.  It is cut ahead of column
+    0 and ahead of the largest mu, near which the ground state is small,
+    and the larger of the two bounds is kept.  Equal columns are solved once.
+    """
+    n1 = mask.shape[1]
+    columns = np.ascontiguousarray(mask.T)
+    # each column to the first column equal to it (np.unique(axis=0) sorts
+    # the columns as records, a hundred times slower on a 537 x 537 mask)
+    seen = {}
+    same = np.array([seen.setdefault(col.tobytes(), j) for j, col in enumerate(columns)])
+    w = 1.0 / np.sqrt(mass)
+    diag = (cond_0[:-1] + cond_0[1:]) / mass
+    # coupling of rows i and i + 1 across the face below row i + 1
+    off = w[:-1] * -cond_0[1:-1] * w[1:]
+    mu = np.zeros(n1)
+    for j in seen.values():
+        rows = np.flatnonzero(columns[j])
+        if len(rows) == 1:
+            mu[j] = diag[rows[0]]
+        elif len(rows) > 1:
+            col_off = np.where(np.diff(rows) == 1, off[rows[:-1]], 0.0)
+            mu[j] = numerics.tridiag_smallest_eigenvalues(diag[rows], col_off, 1)[0]
+    mu = mu[same]
+    empty = ~mask.any(axis=0)
+    kappa = float(np.min((cond_1 / mass)[mask.any(axis=1)]))
+    if wrap and not empty.any():
+        # each cut gives a bound; the ground state is small near the largest mu
+        return max(_chain_ground(np.roll(mu, -cut), kappa, walled=False)
+                   for cut in (0, int(np.argmax(mu))))
+    if wrap:
+        # roll an empty column to the end, where it walls both ends of the chain
+        roll = n1 - 1 - int(np.flatnonzero(empty)[0])
+        mu, empty = np.roll(mu, roll), np.roll(empty, roll)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ~empty, [0]))))
+    return min(_chain_ground(mu[start:stop], kappa, walled=True)
+               for start, stop in zip(edges[::2], edges[1::2]))
+
+
+def _chain_ground(mu, kappa, walled):
+    """Ground eigenvalue of diag(mu) + kappa (second difference) on a chain
+    of columns, with walls beyond both ends or with free ends."""
+    chain = mu + 2.0 * kappa
+    if not walled:
+        chain[0] -= kappa
+        chain[-1] -= kappa
+    if len(chain) == 1:
+        return float(chain[0])
+    return float(numerics.tridiag_smallest_eigenvalues(
+        chain, np.full(len(chain) - 1, -kappa), 1)[0])
 
 
 def _orbits(mask, cond_0, cond_1, mass, wrap):
@@ -285,7 +351,9 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     _folded_operator; the four-notch box folds by all 8 symmetries of the
     square); any other grid, and every k >= 2, by shift-invert Lanczos on
     the whole mask.  Lanczos (numerics.sparse_smallest_eigenpairs) runs from
-    just below the hull eigenvalue and stops once its Ritz pairs converge.
+    just below the larger of two lower bounds of lambda_1, the hull
+    eigenvalue and the column bound (_column_bound), and stops once its
+    Ritz pairs converge; the closer the shift, the fewer LU solves.
     Returns the eigenvalues and the eigenfunctions as one (k, n0, n1) array,
     each normalized in the `mass` weights.
     """
@@ -298,8 +366,9 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     if k == 1 and len(ids) == mask.size:
         lam, psi = np.array([lam_hull]), np.outer(u, mode).reshape(-1, 1)
     else:
+        bound = max(lam_hull, _column_bound(mask, cond_0, cond_1, mass, wrap))
         lam, psi = _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k,
-                                      shift=(1.0 - _HULL_SHIFT_MARGIN) * lam_hull)
+                                      shift=(1.0 - _HULL_SHIFT_MARGIN) * bound)
     phis = np.zeros((k, n0 * n1))
     phis[:, ids] = (d_half[:, None] * psi).T
     if phis[0].sum() < 0:

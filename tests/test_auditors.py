@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from annulab import auditors, bases, geometry, radial
+from annulab import auditors, bases, geometry, radial, specfun
 
 
 def thin_spec(eps):
@@ -194,6 +194,18 @@ def test_sector_contrast_with_thin_annulus():
     radii = [0.05, 0.1, 0.4, 1.6]
     annulus_max = auditors.doubling_profile(spec, weight, centers, radii).summary["doubling_max"]
     assert sector >= 100.0 * annulus_max
+
+
+@pytest.mark.parametrize("nodes", [4096, 3001])
+def test_sector_half_ball_shares_the_check_grid_to_the_bit(nodes):
+    # the half-ball integral is summed over the first half of the
+    # refinement check's midpoints; it equals a quadrature of its own on [0, 1/2]
+    for row in auditors.sector_counterexample([0.25, 0.0625], nodes=nodes).rows:
+        nu = 1.0 / row["beta"]
+        log_j1 = specfun.bessel_j_log(nu + 1.0, row["alpha"])[0]
+        log_i_half = auditors._log_midpoint_integral(nu, 0.5, nodes)
+        assert row["log_v_half"] == (math.log(2.0) + log_i_half - 2.0 * math.log(row["alpha"])
+                                     - 2.0 * log_j1)
 
 
 def test_sector_rejects_bad_beta():

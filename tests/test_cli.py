@@ -457,6 +457,21 @@ def test_config_file_overrides_defaults(tmp_path):
     assert doc["results"]["lambda"] == pytest.approx(math.pi**2 / 0.25, rel=1e-6)
 
 
+def test_config_run_leaves_later_runs_at_the_defaults(tmp_path):
+    # a --config run sets defaults on a parser of its own; the plain run
+    # after it in this process echoes the config of a fresh process
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nb = 1.5\n")
+    assert run(["--out", str(tmp_path / "config"), "--config", str(cfg), "bounds"]) == 0
+    assert run(["--out", str(tmp_path / "plain"), "bounds"]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "annulab", "--out", str(tmp_path / "fresh"),
+                            "bounds"], capture_output=True, env=_child_env())
+    assert fresh.returncode == 0
+    for name in ("bounds.csv", "bounds_summary.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert read_summary(tmp_path / "config", "bounds")["config"]["b"] == 1.5
+
+
 def test_config_file_yields_to_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 3\nb = 1.5\n")

@@ -79,6 +79,19 @@ def test_eigenvalue_decomposition_sandwich(base, ab):
     assert lam_annulus + lam0 / b**2 - slack <= lam_shell <= lam_annulus + lam0 / a**2 + slack
 
 
+def test_eigenvalues_only_solve_gives_the_eigenpair_values_to_the_bit():
+    # the coarse grid of every Richardson pair is solved for eigenvalues only
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        a = float(rng.uniform(0.1, 2.0))
+        b = a + float(rng.uniform(1e-3, 2.0))
+        N, k = int(rng.integers(200, 1100)), int(rng.integers(1, 6))
+        _, diag, offdiag = radial._transformed_operator(n, a, b, float(rng.uniform(0.0, 500.0)), N)
+        vals = numerics.tridiag_smallest_eigenvalues(diag, offdiag, k)
+        assert np.array_equal(vals, numerics.tridiag_smallest_eigenpairs(diag, offdiag, k)[0])
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         radial.solve_radial(2, 2.0, 1.0, 0.0)
