@@ -139,8 +139,6 @@ def _path_eigenvalues(cond, mass, k: int, potential=0.0) -> np.ndarray:
     d = 1.0 / np.sqrt(mass)
     row_sums = np.concatenate(([0.0], cond)) + np.concatenate((cond, [0.0]))
     diag = d * row_sums * d + potential
-    if len(mass) == 1:
-        return diag
     return numerics.tridiag_smallest_eigenvalues(diag, d[:-1] * -cond * d[1:], k)
 
 

@@ -55,8 +55,8 @@ def _tridiag_arrays(diag, offdiag, k: int):
     """(diag, offdiag) as float arrays, checked for a k-smallest solve."""
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or len(d) < 2 or len(e) != len(d) - 1:
-        raise ValueError("need diag of length N >= 2 and offdiag of length N-1")
+    if d.ndim != 1 or e.ndim != 1 or len(d) < 1 or len(e) != len(d) - 1:
+        raise ValueError("need diag of length N >= 1 and offdiag of length N-1")
     n = len(d)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -65,7 +65,7 @@ def _tridiag_arrays(diag, offdiag, k: int):
 
 def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
     """k smallest eigenpairs of the symmetric tridiagonal matrix with the
-    given diagonal (length N >= 2) and off-diagonal (length N - 1).
+    given diagonal (length N >= 1) and off-diagonal (length N - 1).
 
     Eigenvalues come from bisection on the Sturm sequence (LAPACK stebz) and
     eigenvectors from inverse iteration (stein); eigenvalues are ascending,

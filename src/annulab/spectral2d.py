@@ -184,9 +184,7 @@ def _column_bound(mask, cond_0, cond_1, mass, wrap):
     mu = np.zeros(n1)
     for j in seen.values():
         rows = np.flatnonzero(columns[j])
-        if len(rows) == 1:
-            mu[j] = diag[rows[0]]
-        elif len(rows) > 1:
+        if len(rows):
             col_off = np.where(np.diff(rows) == 1, off[rows[:-1]], 0.0)
             mu[j] = numerics.tridiag_smallest_eigenvalues(diag[rows], col_off, 1)[0]
     mu = mu[same]
@@ -212,8 +210,6 @@ def _chain_ground(mu, kappa, walled):
     if not walled:
         chain[0] -= kappa
         chain[-1] -= kappa
-    if len(chain) == 1:
-        return float(chain[0])
     return float(numerics.tridiag_smallest_eigenvalues(
         chain, np.full(len(chain) - 1, -kappa), 1)[0])
 
