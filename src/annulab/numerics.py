@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, qr
+from scipy.linalg import qr
+from scipy.linalg.lapack import dstebz, dstein
 
 __all__ = [
     "SparseSymmetricOperator",
@@ -51,43 +52,84 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def _tridiag_arrays(diag, offdiag, k: int):
-    """(diag, offdiag) as float arrays, checked for a k-smallest solve."""
+def _tridiag_stack(diag, offdiag, k):
+    """(d, e, k) as a float stack d of shape (L, N), e of shape (L, N - 1)
+    (a shared off-diagonal broadcast to every row) and k of shape (L,),
+    checked for a k-smallest solve of every row."""
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or len(d) < 1 or len(e) != len(d) - 1:
-        raise ValueError("need diag of length N >= 1 and offdiag of length N-1")
-    n = len(d)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    return d, e
+    rows = np.atleast_2d(d)
+    L, n = rows.shape
+    per_row = (L, n - 1) if d.ndim == 2 else (n - 1,)
+    if d.ndim not in (1, 2) or n < 1 or e.shape not in ((n - 1,), per_row):
+        raise ValueError("need diag of shape (N,) or (L, N) with N >= 1 and offdiag "
+                         "of shape (N-1,) or (L, N-1)")
+    ks = np.asarray(k)
+    if ks.shape not in ((), (L,)) or ks.dtype.kind not in "iu":
+        raise ValueError(f"need k an integer or one integer per row, got k={k!r}")
+    if np.any((ks < 1) | (ks > n)):
+        raise ValueError(f"need 1 <= k <= {n}, got k={k!r}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return rows, np.broadcast_to(e, (L, n - 1)), np.broadcast_to(ks, (L,))
 
 
-def tridiag_smallest_eigenpairs(diag, offdiag, k: int):
+def _stebz(d, e, k: int, order: str):
+    """The LAPACK calls of scipy's eigh_tridiagonal(d, e, select="i",
+    select_range=(0, k - 1), lapack_driver="stebz"): bisection for the k
+    smallest eigenvalues in block order ("B", for stein) or ascending ("E")."""
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, order)
+    if info != 0 or m != k:
+        raise np.linalg.LinAlgError(f"stebz found {m} of {k} eigenvalues (LAPACK info={info})")
+    return w[:m], iblock, isplit
+
+
+def tridiag_smallest_eigenpairs(diag, offdiag, k):
     """k smallest eigenpairs of the symmetric tridiagonal matrix with the
     given diagonal (length N >= 1) and off-diagonal (length N - 1).
 
+    A stack of L matrices is one call: diag of shape (L, N), offdiag shared
+    (N - 1,) or one per row (L, N - 1), and k an integer or one per row.
+    The pairs of row 0 come first, then those of row 1, and so on: the
+    eigenvalues as one array of length sum(k), the eigenvectors as the
+    columns of one (N, sum(k)) array.
+
     Eigenvalues come from bisection on the Sturm sequence (LAPACK stebz) and
-    eigenvectors from inverse iteration (stein); eigenvalues are ascending,
-    eigenvectors have unit Euclidean norm and a deterministic sign.
+    eigenvectors from inverse iteration (stein), called directly with the
+    arguments scipy's eigh_tridiagonal passes them, so every value is the
+    same to the bit; eigenvalues of a row are ascending, eigenvectors have
+    unit Euclidean norm and a deterministic sign.
     """
-    d, e = _tridiag_arrays(diag, offdiag, k)
-    vals, vecs = eigh_tridiagonal(
-        d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz"
-    )
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return vals, _fix_signs(vecs)
+    d, e, ks = _tridiag_stack(diag, offdiag, k)
+    n = d.shape[1]
+    if n == 1:
+        return d[:, 0].copy(), np.ones((1, len(d)))
+    vals = np.empty(int(ks.sum()))
+    vecs = np.empty((n, len(vals)), order="F")
+    pos = 0
+    for d_i, e_i, k_i in zip(d, e, ks):
+        w, iblock, isplit = _stebz(d_i, e_i, k_i, "B")
+        z, info = dstein(d_i, e_i, w, iblock, isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+        order = np.argsort(w)
+        z = z[:, order]
+        z /= np.linalg.norm(z, axis=0)
+        vals[pos:pos + k_i] = w[order]
+        vecs[:, pos:pos + k_i] = _fix_signs(z)
+        pos += k_i
+    return vals, vecs
 
 
-def tridiag_smallest_eigenvalues(diag, offdiag, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of tridiag_smallest_eigenpairs(diag,
-    offdiag, k), ascending, without the inverse iteration for eigenvectors:
-    the same stebz bisection, so the same values to the bit."""
-    d, e = _tridiag_arrays(diag, offdiag, k)
-    return np.sort(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                    select_range=(0, k - 1), lapack_driver="stebz"))
+def tridiag_smallest_eigenvalues(diag, offdiag, k) -> np.ndarray:
+    """The eigenvalues of tridiag_smallest_eigenpairs(diag, offdiag, k),
+    stacks included, without the inverse iteration for eigenvectors: the
+    same stebz bisection, so the same values to the bit."""
+    d, e, ks = _tridiag_stack(diag, offdiag, k)
+    if d.shape[1] == 1:
+        return d[:, 0].copy()
+    return np.concatenate([_stebz(d_i, e_i, k_i, "E")[0]
+                           for d_i, e_i, k_i in zip(d, e, ks)])
 
 
 @dataclass
@@ -158,7 +200,10 @@ def sparse_smallest_eigenpairs(
     the whole space.  The closer `shift` sits below lambda_1, the fewer
     steps are needed.  A returned eigenvalue at or below `shift` raises
     NonConvergenceError; a shift inside the spectrum is caught whenever an
-    eigenvalue below it is among the k nearest.
+    eigenvalue below it is among the k nearest.  Each eigenvalue is the
+    Rayleigh quotient v.Av / v.v of its returned vector, summed by numpy,
+    not shift + 1/theta, whose rounding of about eps |A| / lambda would
+    move it with the shift.
 
     Lanczos starts from a fixed pseudo-random block so that repeated calls
     return the same pairs (a constant start would be orthogonal to
@@ -172,14 +217,14 @@ def sparse_smallest_eigenpairs(
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     theta, vecs = _block_lanczos(lu.solve, np.random.default_rng(0).standard_normal((k, n)).T)
-    vals = shift + 1.0 / theta
+    vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))
+    av = op.matrix @ vecs
+    vals = np.array([np.sum(v * w) / np.sum(v * v) for v, w in zip(vecs.T, av.T)])
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    vecs /= np.linalg.norm(vecs, axis=0)
-    vecs = _fix_signs(vecs)
+    vals, vecs, av = vals[order], vecs[:, order], av[:, order]
     scale = np.max(np.abs(vals))
     for i, lam in enumerate(vals):
-        res = np.linalg.norm(op.matrix @ vecs[:, i] - lam * vecs[:, i])
+        res = np.linalg.norm(av[:, i] - lam * vecs[:, i])
         if lam <= shift:
             raise NonConvergenceError(
                 f"eigenvalue {i} (lambda={lam:.6g}) is not above the shift {shift:.6g}; "

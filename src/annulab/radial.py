@@ -11,6 +11,12 @@ with the same eigenvalue as the full shell.  The primary discretization
 targets the transformed, unit-weight form (symmetric tridiagonal, no mass
 matrix); a direct finite-volume discretization of the weighted form is kept
 as an independent cross-check oracle.
+
+A product spectrum stacks the transformed operators of all its base levels,
+one diagonal row per level over the one shared off-diagonal, and solves
+them in one coarse eigenvalue call and one fine eigenpair call of
+numerics; solve_radial is the one-level case of the same path, so every
+level's eigenvalues and eigenfunctions are those of solve_radial to the bit.
 """
 
 from __future__ import annotations
@@ -96,11 +102,47 @@ def radial_potential_coefficient(n: int) -> float:
 
 def _transformed_operator(n, a, b, lam0, N):
     """Interior nodes, diagonal and off-diagonal of the transformed operator
-    on N cells of (a, b)."""
+    on N cells of (a, b); an array of base levels lam0 gives one diagonal
+    row per level, with the one shared off-diagonal."""
     alpha = radial_potential_coefficient(n)
     h = (b - a) / N
     r = a + h * np.arange(1, N)
-    return r, 2.0 / h**2 + (alpha + lam0) / r**2, np.full(N - 2, -1.0 / h**2)
+    diag = (alpha + np.asarray(lam0, dtype=float)[..., None]) / r**2
+    diag += 2.0 / h**2
+    return r, diag, np.full(N - 2, -1.0 / h**2)
+
+
+def _radial_stack(n, a, b, lambda0s, counts, N):
+    """counts[i] smallest radial eigenpairs over each base level lambda0s[i],
+    from one coarse eigenvalue solve and one fine eigenpair solve of the
+    stacked transformed operators.
+
+    Returns (lam, grid, f, ftilde), one entry of lam and one row of f and
+    ftilde per pair, level by level: eigenvalues Richardson-extrapolated over
+    the (N, 2N) grids, eigenfunctions on the 2N grid with ftilde of unit dr
+    norm and f of unit r^{n-1} dr norm (trapezoid rule), the ground state of
+    each level made of positive sum.
+    """
+    vals_c = numerics.tridiag_smallest_eigenvalues(
+        *_transformed_operator(n, a, b, lambda0s, N)[1:], counts)
+    r, diag, offdiag = _transformed_operator(n, a, b, lambda0s, 2 * N)
+    vals_f, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, counts)
+    del diag
+    grid = np.concatenate(([a], r, [b]))
+    wts = numerics.trapezoid_weights(grid)
+    ft = np.zeros((len(vals_f), len(grid)))
+    ft[:, 1:-1] = vecs.T
+    del vecs
+    first = np.zeros(len(ft), dtype=bool)
+    first[np.cumsum(counts) - counts] = True
+    ft[first & (ft.sum(axis=1) < 0)] *= -1.0
+    # one 1-D integral per row: a matrix-vector product may sum in another
+    # order, and a row's norm would then depend on the rows stacked with it
+    ft /= np.sqrt([numerics.integrate_samples(row**2, wts) for row in ft])[:, None]
+    f = grid ** (-(n - 1) / 2.0) * ft
+    measure = grid ** (n - 1)
+    f /= np.sqrt([numerics.integrate_samples(row**2 * measure, wts) for row in f])[:, None]
+    return numerics.richardson(vals_c, vals_f), grid, f, ft
 
 
 def solve_radial(
@@ -124,28 +166,10 @@ def solve_radial(
     if N < 64:
         raise ValueError(f"grid too coarse: need N >= 64, got {N}")
     alpha = radial_potential_coefficient(n)
-    _, diag, offdiag = _transformed_operator(n, a, b, lambda0, N)
-    vals_c = numerics.tridiag_smallest_eigenvalues(diag, offdiag, k)
-    r, diag, offdiag = _transformed_operator(n, a, b, lambda0, 2 * N)
-    vals_f, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, k)
-    vals = np.array([numerics.richardson(vc, vf) for vc, vf in zip(vals_c, vals_f)])
-    grid = np.concatenate(([a], r, [b]))
-    wts = numerics.trapezoid_weights(grid)
-    results = []
-    for j in range(k):
-        ft = np.concatenate(([0.0], vecs[:, j], [0.0]))
-        if j == 0 and ft.sum() < 0:
-            ft = -ft
-        ft = ft / math.sqrt(numerics.integrate_samples(ft**2, wts))
-        f = grid ** (-(n - 1) / 2.0) * ft
-        f = f / math.sqrt(numerics.integrate_samples(f**2 * grid ** (n - 1), wts))
-        results.append(
-            RadialEigenResult(
-                lam=float(vals[j]), grid=grid, f=f, ftilde=ft,
-                alpha=alpha, n=n, lambda0=lambda0,
-            )
-        )
-    return results
+    vals, grid, f, ft = _radial_stack(n, a, b, [lambda0], [k], N)
+    return [RadialEigenResult(lam=float(vals[j]), grid=grid, f=f[j], ftilde=ft[j],
+                              alpha=alpha, n=n, lambda0=lambda0)
+            for j in range(k)]
 
 
 def solve_radial_weighted(
@@ -170,8 +194,7 @@ def solve_radial_weighted(
         off = -cond[1:-1] / np.sqrt(mass[:-1] * mass[1:])
         return numerics.tridiag_smallest_eigenvalues(diag, off, k)
 
-    vc, vf = eig(N), eig(2 * N)
-    return np.array([numerics.richardson(c, f) for c, f in zip(vc, vf)])
+    return numerics.richardson(eig(N), eig(2 * N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,33 +246,27 @@ def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
     """
     from .heatkernel import InsufficientSpectrumError, Spectrum
 
-    eigenvalues = []
-    ground = []
-    radial_index = []
-    angular_index = []
-    radial_rows = []
-    first_g = 0
-    for level, k in zip(base.levels, radial_counts):
-        radials = solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=k)
-        ground.append(radials[0].lam)
-        for res in radials:
-            for gi in range(first_g, first_g + level.multiplicity):
-                eigenvalues.append(res.lam)
-                radial_index.append(len(radial_rows))
-                angular_index.append(gi)
-            radial_rows.append(res.f)
-        first_g += level.multiplicity
-    if np.any(np.diff(ground) <= 0.0):
+    counts = np.asarray(radial_counts)
+    vals, grid, f, _ = _radial_stack(spec.n, spec.a, spec.b,
+                                     [level.lambda0 for level in base.levels], counts, N)
+    if np.any(np.diff(vals[np.cumsum(counts) - counts]) <= 0.0):
         raise InsufficientSpectrumError(
             f"shell ({spec.a!r}, {spec.b!r}) is too thin for the radial solve: its j = 1 "
             "eigenvalues do not increase with the base level lambda0")
+    # each radial row, level by level, pairs with every base eigenfunction of its level
+    mult = np.array([level.multiplicity for level in base.levels])
+    row_level = np.repeat(np.arange(len(counts)), counts)
+    copies = mult[row_level]
+    row_start = np.cumsum(copies) - copies
+    level_start = np.cumsum(mult) - mult
+    radial_index = np.repeat(np.arange(len(vals)), copies)
+    angular_index = np.arange(copies.sum()) + np.repeat(level_start[row_level] - row_start, copies)
+    eigenvalues = vals[radial_index]
     order = np.argsort(eigenvalues)
     return Spectrum(
-        eigenvalues=np.asarray(eigenvalues)[order],
-        # every radial solve on (a, b) shares one grid
-        factors=((RadialTable(radials[0].grid, np.array(radial_rows)),
-                  np.asarray(radial_index)[order]),
-                 (base.table, np.asarray(angular_index)[order])),
+        eigenvalues=eigenvalues[order],
+        factors=((RadialTable(grid, f), radial_index[order]),
+                 (base.table, angular_index[order])),
         omitted_floor=min([family_floor(spec, k + 1, level.lambda0)
                            for level, k in zip(base.levels, radial_counts)]
                           + [family_floor(spec, 1, base.next_lambda0)]),

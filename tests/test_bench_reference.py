@@ -1,0 +1,50 @@
+"""The kernels-stress benchmark's variant-0 operations against their committed
+reference: exit code, check statuses and results within 1e-9 relative, the
+gate the benchmark applies.  The reference file is only read."""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from annulab.cli import run
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "kernels-stress-v00.json"
+RTOL = 1e-9
+
+
+def _differences(got, want, path=""):
+    """Every place where got differs from want beyond the gate."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{path}: keys differ"]
+        return [d for key in sorted(want) for d in _differences(got[key], want[key], f"{path}.{key}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: length differs"]
+        return [d for i, (g, w) in enumerate(zip(got, want))
+                for d in _differences(g, w, f"{path}[{i}]")]
+    numbers = (isinstance(got, (int, float)) and isinstance(want, (int, float))
+               and not isinstance(got, bool) and not isinstance(want, bool))
+    if numbers and (got == want or math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)):
+        return []
+    return [] if got == want else [f"{path}: {got!r} vs reference {want!r}"]
+
+
+_OPS = json.loads(REFERENCE.read_text())["ops"]
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_kernels_stress_variant_0_matches_its_reference(tmp_path, name):
+    ref = _OPS[name]
+    stem = ref["argv"][0].replace("-", "_")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["--out", str(tmp_path), *ref["argv"]])
+    doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    got = {"exit": code, "checks": [[c["name"], c["status"]] for c in doc["checks"]],
+           "results": doc["results"]}
+    want = {key: ref[key] for key in got}
+    assert _differences(got, want) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from annulab import numerics
 
@@ -70,6 +70,68 @@ def test_tridiag_eigenvector_conventions():
     for j in range(4):
         i = np.argmax(np.abs(vecs[:, j]))
         assert vecs[i, j] > 0
+
+
+def _stebz_reference(diag, offdiag, k):
+    """eigh_tridiagonal's stebz pairs with the conventions of the package:
+    ascending, unit norm, largest component positive."""
+    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, k - 1),
+                                  lapack_driver="stebz")
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    vecs /= np.linalg.norm(vecs, axis=0)
+    idx = np.argmax(np.abs(vecs), axis=0)
+    return vals, vecs * np.sign(vecs[idx, np.arange(k)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tridiag_stack_equals_eigh_tridiagonal_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        L, N = int(rng.integers(1, 51)), int(rng.integers(1, 601))
+        diag = rng.standard_normal((L, N)) * 10.0 ** rng.uniform(-3, 3)
+        shared = bool(rng.integers(2))
+        offdiag = rng.standard_normal(N - 1) if shared else rng.standard_normal((L, N - 1))
+        ks = rng.integers(1, min(N, 6) + 1, size=L)
+        vals, vecs = numerics.tridiag_smallest_eigenpairs(diag, offdiag, ks)
+        only = numerics.tridiag_smallest_eigenvalues(diag, offdiag, ks)
+        assert vals.shape == only.shape == (ks.sum(),) and vecs.shape == (N, ks.sum())
+        assert np.array_equal(vals, only)
+        first = np.cumsum(ks) - ks
+        for i in range(L):
+            ref_vals, ref_vecs = _stebz_reference(diag[i], offdiag if shared else offdiag[i],
+                                                  int(ks[i]))
+            cols = slice(first[i], first[i] + ks[i])
+            assert np.array_equal(vals[cols], ref_vals)
+            assert np.array_equal(vecs[:, cols], ref_vecs)
+        # an integer k holds for every row
+        ground = [_stebz_reference(diag[i], offdiag if shared else offdiag[i], 1)[0][0]
+                  for i in range(L)]
+        assert np.array_equal(numerics.tridiag_smallest_eigenvalues(diag, offdiag, 1), ground)
+
+
+def test_tridiag_one_node_stack():
+    vals, vecs = numerics.tridiag_smallest_eigenpairs(np.array([[3.0], [-1.0]]), np.zeros(0), 1)
+    assert np.array_equal(vals, [3.0, -1.0]) and np.array_equal(vecs, [[1.0, 1.0]])
+    assert np.array_equal(numerics.tridiag_smallest_eigenvalues([2.5], [], 1), [2.5])
+
+
+@pytest.mark.parametrize("diag, offdiag, k", [
+    (np.ones(4), np.ones(3), 0),
+    (np.ones(4), np.ones(3), 5),
+    (np.ones((2, 4)), np.ones(3), [1, 2, 3]),
+    (np.ones((2, 4)), np.ones((3, 3)), 1),
+    (np.ones(4), np.ones((1, 3)), 1),
+    (np.ones(4), np.ones(4), 1),
+    (np.ones((2, 2, 4)), np.ones(3), 1),
+    (np.ones(4), np.ones(3), 1.5),
+    (np.array([1.0, np.nan, 1.0]), np.ones(2), 1),
+    (np.ones((3, 3)), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), 1),
+])
+def test_tridiag_stack_refuses_bad_input(diag, offdiag, k):
+    for solve in (numerics.tridiag_smallest_eigenpairs, numerics.tridiag_smallest_eigenvalues):
+        with pytest.raises(ValueError):
+            solve(diag, offdiag, k)
 
 
 def laplacian_2d(n):
@@ -162,6 +224,19 @@ def test_sparse_shift_inside_spectrum_raises():
     lam2 = discrete_interval_eigenvalue(2, 64)
     with pytest.raises(numerics.NonConvergenceError, match="below the spectrum"):
         numerics.sparse_smallest_eigenpairs(op, 2, shift=lam1 + 0.25 * (lam2 - lam1))
+
+
+def test_sparse_eigenvalues_do_not_move_with_the_shift():
+    # eigenvalues are Rayleigh quotients of the returned vectors; shift +
+    # 1/theta would spread over about 3e-12 relative on this operator
+    opa, opb = to_sparse(dirichlet_tridiag(64)[0]), to_sparse(dirichlet_tridiag(48, 1.7)[0])
+    ksum = (sparse.kron(opa, sparse.identity(opb.shape[0]))
+            + sparse.kron(sparse.identity(opa.shape[0]), opb))
+    op = numerics.SparseSymmetricOperator.from_matrix(ksum)
+    lam1 = numerics.sparse_smallest_eigenpairs(op, 1)[0][0]
+    vals = np.array([numerics.sparse_smallest_eigenpairs(op, 3, shift=s * lam1)[0]
+                     for s in (0.0, 0.9, 1.0 - 1e-6)])
+    assert np.all(np.ptp(vals, axis=0) <= 1e-13 * vals[0])
 
 
 def cycle_laplacian(n):

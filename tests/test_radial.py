@@ -174,12 +174,69 @@ def test_spectrum_below_keeps_exactly_the_families_under_the_cutoff(spec, cutoff
                                rtol=1e-12, atol=0.0)
 
 
+def _per_level(spec, base, counts, N):
+    """(eigenvalues ascending, radial rows) of a product spectrum from one
+    solve_radial call per base level."""
+    vals, rows = [], []
+    for level, k in zip(base.levels, counts):
+        for res in radial.solve_radial(spec.n, spec.a, spec.b, level.lambda0, N=N, k=k):
+            vals += [res.lam] * level.multiplicity
+            rows.append(res.f)
+    return np.sort(vals), np.array(rows)
+
+
+def _families_below(spec, cutoff):
+    """Radial family count of each base level kept by spectrum_below."""
+    counts = []
+    for level in bases.base_levels(spec.base):
+        k = 0
+        while radial.family_floor(spec, k + 1, level.lambda0) < cutoff:
+            k += 1
+        if k == 0:
+            return counts
+        counts.append(k)
+
+
+@pytest.mark.parametrize("spec, cutoff", _CUTOFF_SHELLS + [
+    pytest.param(radial.AnnularDomainSpec(2, 1.0, 1.025, bases.full_sphere(2)), 4e4, id="thin"),
+])
+def test_spectrum_below_equals_per_level_solves_to_the_bit(spec, cutoff):
+    spectrum = radial.spectrum_below(spec, cutoff, N=128)
+    counts = _families_below(spec, cutoff)
+    vals, rows = _per_level(spec, bases.base_spectrum(spec.base, len(counts)), counts, 128)
+    assert len(counts) > 4 and np.array_equal(spectrum.eigenvalues, vals)
+    assert np.array_equal(spectrum.factors[0][0].rows, rows)
+
+
+def test_assemble_spectrum_equals_per_level_solves_to_the_bit():
+    spec = radial.AnnularDomainSpec(2, 1.0, 2.0, bases.circle_arc(math.pi))
+    spectrum = radial.assemble_spectrum(spec, 5, 3, N=256)
+    vals, rows = _per_level(spec, bases.base_spectrum(spec.base, 5), [3] * 5, 256)
+    assert np.array_equal(spectrum.eigenvalues, vals)
+    assert np.array_equal(spectrum.factors[0][0].rows, rows)
+
+
+def test_n3_product_spectrum_equals_per_level_solves_to_the_bit():
+    # S^2 has no enumerable base in the catalog: its levels l(l + 1), of
+    # multiplicity 2l + 1, are given by hand
+    spec = radial.AnnularDomainSpec(3, 1.0, 1.3, bases.full_sphere(3))
+    base = bases.BaseSpectrum(
+        tuple(bases.BaseLevel(float(l * (l + 1)), 2 * l + 1) for l in range(6)), 42.0, None)
+    counts = [3, 3, 2, 2, 1, 1]
+    spectrum = radial._product_spectrum(spec, base, counts, 128)
+    vals, rows = _per_level(spec, base, counts, 128)
+    assert np.array_equal(spectrum.eigenvalues, vals)
+    assert np.array_equal(spectrum.factors[0][0].rows, rows)
+
+
 @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 1e12, 1e300, 0.0])
 def test_spectrum_below_refuses_before_any_radial_solve(monkeypatch, cutoff):
     def no_solve(*args, **kwargs):
         raise AssertionError("radial solve before the mode count was checked")
 
-    monkeypatch.setattr(radial, "solve_radial", no_solve)
+    # spectrum assembly reaches the tridiagonal solvers without solve_radial
+    monkeypatch.setattr(numerics, "tridiag_smallest_eigenpairs", no_solve)
+    monkeypatch.setattr(numerics, "tridiag_smallest_eigenvalues", no_solve)
     spec = radial.AnnularDomainSpec(2, 1.0, 1.1, bases.full_sphere(2))
     with pytest.raises(heatkernel.InsufficientSpectrumError):
         radial.spectrum_below(spec, cutoff, N=64)
