@@ -81,12 +81,13 @@ class Spectrum:
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    def modes(self, points) -> np.ndarray:
-        """(K, m) table of every mode at the m points of an (m, d) array."""
+    def modes(self, points, count=None) -> np.ndarray:
+        """(count, m) table of the first `count` modes (every mode by
+        default) at the m points of an (m, d) array."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = None
         for d, (table, index) in enumerate(self.factors):
-            rows = table(pts[:, d])[index]
+            rows = table(pts[:, d])[index[:count]]
             out = rows if out is None else out * rows
         return out
 
@@ -196,8 +197,18 @@ def _certify(tail: float, scale: float, t: float) -> None:
 
 
 def _mode_sum(phis: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k phi_k(x_i) phi_k(x_j) over all pairs of table columns, as one GEMM."""
-    return (phis * weights[:, None]).T @ phis
+    """sum_k w_k phi_k(x_i) phi_k(x_j) over all pairs of table columns, as
+    one GEMM over the table's modes (the first len(phis) weights)."""
+    return (phis * weights[:len(phis), None]).T @ phis
+
+
+def _live(weights: np.ndarray) -> int:
+    """Number of leading modes up to the last whose weight (a row of
+    `weights`) is nonzero in double precision.  The eigenvalues ascend, so
+    the weights e^(-lam_k t) that underflow to 0 are the trailing ones, and
+    a sum over this prefix drops only terms that are exactly 0."""
+    nonzero = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
+    return int(nonzero[-1]) + 1 if len(nonzero) else 0
 
 
 def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
@@ -209,8 +220,9 @@ def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
     tail = spectrum.tail_bound(t)
     xp = np.atleast_2d(np.asarray(x, dtype=float))
     yp = np.atleast_2d(np.asarray(y, dtype=float))
-    phix, phiy = spectrum.modes(np.vstack([xp[0], yp[0]])).T
-    value = float(np.sum(np.exp(-spectrum.eigenvalues * t) * phix * phiy))
+    w = np.exp(-spectrum.eigenvalues * t)
+    phix, phiy = spectrum.modes(np.vstack([xp[0], yp[0]]), _live(w)).T
+    value = float(np.sum(w[:len(phix)] * phix * phiy))
     _certify(tail, abs(value), t)
     return value, tail
 
@@ -218,8 +230,8 @@ def kernel_eval(spectrum: Spectrum, t: float, x, y) -> tuple[float, float]:
 def kernel_matrix(spectrum: Spectrum, t: float, points: np.ndarray) -> np.ndarray:
     """Kernel on all pairs of the given points (vectorized spectral sum)."""
     tail = spectrum.tail_bound(t)
-    phis = spectrum.modes(points)
-    P = _mode_sum(phis, np.exp(-spectrum.eigenvalues * t))
+    w = np.exp(-spectrum.eigenvalues * t)
+    P = _mode_sum(spectrum.modes(points, _live(w)), w)
     _certify(tail, float(np.max(np.abs(P))), t)
     return P
 
@@ -229,19 +241,24 @@ def normalized_kernel_matrix(spectrum: Spectrum, t, points: np.ndarray):
 
     Computed in factored form with weights e^(-(lam_k - lam_1) t), which
     stays finite even when lam_1 t itself is far beyond the exponent range.
-    t may be a sequence of times: the mode table is then evaluated once and
-    a list with one matrix per time is returned, each certified on its own.
+    t may be a sequence of times: the mode table is then evaluated once, for
+    the modes live at the earliest time, and a list with one matrix per time
+    is returned, each summed over its own live modes and certified on its
+    own.
     """
-    phis = spectrum.modes(points)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    lam = spectrum.eigenvalues
+    tails = [spectrum.tail_bound(tk, reference=lam[0]) for tk in ts]
+    weights = [np.exp(-(lam - lam[0]) * tk) for tk in ts]
+    live = [_live(w) for w in weights]
+    phis = spectrum.modes(points, max(live))
     phi1 = phis[0]
     if np.any(phi1 == 0):
         raise ValueError("sample points must avoid the zero set of the ground state")
-    lam = spectrum.eigenvalues
     ground = np.outer(phi1, phi1)
     out = []
-    for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
-        tail = spectrum.tail_bound(tk, reference=lam[0])
-        P = _mode_sum(phis, np.exp(-(lam - lam[0]) * tk))
+    for tk, tail, w, count in zip(ts, tails, weights, live):
+        P = _mode_sum(phis[:count], w)
         _certify(tail, float(np.max(np.abs(P))), tk)
         out.append(P / ground)
     return out if np.ndim(t) else out[0]
@@ -261,13 +278,14 @@ def normalized_kernel_value(spectrum: Spectrum, t, x, y):
     n = len(ts)
     if len(xp) != n or len(yp) != n:
         raise ValueError(f"need one x and one y per time, got {len(xp)} and {len(yp)} for {n}")
-    phis = spectrum.modes(np.vstack([xp, yp]))
-    phix, phiy = phis[:, :n], phis[:, n:]
-    if np.any(phix[0] == 0) or np.any(phiy[0] == 0):
-        raise ValueError("sample points must avoid the zero set of the ground state")
     lam = spectrum.eigenvalues
     tails = {tk: spectrum.tail_bound(tk, reference=lam[0]) for tk in dict.fromkeys(ts.tolist())}
     w = np.exp(-np.outer(lam - lam[0], ts))
+    w = w[:_live(w)]
+    phis = spectrum.modes(np.vstack([xp, yp]), len(w))
+    phix, phiy = phis[:, :n], phis[:, n:]
+    if np.any(phix[0] == 0) or np.any(phiy[0] == 0):
+        raise ValueError("sample points must avoid the zero set of the ground state")
     pxy = np.sum(w * phix * phiy, axis=0)
     scale = np.max(np.abs([np.sum(w * phix * phix, axis=0), pxy,
                            np.sum(w * phiy * phiy, axis=0)]), axis=0)

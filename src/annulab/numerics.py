@@ -23,6 +23,7 @@ __all__ = [
     "tridiag_smallest_eigenvalues",
     "sparse_smallest_eigenpairs",
     "bilinear",
+    "bilinear_on_grid",
     "integrate_samples",
     "trapezoid_weights",
     "richardson",
@@ -136,29 +137,35 @@ def tridiag_smallest_eigenvalues(diag, offdiag, k) -> np.ndarray:
 class SparseSymmetricOperator:
     """Symmetric sparse matrix, assembled.
 
-    Self-adjointness is spot-checked on random probes at construction:
-    |<Av,w> - <v,Aw>| must not exceed 1e-10 * |Av||w| + |v||Aw| scale.
+    Symmetry is checked exactly at construction: the canonical CSR arrays
+    (sorted indices, duplicates summed) must equal those of the transpose,
+    the values bit for bit.  The same arrays then also hold the matrix in
+    CSC form (`csc`), with no conversion.
     """
 
     matrix: sparse.csr_matrix = field(repr=False)
 
     def __post_init__(self):
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            v = rng.standard_normal(self.dimension)
-            w = rng.standard_normal(self.dimension)
-            av, aw = self.matrix @ v, self.matrix @ w
-            scale = (
-                np.linalg.norm(av) * np.linalg.norm(w)
-                + np.linalg.norm(v) * np.linalg.norm(aw)
-                + 1e-300
-            )
-            if abs(av @ w - v @ aw) > 1e-10 * scale:
-                raise ValueError("operator fails the self-adjointness probe check")
+        A = self.matrix
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+            self.matrix = A
+        T = A.tocsc()
+        if not (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+                and np.array_equal(A.data.view(np.uint8), T.data.view(np.uint8))):
+            raise ValueError("operator is not exactly symmetric: its CSR arrays differ "
+                             "from those of its transpose")
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def csc(self) -> sparse.csc_matrix:
+        """The matrix in CSC form: for a symmetric matrix, the CSR arrays."""
+        A = self.matrix
+        return sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
     @classmethod
     def from_matrix(cls, mat: sparse.spmatrix) -> "SparseSymmetricOperator":
@@ -213,9 +220,11 @@ def sparse_smallest_eigenpairs(
     n = op.dimension
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= dimension-1 = {n - 1}, got k={k}")
-    lu = spla.splu((op.matrix - shift * sparse.identity(n, format="csr")).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    shifted = op.csc.copy()
+    shifted.setdiag(shifted.diagonal() - shift)
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
+    del shifted
     theta, vecs = _block_lanczos(lu.solve, np.random.default_rng(0).standard_normal((k, n)).T)
     vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))
     av = op.matrix @ vecs
@@ -294,6 +303,18 @@ def _block_lanczos(apply, start):
         proj[m - b:m, m:m + len(coupling)] = coupling.T
 
 
+def _cells(axis, p):
+    """Cell index, position in the cell and whether inside the axis, for
+    each point p along one ascending axis."""
+    i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
+    return i, (p - axis[i]) / (axis[i + 1] - axis[i]), (p >= axis[0]) & (p <= axis[-1])
+
+
+def _corner_sum(v, i, j, s, t, inside):
+    return np.where(inside, v[i, j] * (1 - s) * (1 - t) + v[i, j + 1] * (1 - s) * t
+                    + v[i + 1, j] * s * (1 - t) + v[i + 1, j + 1] * s * t, 0.0)
+
+
 def bilinear(axes, values: np.ndarray, x, y) -> np.ndarray:
     """Bilinear interpolation of `values` (shape len(axes[0]) x len(axes[1]))
     on the ascending grid `axes` at the points (x, y), broadcast together;
@@ -305,18 +326,18 @@ def bilinear(axes, values: np.ndarray, x, y) -> np.ndarray:
     rounding of scipy's RegularGridInterpolator (linear, fill value 0).
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    cells, weights = [], []
-    inside = np.ones(x.shape, dtype=bool)
-    for axis, p in zip(axes, (x, y)):
-        i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
-        cells.append(i)
-        weights.append((p - axis[i]) / (axis[i + 1] - axis[i]))
-        inside &= (p >= axis[0]) & (p <= axis[-1])
-    (i, j), (s, t) = cells, weights
-    v = values
-    out = (v[i, j] * (1 - s) * (1 - t) + v[i, j + 1] * (1 - s) * t
-           + v[i + 1, j] * s * (1 - t) + v[i + 1, j + 1] * s * t)
-    return np.where(inside, out, 0.0)
+    (i, s, in_x), (j, t, in_y) = _cells(axes[0], x), _cells(axes[1], y)
+    return _corner_sum(values, i, j, s, t, in_x & in_y)
+
+
+def bilinear_on_grid(axes, values: np.ndarray, x, y, select) -> np.ndarray:
+    """bilinear(axes, values, X[select], Y[select]) with X, Y the (x, y)
+    grid of meshgrid(x, y, indexing="ij"), the same values to the bit, with
+    the cells located once per axis value instead of once per point."""
+    (i, s, in_x), (j, t, in_y) = (_cells(axis, np.asarray(p, dtype=float))
+                                  for axis, p in zip(axes, (x, y)))
+    a, b = np.nonzero(select)
+    return _corner_sum(values, i[a], j[b], s[a], t[b], in_x[a] & in_y[b])
 
 
 def integrate_samples(values: np.ndarray, weights: np.ndarray) -> float:

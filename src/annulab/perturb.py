@@ -216,17 +216,20 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float) -> dict:
 
 
 def _interp_on(sol: spectral2d.GridSpectrum, wrap: bool):
-    """Bilinear interpolation of a grid eigenfunction (zero outside its mask)."""
+    """Bilinear interpolation of a grid eigenfunction (zero outside its mask)
+    at the nodes of another grid: fn(axes, select) gives the values at the
+    selected nodes of the grid with those axes, in row-major order."""
     r, th = sol.axes
     vals = sol.values[0]
     if wrap:
         th = np.concatenate([th, [th[0] + 2.0 * math.pi]])
         vals = np.concatenate([vals, vals[:, :1]], axis=1)
 
-    def fn(rr, tt):
+    def fn(axes, select):
+        rr, tt = axes
         if wrap:
             tt = np.mod(tt, 2.0 * math.pi)
-        return numerics.bilinear((r, th), vals, rr, tt)
+        return numerics.bilinear_on_grid((r, th), vals, rr, tt, select)
 
     return fn
 
@@ -279,10 +282,8 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
 
     # (i) upper: phi_U / phi_B over U's interior nodes
     phi_b_at = _interp_on(sol_b, full)
-    r_u, th_u = sol_u.axes
-    Ru, THu = np.meshgrid(r_u, th_u, indexing="ij")
     keep_u = sol_u.interior_mask(2) & (sol_u.values[0] > 0)
-    phi_b_vals = phi_b_at(Ru[keep_u], THu[keep_u])
+    phi_b_vals = phi_b_at(sol_u.axes, keep_u)
     pos = phi_b_vals > 0
     upper_ratio = float(np.max(sol_u.values[0][keep_u][pos] / phi_b_vals[pos]))
 
@@ -294,7 +295,7 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     if not full:
         trim &= (THa > window_a[0] + eta) & (THa < window_a[1] - eta)
     trim &= sol_a.interior_mask(2)
-    phi_u_vals = phi_u_at(Ra[trim], THa[trim])
+    phi_u_vals = phi_u_at(sol_a.axes, trim)
     lower_ratio = float(np.min(phi_u_vals / sol_a.values[0][trim]))
 
     # (iii) core spread against the tent-profile product
@@ -304,7 +305,7 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     core &= sol_a.interior_mask(2)
     tent = np.minimum(Ra[core] - 1.0, 1.0 + eps - Ra[core]) / eps**1.5
     profile = tent * g_base.phi0(THa[core])
-    ratios = phi_u_at(Ra[core], THa[core]) / profile
+    ratios = phi_u_at(sol_a.axes, core) / profile
     core_spread = float(np.max(ratios) / np.min(ratios))
 
     return {

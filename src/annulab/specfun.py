@@ -127,6 +127,20 @@ def bessel_j(nu: float, r: float) -> float:
     return sign * math.exp(logmag)
 
 
+def _grid_terms(nu: float, x_max: float) -> int:
+    """Index of the last series term that bessel_j_log_grid sums: the first
+    k at which the bound prod_{i <= k} x_max / (i (i + nu)) on |term k / term
+    0| falls below 2^-64, and at most _GRID_TERMS - 1.  The ratios fall with
+    i, so at every node each omitted term is below 2^-64 of t's first term,
+    and the later ones shrink by at least half per step."""
+    bound = 1.0
+    for k in range(1, _GRID_TERMS - 1):
+        bound *= x_max / (k * (k + nu))
+        if bound < 2.0**-64:
+            return k
+    return _GRID_TERMS - 1
+
+
 def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
     """Vectorized log|J_nu| over an array of small arguments.
 
@@ -154,7 +168,7 @@ def bessel_j_log_grid(nu: float, r: np.ndarray) -> np.ndarray:
     pos = r != 0
     x = x[pos]
     t = np.zeros_like(x)
-    for k in range(_GRID_TERMS - 1, 0, -1):
+    for k in range(_grid_terms(nu, float(x.max(initial=0.0))), 0, -1):
         t = -x / (k * (k + nu)) * (1.0 + t)
     out[pos] = nu * np.log(r[pos] / 2.0) - math.lgamma(nu + 1.0) + np.log1p(t)
     return out

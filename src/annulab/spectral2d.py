@@ -241,81 +241,117 @@ def _orbits(mask, cond_0, cond_1, mass, wrap):
                   and np.all(conds == conds[0]) and np.all(mass == mass[0]))
     if not (mirror_0 or mirror_1 or transposed):
         return None
-    i, j = np.nonzero(mask)
-    node = i * n1 + j
+    node = np.flatnonzero(mask)
+    i, j = np.divmod(node, n1)
     if mirror_0:
-        i = np.minimum(i, n0 - 1 - i)
+        np.minimum(i, n0 - 1 - i, out=i)
     if mirror_1:
-        j = np.minimum(j, n1 - 1 - j)
+        np.minimum(j, n1 - 1 - j, out=j)
     if transposed:
         i, j = np.minimum(i, j), np.maximum(i, j)
     rep = i * n1 + j
+    del i, j
     reps = np.flatnonzero(rep == node)
-    number = np.empty(mask.size, dtype=np.int64)
-    number[node[reps]] = np.arange(len(reps))
+    number = np.empty(mask.size, dtype=np.int32)
+    number[node[reps]] = np.arange(len(reps), dtype=np.int32)
     oid = number[rep]
     return reps, oid, np.bincount(oid, minlength=len(reps))
 
 
-def _folded_operator(p, q, c, diag, mass, reps, oid, size):
-    """The symmetrized operator L of the face list (p, q, c) with diagonal
-    `diag` and weights `mass` (numerics.symmetrized_operator), restricted to
-    the functions constant on orbits, in the orthonormal orbit basis
-    (1/sqrt|b| on the nodes of b).
+def _component_count(mask, wrap):
+    """Connected components of the mask's node graph, counted on its row runs.
 
-    L commutes with the symmetries, so the entry (a, b) is
-    sqrt(|a|/|b|) * sum over q in b of L[p_a, q], read from the row of the
-    representative p_a alone: its diagonal and the faces that touch it,
-    from either end.  The full operator is never built."""
-    d = 1.0 / np.sqrt(mass)
-    is_rep = np.zeros(len(mass), dtype=bool)
-    is_rep[reps] = True
-    # each face read from every end that is a representative: (near, far)
-    at_p, at_q = is_rep[p], is_rep[q]
-    near, far, cf = (np.concatenate([x[at_p], y[at_q]]) for x, y in ((p, q), (q, p), (c, c)))
-    a, b = oid[near], oid[far]
-    own = np.arange(len(reps))
-    vals = np.concatenate([d[reps] * diag[reps] * d[reps],
-                           np.sqrt(size[a] / size[b]) * (d[near] * -cf * d[far])])
-    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
-                          shape=(len(reps), len(reps)))
-    return (L + L.T) / 2.0
+    The nodes of a maximal run of a row are joined by the faces along it,
+    so each run lies in one component.  Runs in adjacent rows are joined
+    when they share a column, and when axis 1 wraps, the run that ends at
+    the last column is joined with the run that starts at column 0 of the
+    same row.  That graph, of a few runs per row, has the components of the
+    node graph; mirror-image pieces are counted apart even when a fold
+    would join them.
+    """
+    n0, n1 = mask.shape
+    padded = np.zeros((n0, n1 + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # each run [start, stop) as the pair of changes that bounds it
+    row, col = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    row, start, stop = row[::2], col[::2], col[1::2]
+    key = row * (n1 + 1)
+    above = key - (n1 + 1)
+    # the runs of the row above that overlap [start, stop): the runs
+    # [first, last) that end after start and begin before stop
+    first = np.searchsorted(key + stop, above + start, side="right")
+    last = np.searchsorted(key + start, above + stop, side="left")
+    count = np.maximum(last - first, 0)
+    offset = np.cumsum(count) - count
+    src = np.repeat(np.arange(len(row)), count)
+    dst = np.arange(len(src)) + np.repeat(first - offset, count)
+    if wrap:
+        seam = np.flatnonzero(mask[:, 0] & mask[:, -1])
+        src = np.concatenate([src, np.searchsorted(row, seam, side="left")])
+        dst = np.concatenate([dst, np.searchsorted(row, seam, side="right") - 1])
+    graph = sparse.coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(row), len(row)))
+    return connected_components(graph, directed=False)[0]
 
 
 def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
-    """The symmetrized masked operator from the one face list: on the whole
-    mask, or folded onto `orbits` (from _orbits) when they are given.  The
-    row profiles are broadcast along axis 1 onto the faces.  The face
-    arrays are freed on return, before any factorization."""
-    m = int(mask.sum())
-    rows = np.nonzero(mask)[0]
-    idx = -np.ones(mask.shape, dtype=np.int64)
-    idx[mask] = np.arange(m)
-    # each node to its neighbor at i+1 (nb[0]) and at j+1 (nb[1], mod n1
-    # when wrapping); a face to an outside node is a wall, and every face
-    # loads the diagonal, walls included
-    nb = np.stack([np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1)])
-    nb[0, -1] = -1
-    if not wrap:
-        nb[1, :, -1] = -1
-    inner = (idx >= 0) & (nb >= 0)
-    p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
-    c = np.broadcast_to(np.stack([cond_0[1:], cond_1])[:, :, None], nb.shape)[inner]
-    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[rows]
-    # connectivity of the whole mask: a folded graph can be connected while
-    # the mask is two mirror-image pieces
-    ncomp, _ = connected_components(sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(m, m)),
-                                    directed=False)
-    if ncomp > 1:
-        raise DisconnectedDomainError(f"masked grid splits into {ncomp} components")
+    """The symmetrized masked operator from the faces at its unknowns: on
+    the whole mask, or folded onto `orbits` (from _orbits) when they are
+    given.  The row profiles are read at each face's row.
+
+    Unfolded, each mask node owns its faces to the neighbors at i+1 and at
+    j+1 (mod n1 when wrapping), so every face comes once; the operator is
+    numerics.symmetrized_operator of that list.  Folded, the row of orbit a
+    is read from its representative p_a alone: its diagonal and its faces
+    to all four neighbors q, each giving sqrt(|a|/|b|) L[p_a, q] at (a, b)
+    with b the orbit of q.  L commutes with the symmetries, so that is the
+    operator restricted to the functions constant on orbits, in the
+    orthonormal orbit basis (1/sqrt|b| on the nodes of b); the full
+    operator is never built.  A face to an outside node is a wall, and
+    every face loads the diagonal, walls included.
+    """
+    n0, n1 = mask.shape
+    node = np.flatnonzero(mask)
+    idx = np.full(mask.size, -1, dtype=np.int32)
+    idx[node] = np.arange(len(node), dtype=np.int32)
+    at = node if orbits is None else node[orbits[0]]
+    i, j = np.divmod(at, n1)
+    # (whether the neighbor lies on the grid, its flat offset, the face
+    # conductance by the row of `at`)
+    steps = [(i < n0 - 1, n1, cond_0[1:]),
+             (wrap | (j < n1 - 1), np.where(j < n1 - 1, 1, 1 - n1), cond_1)]
+    if orbits is not None:
+        steps += [(i > 0, -n1, cond_0[:-1]),
+                  (wrap | (j > 0), np.where(j > 0, -1, n1 - 1), cond_1)]
+    faces = []
+    for on_grid, offset, cond in steps:
+        pos = np.flatnonzero(on_grid)
+        q = idx[at[pos] + (offset[pos] if np.ndim(offset) else offset)]
+        inside = q >= 0
+        pos = pos[inside]
+        faces.append((pos, q[inside], cond[i[pos]]))
+    near, far, c = (np.concatenate(x) for x in zip(*faces))
+    del idx, j, steps, faces
+    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[i]
     if orbits is None:
-        return numerics.symmetrized_operator(p, q, c, diag, mass[rows])
-    return _folded_operator(p, q, c, diag, mass[rows], *orbits)
+        return numerics.symmetrized_operator(near, far, c, diag, mass[i])
+    _, oid, size = orbits
+    d = 1.0 / np.sqrt(mass)
+    a, b = near, oid[far]
+    own = np.arange(len(at))
+    vals = np.concatenate([d[i] * diag * d[i],
+                           np.sqrt(size[a] / size[b]) * (d[i[near]] * -c * d[node[far] // n1])])
+    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
+                          shape=(len(at), len(at)))
+    return (L + L.T) / 2.0
 
 
 def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
     """k smallest eigenpairs of the symmetrized masked operator by shift-invert
-    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace."""
+    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace.  The
+    whole mask must be connected, also when the solve is folded."""
+    count = _component_count(mask, wrap)
+    if count > 1:
+        raise DisconnectedDomainError(f"masked grid splits into {count} components")
     orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
     L = _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)

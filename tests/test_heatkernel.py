@@ -334,6 +334,56 @@ def test_kernels_refuse_a_time_that_is_not_positive_with_one_message(evaluate, t
         evaluate(spectrum, t, pts)
 
 
+def _box_kernel_setup():
+    # box-kernel's spectrum and sample points: 80 modes per axis, 7 x 7 points
+    grid = np.linspace(-1.0, 1.0, 9)[1:-1]
+    pts = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    return heatkernel.box_spectrum(heatkernel.Box((1.0, 1.0)), 80), pts, [1.0, 16.0]
+
+
+def _shell_kernel_setup():
+    pts = np.array([[1.05, 0.3], [1.15, 5.0], [1.25, 2.0], [1.2, 2.1]])
+    return _circle_shell(), pts, [0.5, 4.0]
+
+
+def _close(got, full):
+    return np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("setup", [_box_kernel_setup, _shell_kernel_setup], ids=["box", "shell"])
+def test_live_mode_sums_equal_full_sums(setup):
+    spectrum, pts, ts = setup()
+    lam = spectrum.eigenvalues
+    phis = spectrum.modes(pts)
+    ground = np.outer(phis[0], phis[0])
+    normalized = heatkernel.normalized_kernel_matrix(spectrum, ts, pts)
+    for t, R in zip(ts, normalized):
+        w = np.exp(-(lam - lam[0]) * t)
+        assert _close(R * ground, (phis * w[:, None]).T @ phis)
+        P = heatkernel.kernel_matrix(spectrum, t, pts)
+        assert _close(P, (phis * np.exp(-lam * t)[:, None]).T @ phis)
+        value, _ = heatkernel.kernel_eval(spectrum, t, pts[0], pts[1])
+        assert value == pytest.approx(P[0, 1], rel=1e-15)
+    # the latest time sums over a strict prefix of the modes
+    assert np.count_nonzero(np.exp(-(lam - lam[0]) * ts[-1])) < spectrum.count
+    n = len(pts) - 1
+    batch = heatkernel.normalized_kernel_value(spectrum, [ts[0]] * n + [ts[-1]],
+                                               pts[:-1].tolist() + [pts[0]],
+                                               pts[1:].tolist() + [pts[-1]])
+    assert batch[:n] == pytest.approx(normalized[0][np.arange(n), np.arange(1, n + 1)],
+                                      rel=1e-14)
+    assert batch[n] == pytest.approx(normalized[1][0, -1], rel=1e-14)
+
+
+def test_a_time_with_no_live_mode_gives_the_full_sum():
+    # every e^(-lam_k t) underflows to 0: the sum is exactly 0, as over all modes
+    spectrum, pts, _ = _box_kernel_setup()
+    t = 800.0 / spectrum.eigenvalues[0]
+    assert not np.any(np.exp(-spectrum.eigenvalues * t))
+    assert np.array_equal(heatkernel.kernel_matrix(spectrum, t, pts), np.zeros((len(pts),) * 2))
+    assert heatkernel.kernel_eval(spectrum, t, pts[0], pts[1]) == (0.0, spectrum.tail_bound(t))
+
+
 def _arc_shell():
     spec = radial.AnnularDomainSpec(2, 1.0, 1.5, bases.circle_arc(math.pi / 2.0))
     return radial.assemble_spectrum(spec, M_base=4, K_radial=2, N=64)

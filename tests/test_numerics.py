@@ -177,6 +177,22 @@ def test_sparse_rejects_nonsymmetric():
         numerics.SparseSymmetricOperator.from_matrix(mat)
 
 
+def test_sparse_rejects_a_matrix_one_ulp_off_its_transpose():
+    # a relative error of 1e-16 passes any probe tolerance; the exact check
+    # compares the CSR arrays with those of the transpose bit for bit
+    A = laplacian_2d(8).tolil()
+    A[0, 1] = np.nextafter(A[0, 1], 0.0)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        numerics.SparseSymmetricOperator.from_matrix(A.tocsr())
+
+
+def test_sparse_operator_csc_twin_shares_the_csr_arrays():
+    A = laplacian_2d(8)
+    op = numerics.SparseSymmetricOperator.from_matrix(A)
+    assert op.csc.format == "csc" and np.shares_memory(op.csc.data, op.matrix.data)
+    assert (op.csc != A).nnz == 0
+
+
 def test_symmetrized_operator_is_exactly_symmetric_and_matches_dense():
     rng = np.random.default_rng(3)
     n = 40

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab import estimates, perturb, spectral2d
+from annulab import estimates, numerics, perturb, spectral2d
 
 
 def test_box_conditions_identical_boxes():
@@ -208,33 +208,69 @@ def _rgi_reference(sol, wrap):
     return fn
 
 
-@pytest.mark.parametrize("wrap", [True, False])
-def test_interp_on_matches_regular_grid_interpolator(wrap):
-    scenario = bumpy_scenario() if wrap else perturb.PerturbationScenario(
+def _sector_scenario():
+    return perturb.PerturbationScenario(
         kind="annulus", eps=0.3, a_eps=0.027, b_eps=0.027, eta=0.05, theta1=2.0,
         rmin_const=0.99, rmax_const=1.31)
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+def test_interp_on_matches_regular_grid_interpolator(wrap):
+    scenario = bumpy_scenario() if wrap else _sector_scenario()
     dom = spectral2d.PolarDomain2D(
         r_min=scenario.r_min(), r_max=scenario.r_max(), wrap=wrap,
         **({} if wrap else {"theta_lo": -0.05, "theta_hi": 2.05}))
     sol = spectral2d.solve_polar(dom, 16, 96, k=1)
     r, th = sol.axes
-    R, TH = np.meshgrid(r, th, indexing="ij")
+    # query axes: the grid's own nodes, then points around and beyond them
     rng = np.random.default_rng(7)
-    rr = np.concatenate([R.ravel(), rng.uniform(r[0] - 0.05, r[-1] + 0.05, 4000),
-                         [r[-1], r[-1], r[0] - 1e-9]])
-    tt = np.concatenate([TH.ravel(), rng.uniform(-7.0, 14.0, 4000),
-                         [th[-1], th[0] + 2.0 * math.pi, th[3]]])
-    got = perturb._interp_on(sol, wrap)(rr, tt)
-    assert np.array_equal(got, _rgi_reference(sol, wrap)(rr, tt))
-    assert np.array_equal(got[:R.size], sol.values[0].ravel())
-    assert got[-1] == 0.0
+    rr = np.concatenate([r, rng.uniform(r[0] - 0.05, r[-1] + 0.05, 120), [r[-1], r[0] - 1e-9]])
+    tt = np.concatenate([th, rng.uniform(-7.0, 14.0, 150), [th[-1], th[0] + 2.0 * math.pi]])
+    RR, TT = np.meshgrid(rr, tt, indexing="ij")
+    select = rng.random(RR.shape) < 0.7
+    interp = perturb._interp_on(sol, wrap)
+    got = interp((rr, tt), select)
+    assert np.array_equal(got, _rgi_reference(sol, wrap)(RR[select], TT[select]))
+    every = interp((rr, tt), np.ones(RR.shape, dtype=bool)).reshape(RR.shape)
+    assert np.array_equal(every[:len(r), :len(th)], sol.values[0])
+    assert np.all(every[-1] == 0.0)
     if wrap:
         # theta outside [0, 2 pi) wraps onto the grid (up to the rounding of the shift)
         for turns in (-1.0, 2.0):
-            shifted = perturb._interp_on(sol, True)(R, TH + turns * 2.0 * math.pi)
-            assert np.max(np.abs(shifted - sol.values[0])) <= 1e-12 * np.max(sol.values[0])
+            shifted = interp((r, th + turns * 2.0 * math.pi), sol.mask | ~sol.mask)
+            assert (np.max(np.abs(shifted - sol.values[0].ravel()))
+                    <= 1e-12 * np.max(sol.values[0]))
     else:
-        assert np.all(got[R.size:][(tt[R.size:] < th[0]) | (tt[R.size:] > th[-1])] == 0.0)
+        assert np.all(every[:, (tt < th[0]) | (tt > th[-1])] == 0.0)
+
+
+@pytest.mark.parametrize("scenario", [bumpy_scenario(), _sector_scenario()],
+                         ids=["ring", "sector"])
+def test_interp_on_equals_pointwise_bilinear_on_the_audit_grids(monkeypatch, scenario):
+    # (interpolated grid, queried grid) as the audit pairs them: B at U's
+    # nodes, U at A's nodes
+    solves = []
+    solve = spectral2d.solve_polar
+
+    def keep(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(spectral2d, "solve_polar", keep)
+    perturb.annulus_perturbation_audit(scenario, grids=(24, 192))
+    sol_a, sol_b, sol_u = solves
+    wrap = scenario.theta1 is None
+    for sol, nodes in ((sol_b, sol_u), (sol_u, sol_a)):
+        r, th = sol.axes
+        vals = sol.values[0]
+        R, TH = np.meshgrid(*nodes.axes, indexing="ij")
+        if wrap:
+            th = np.concatenate([th, [th[0] + 2.0 * math.pi]])
+            vals = np.concatenate([vals, vals[:, :1]], axis=1)
+            TH = np.mod(TH, 2.0 * math.pi)
+        select = nodes.interior_mask(2)
+        got = perturb._interp_on(sol, wrap)(nodes.axes, select)
+        assert np.array_equal(got, numerics.bilinear((r, th), vals, R[select], TH[select]))
 
 
 def test_box_phi_is_the_box_caricature_on_the_nodes():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,13 +483,131 @@ def test_folded_operator_equals_the_orbit_basis_projection(grid):
     d = sparse.diags(1.0 / np.sqrt(M.diagonal()))
     S = _orbit_basis(label, count)
     projected = (S.T @ (d @ K @ d) @ S).toarray()
-    # folded from the oracle's own face list: its entries above the diagonal
-    faces = sparse.triu(K, 1).tocoo()
-    folded = spectral2d._folded_operator(faces.row, faces.col, -faces.data, K.diagonal(),
-                                         _node_mass(mask, mass), reps, oid, size)
+    folded = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, (reps, oid, size))
     assert (folded != folded.T).nnz == 0
     assert np.allclose(folded.toarray(), projected, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(projected)))
+    _assert_within_one_ulp(folded, _face_list_operator(mask, cond_0, cond_1, mass, wrap,
+                                                       (reps, oid, size)))
+
+
+def _face_list_operator(mask, cond_0, cond_1, mass, wrap, orbits):
+    """The grid operator assembled from the face list of the whole mask:
+    every node's faces to i+1 and to j+1 (mod n1 when wrapping), then
+    numerics.symmetrized_operator of that list, or its fold read from every
+    end of a face that is an orbit representative."""
+    m = int(mask.sum())
+    rows = np.nonzero(mask)[0]
+    idx = -np.ones(mask.shape, dtype=np.int64)
+    idx[mask] = np.arange(m)
+    nb = np.stack([np.roll(idx, -1, axis=0), np.roll(idx, -1, axis=1)])
+    nb[0, -1] = -1
+    if not wrap:
+        nb[1, :, -1] = -1
+    inner = (idx >= 0) & (nb >= 0)
+    p, q = np.broadcast_to(idx, nb.shape)[inner], nb[inner]
+    c = np.broadcast_to(np.stack([cond_0[1:], cond_1])[:, :, None], nb.shape)[inner]
+    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[rows]
+    if orbits is None:
+        return numerics.symmetrized_operator(p, q, c, diag, mass[rows])
+    reps, oid, size = orbits
+    d = 1.0 / np.sqrt(mass[rows])
+    is_rep = np.zeros(m, dtype=bool)
+    is_rep[reps] = True
+    at_p, at_q = is_rep[p], is_rep[q]
+    near, far, cf = (np.concatenate([x[at_p], y[at_q]]) for x, y in ((p, q), (q, p), (c, c)))
+    a, b = oid[near], oid[far]
+    own = np.arange(len(reps))
+    vals = np.concatenate([d[reps] * diag[reps] * d[reps],
+                           np.sqrt(size[a] / size[b]) * (d[near] * -cf * d[far])])
+    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
+                          shape=(len(reps), len(reps)))
+    return (L + L.T) / 2.0
+
+
+def _assert_within_one_ulp(L, oracle):
+    """Same sparsity pattern, and every entry within one ulp of the oracle's."""
+    L, oracle = L.tocsr(), oracle.tocsr()
+    L.sort_indices()
+    oracle.sort_indices()
+    assert np.array_equal(L.indptr, oracle.indptr)
+    assert np.array_equal(L.indices, oracle.indices)
+    assert np.all(np.abs(L.data - oracle.data) <= np.spacing(np.abs(oracle.data)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_grids())
+def test_grid_operator_matches_the_face_list_oracle(grid):
+    # unfolded and folded, connected or not: assembly does not check connectivity
+    mask, cond_0, cond_1, mass, wrap, _ = grid
+    orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
+    for fold in (None, orbits):
+        _assert_within_one_ulp(spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, fold),
+                               _face_list_operator(mask, cond_0, cond_1, mass, wrap, fold))
+
+
+def test_grid_operator_matches_the_face_list_oracle_on_random_grids():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        grid = _random_grid(rng)
+        _assert_within_one_ulp(spectral2d._grid_operator(*grid, None),
+                               _face_list_operator(*grid, None))
+
+
+def _node_graph_components(mask, wrap):
+    """Connected components of the mask nodes under the grid faces, by the
+    node graph itself."""
+    n0, n1 = mask.shape
+    idx = -np.ones(mask.shape, dtype=int)
+    idx[mask] = np.arange(mask.sum())
+    edges = []
+    for i, j in zip(*np.nonzero(mask)):
+        for qi, qj in ((i + 1, j), (i, j + 1)):
+            if wrap:
+                qj %= n1
+            if qi < n0 and qj < n1 and mask[qi, qj]:
+                edges.append((idx[i, j], idx[qi, qj]))
+    p, q = np.array(edges, dtype=int).reshape(-1, 2).T
+    graph = sparse.coo_matrix((np.ones(len(p)), (p, q)), shape=(mask.sum(), mask.sum()))
+    return connected_components(graph, directed=False)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0.2, 0.9), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_run_components_equal_the_node_graph_components(n0, n1, density, wrap, seed):
+    mask = np.random.default_rng(seed).random((n0, n1)) < density
+    assume(mask.any())
+    assert spectral2d._component_count(mask, wrap) == _node_graph_components(mask, wrap)
+
+
+def test_ring_joined_only_across_the_seam():
+    # a staircase band that climbs one row per column and meets itself only
+    # through the faces between column n1 - 1 and column 0
+    n0, n1 = 12, 10
+    mask = np.zeros((n0, n1), dtype=bool)
+    for j in range(n1):
+        mask[j:j + 3, j] = True
+    mask[:, 0] |= np.arange(n0) >= n1
+    assert spectral2d._component_count(mask, wrap=True) == 1
+    assert spectral2d._component_count(mask, wrap=False) == 2
+    assert _node_graph_components(mask, True) == 1 and _node_graph_components(mask, False) == 2
+
+
+def test_mirror_image_pieces_raise_although_their_fold_is_connected(sparse_solves):
+    # two mirror-image blocks: the mirror of axis 1 folds them onto one piece
+    mask = np.ones((9, 16), dtype=bool)
+    mask[:, 7:9] = False
+    r = np.linspace(1.1, 1.9, 9)
+    cond_0, cond_1, mass = np.linspace(1.0, 2.0, 10), 1.0 / r, r
+    orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, False)
+    assert orbits is not None and len(orbits[0]) == mask.sum() // 2
+    folded = spectral2d._grid_operator(mask, cond_0, cond_1, mass, False, orbits)
+    assert connected_components(folded, directed=False)[0] == 1
+    assert spectral2d._component_count(mask, False) == 2
+    with pytest.raises(spectral2d.DisconnectedDomainError, match="2 components"):
+        spectral2d.solve_polar_mask(mask, (1.0, 2.0), (0.0, math.pi), wrap=False)
+    assert sparse_solves == []
 
 
 @pytest.fixture
@@ -609,3 +728,28 @@ def test_mask_connected_only_across_theta_zero_is_solved(grid_solves):
     _assert_matches_oracle(*grid_solves[0])
     with pytest.raises(spectral2d.DisconnectedDomainError):
         spectral2d.solve_polar_mask(mask, (1.0, 1.5), (0.0, math.pi), wrap=False)
+
+
+def test_notched_box_assembly_heap_peak(monkeypatch):
+    # the h = 1/256 perturb-box grid: 287,793 mask nodes fold onto 36,237
+    # unknowns.  The orbits and the folded operator peak at 19.1 MiB of
+    # Python heap (tracemalloc; 54.9 MiB when every mask node's faces and a
+    # node-level connectivity graph were built); the bound leaves 25% margin
+    grids = []
+
+    def keep_args(*args):
+        grids.append(args)
+        return np.ones(1), np.zeros((1, *args[0].shape))
+
+    monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
+    spectral2d.solve_cartesian(four_notch_box_domain(0.05), 1.0 / 256.0)
+    [(mask, cond_0, cond_1, mass, wrap, _)] = grids
+    tracemalloc.start()
+    try:
+        orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
+        L = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.sum() == 287793 and L.shape == (36237, 36237)
+    assert peak <= 24 * 2**20
