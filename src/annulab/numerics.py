@@ -196,9 +196,10 @@ def sparse_smallest_eigenpairs(
     """k smallest eigenpairs of a sparse symmetric operator.
 
     Contract: `shift` lies strictly below the spectrum, so A - shift*I is
-    symmetric positive definite.  It is factored once, with a symmetric
-    minimum-degree ordering and diagonal pivots (stable for SPD matrices),
-    and the factorization serves every step of a shift-invert block Lanczos
+    symmetric positive definite.  It is factored once (a copy of the
+    operator's CSC arrays with the shift subtracted on the diagonal), with
+    a symmetric minimum-degree ordering and diagonal pivots (stable for SPD
+    matrices), and the factorization serves every step of a shift-invert block Lanczos
     (Golub & Underwood 1977) on (A - shift*I)^{-1}: block size k, so
     eigenvalues of multiplicity up to k are found, and full
     reorthogonalization.  Its k Ritz values theta of largest |theta| are
