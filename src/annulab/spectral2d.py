@@ -214,6 +214,12 @@ def _chain_ground(mu, kappa, walled):
         chain, np.full(len(chain) - 1, -kappa), 1)[0])
 
 
+def _index_dtype(mask):
+    """int32 for the grid's node-index maps, which halves them, unless the
+    grid has more nodes than int32 numbers."""
+    return np.int32 if mask.size <= np.iinfo(np.int32).max else np.int64
+
+
 def _orbits(mask, cond_0, cond_1, mass, wrap):
     """Orbits of the mask nodes under the grid's symmetries, or None.
 
@@ -252,8 +258,8 @@ def _orbits(mask, cond_0, cond_1, mass, wrap):
     rep = i * n1 + j
     del i, j
     reps = np.flatnonzero(rep == node)
-    number = np.empty(mask.size, dtype=np.int32)
-    number[node[reps]] = np.arange(len(reps), dtype=np.int32)
+    number = np.empty(mask.size, dtype=_index_dtype(mask))
+    number[node[reps]] = np.arange(len(reps), dtype=number.dtype)
     oid = number[rep]
     return reps, oid, np.bincount(oid, minlength=len(reps))
 
@@ -311,8 +317,8 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     """
     n0, n1 = mask.shape
     node = np.flatnonzero(mask)
-    idx = np.full(mask.size, -1, dtype=np.int32)
-    idx[node] = np.arange(len(node), dtype=np.int32)
+    idx = np.full(mask.size, -1, dtype=_index_dtype(mask))
+    idx[node] = np.arange(len(node), dtype=idx.dtype)
     at = node if orbits is None else node[orbits[0]]
     i, j = np.divmod(at, n1)
     # (whether the neighbor lies on the grid, its flat offset, the face
@@ -342,6 +348,8 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
                            np.sqrt(size[a] / size[b]) * (d[i[near]] * -c * d[node[far] // n1])])
     L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
                           shape=(len(at), len(at)))
+    # (a, b) and (b, a) are read from different representatives and agree up
+    # to rounding; their mean is exactly symmetric, as the operator requires
     return (L + L.T) / 2.0
 
 
@@ -380,7 +388,7 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     constant equal conductances and symmetric under the x<->y transpose, by
     shift-invert Lanczos on the subspace invariant under those symmetries,
     with the folded operator assembled from one row per orbit (_orbits,
-    _folded_operator; the four-notch box folds by all 8 symmetries of the
+    _grid_operator; the four-notch box folds by all 8 symmetries of the
     square); any other grid, and every k >= 2, by shift-invert Lanczos on
     the whole mask.  Lanczos (numerics.sparse_smallest_eigenpairs) runs from
     just below the larger of two lower bounds of lambda_1, the hull

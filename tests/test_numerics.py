@@ -178,8 +178,8 @@ def test_sparse_rejects_nonsymmetric():
 
 
 def test_sparse_rejects_a_matrix_one_ulp_off_its_transpose():
-    # a relative error of 1e-16 passes any probe tolerance; the exact check
-    # compares the CSR arrays with those of the transpose bit for bit
+    # a relative error of 1e-16 is below any tolerance a random probe could
+    # use; the exact check compares the CSR arrays with the transpose's
     A = laplacian_2d(8).tolil()
     A[0, 1] = np.nextafter(A[0, 1], 0.0)
     with pytest.raises(ValueError, match="not exactly symmetric"):

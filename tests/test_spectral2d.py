@@ -579,6 +579,12 @@ def test_run_components_equal_the_node_graph_components(n0, n1, density, wrap, s
     assert spectral2d._component_count(mask, wrap) == _node_graph_components(mask, wrap)
 
 
+def test_index_maps_widen_past_int32_node_numbers():
+    # broadcast views: grids of 2^31 - 1 and 2^31 nodes without the memory
+    assert spectral2d._index_dtype(np.broadcast_to(False, (1, 2**31 - 1))) == np.int32
+    assert spectral2d._index_dtype(np.broadcast_to(False, (2, 2**30))) == np.int64
+
+
 def test_mirror_image_pieces_raise_although_their_fold_is_connected(sparse_solves):
     # two mirror-image blocks: the mirror of axis 1 folds them onto one piece
     mask = np.ones((9, 16), dtype=bool)
