@@ -297,11 +297,11 @@ def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int
     sin_half = np.sin(lo + hp * (np.arange(N) + 0.5))  # at phi half-points
     # the coefficients vary in phi, so phi is axis 0 (the profile axis) and
     # theta axis 1; every grid node lies inside
-    lam, phis = spectral2d._assemble_and_solve(
+    lam, g = spectral2d._assemble_and_solve(
         np.ones((len(phi), len(theta)), dtype=bool), sin_half * ht / hp,
-        hp / (sin_phi * ht), sin_phi * ht * hp, False, 1)
+        hp / (sin_phi * ht), sin_phi * ht * hp, False)
     # L2(sin phi) normalization: sum g^2 * mass = |psi|^2 = 1 already by construction
-    return float(lam[0]), theta, phi, phis[0].T
+    return lam, theta, phi, g.T
 
 
 def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:

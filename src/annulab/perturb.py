@@ -179,10 +179,10 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float) -> dict:
         indicator=_box_indicator(scenario),
         bbox=(-bw[0], bw[0], -bw[1], bw[1]),
     )
-    sol = spectral2d.solve_cartesian(domain, h, k=1)
+    sol = spectral2d.solve_cartesian(domain, h)
     x, y = sol.axes
     X, Y = np.meshgrid(x, y, indexing="ij")
-    phi_u = sol.values[0]
+    phi_u = sol.phi
     interior = sol.interior_mask(2)
 
     aw = np.asarray(scenario.a_widths, dtype=float)
@@ -201,7 +201,7 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float) -> dict:
 
     lam_b1 = float(sum((math.pi / (2.0 * a)) ** 2 for a in scenario.a_widths))
     lam_b2 = float(sum((math.pi / (2.0 * a)) ** 2 for a in scenario.b_widths))
-    lam_u = float(sol.eigenvalues[0])
+    lam_u = sol.eigenvalue
     ordering_ok = lam_b2 <= lam_u * (1 + 1e-3) and lam_u <= lam_b1 * (1 + 1e-3)
     return {
         "conditions": conditions,
@@ -215,12 +215,12 @@ def box_perturbation_audit(scenario: PerturbationScenario, h: float) -> dict:
     }
 
 
-def _interp_on(sol: spectral2d.GridSpectrum, wrap: bool):
+def _interp_on(sol: spectral2d.GridEigenpair, wrap: bool):
     """Bilinear interpolation of a grid eigenfunction (zero outside its mask)
     at the nodes of another grid: fn(axes, select) gives the values at the
     selected nodes of the grid with those axes, in row-major order."""
     r, th = sol.axes
-    vals = sol.values[0]
+    vals = sol.phi
     if wrap:
         th = np.concatenate([th, [th[0] + 2.0 * math.pi]])
         vals = np.concatenate([vals, vals[:, :1]], axis=1)
@@ -270,11 +270,11 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
         g_base = bases.base_eigendata(bases.circle_arc(t1))
         window_a = (0.0, t1)
 
-    sol_a = spectral2d.solve_polar(dom_a, Nr, Nt, k=1)
-    sol_b = spectral2d.solve_polar(dom_b, Nr, Nt, k=1)
-    sol_u = spectral2d.solve_polar(dom_u, Nr, Nt, k=1)
+    sol_a = spectral2d.solve_polar(dom_a, Nr, Nt)
+    sol_b = spectral2d.solve_polar(dom_b, Nr, Nt)
+    sol_u = spectral2d.solve_polar(dom_u, Nr, Nt)
 
-    lam_a, lam_u, lam_b = (float(s.eigenvalues[0]) for s in (sol_a, sol_u, sol_b))
+    lam_a, lam_u, lam_b = (s.eigenvalue for s in (sol_a, sol_u, sol_b))
     ordering_ok = lam_b <= lam_u * (1 + 1e-3) and lam_u <= lam_a * (1 + 1e-3)
 
     hr = sol_u.meta["hr"]
@@ -282,10 +282,10 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
 
     # (i) upper: phi_U / phi_B over U's interior nodes
     phi_b_at = _interp_on(sol_b, full)
-    keep_u = sol_u.interior_mask(2) & (sol_u.values[0] > 0)
+    keep_u = sol_u.interior_mask(2) & (sol_u.phi > 0)
     phi_b_vals = phi_b_at(sol_u.axes, keep_u)
     pos = phi_b_vals > 0
-    upper_ratio = float(np.max(sol_u.values[0][keep_u][pos] / phi_b_vals[pos]))
+    upper_ratio = float(np.max(sol_u.phi[keep_u][pos] / phi_b_vals[pos]))
 
     # (ii) lower: phi_U / phi_A over the trimmed inner shell
     phi_u_at = _interp_on(sol_u, full)
@@ -296,7 +296,7 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
         trim &= (THa > window_a[0] + eta) & (THa < window_a[1] - eta)
     trim &= sol_a.interior_mask(2)
     phi_u_vals = phi_u_at(sol_a.axes, trim)
-    lower_ratio = float(np.min(phi_u_vals / sol_a.values[0][trim]))
+    lower_ratio = float(np.min(phi_u_vals / sol_a.phi[trim]))
 
     # (iii) core spread against the tent-profile product
     core = (Ra > 1.0 + max(a_eps, margin)) & (Ra < 1.0 + eps - max(b_eps, margin))

@@ -1,9 +1,9 @@
-"""Grid Dirichlet eigensolvers for planar domains.
+"""Grid solvers for the principal Dirichlet eigenpair of planar domains.
 
 Two solvers: a polar-grid solver for domains bounded by radial functions
 r_min(theta) < r < r_max(theta) (optionally wrapping the full circle), and a
 Cartesian solver for indicator-defined domains sandwiched between boxes.
-Both, and the S^2 rectangles of `bases`, run through one masked-grid eigensolver
+Both, and the S^2 rectangles of `bases`, run through one masked-grid solver
 with vertex-centered second-order stencils in self-adjoint form; the
 boundary is handled by node masking (staircase), so audits should trim a
 margin of cells before taking eigenfunction ratios, and eigenvalues can be
@@ -26,7 +26,7 @@ from . import numerics
 __all__ = [
     "PolarDomain2D",
     "CartesianDomain2D",
-    "GridSpectrum",
+    "GridEigenpair",
     "EmptyDomainError",
     "DisconnectedDomainError",
     "solve_polar",
@@ -78,19 +78,16 @@ class CartesianDomain2D:
 
 
 @dataclass
-class GridSpectrum:
-    """Eigenpairs on a masked structured grid.
+class GridEigenpair:
+    """The principal Dirichlet eigenpair on a masked structured grid.
 
-    values is one (k, n0, n1) array; values[j] is zero outside the mask and
-    normalized so that sum(values[j]^2 * cell_measure) = 1.  axes holds the
-    node coordinates of the two grid directions.  Within a degenerate eigenspace (for k >= 2 on
-    rotationally symmetric domains, where the angular modes cos and sin
-    share an eigenvalue) only the eigenvalues are well defined: the values
-    are a repeatable but arbitrary orthonormal basis of the eigenspace.
+    phi is one (n0, n1) array, zero outside the mask, positive on it and
+    normalized so that sum(phi^2 * cell_measure) = 1.  axes holds the node
+    coordinates of the two grid directions.
     """
 
-    eigenvalues: np.ndarray
-    values: np.ndarray
+    eigenvalue: float
+    phi: np.ndarray
     axes: tuple[np.ndarray, np.ndarray]
     mask: np.ndarray
     cell_measure: np.ndarray
@@ -104,20 +101,9 @@ class GridSpectrum:
         from the Dirichlet wall), except in the periodic direction."""
         m = self.mask.copy()
         for _ in range(margin_cells):
-            shrunk = m.copy()
-            shrunk[1:, :] &= m[:-1, :]
-            shrunk[:-1, :] &= m[1:, :]
-            shrunk[0, :] = False
-            shrunk[-1, :] = False
-            if self.wrap:
-                shrunk &= np.roll(m, 1, axis=1)
-                shrunk &= np.roll(m, -1, axis=1)
-            else:
-                shrunk[:, 1:] &= m[:, :-1]
-                shrunk[:, :-1] &= m[:, 1:]
-                shrunk[:, 0] = False
-                shrunk[:, -1] = False
-            m = shrunk
+            p = np.pad(np.pad(m, ((1, 1), (0, 0))), ((0, 0), (1, 1)),
+                       mode="wrap" if self.wrap else "constant")
+            m = m & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
         return m
 
 
@@ -353,25 +339,25 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     return (L + L.T) / 2.0
 
 
-def _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k, shift):
-    """k smallest eigenpairs of the symmetrized masked operator by shift-invert
-    Lanczos; for k = 1 on a symmetric grid, on its symmetric subspace.  The
-    whole mask must be connected, also when the solve is folded."""
+def _sparse_ground_state(mask, cond_0, cond_1, mass, wrap, shift):
+    """Ground pair of the symmetrized masked operator by shift-invert Lanczos,
+    on the grid's symmetric subspace when it has one.  The whole mask must be
+    connected, also when the solve is folded."""
     count = _component_count(mask, wrap)
     if count > 1:
         raise DisconnectedDomainError(f"masked grid splits into {count} components")
-    orbits = _orbits(mask, cond_0, cond_1, mass, wrap) if k == 1 else None
+    orbits = _orbits(mask, cond_0, cond_1, mass, wrap)
     L = _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
-    lam, psi = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
-    if orbits is not None:
-        _, oid, size = orbits
-        psi = psi[oid] / np.sqrt(size[oid])[:, None]
-    return lam, psi
+    lam, psi = numerics.sparse_smallest_eigenpairs(op, 1, shift=shift)
+    if orbits is None:
+        return float(lam[0]), psi[:, 0]
+    _, oid, size = orbits
+    return float(lam[0]), psi[oid, 0] / np.sqrt(size[oid])
 
 
-def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
-    """k smallest eigenpairs of the masked 5-point operator in self-adjoint form.
+def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap):
+    """Principal eigenpair of the masked 5-point operator in self-adjoint form.
 
     The one eigensolver for every structured grid: polar, Cartesian and
     coordinate rectangles on S^2 (bases.solve_sphere_rectangle).  On each
@@ -381,21 +367,21 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
     rows included; cond_1 (length n0) that of every axis-1 face in row i,
     wrapping faces and faces to the virtual boundary columns included; mass
     (length n0) the node weight in row i.  Dirichlet walls sit at
-    masked-out neighbor nodes.  For k = 1 each grid is solved in its
-    smallest exact form, chosen by structure alone: a mask that fills its
-    hull by separation (_hull_ground_state); a grid that is mirror
-    symmetric along a non-wrapping axis, or square, non-wrapping, with
-    constant equal conductances and symmetric under the x<->y transpose, by
-    shift-invert Lanczos on the subspace invariant under those symmetries,
-    with the folded operator assembled from one row per orbit (_orbits,
+    masked-out neighbor nodes.  Each grid is solved in its smallest exact
+    form, chosen by structure alone: a mask that fills its hull by
+    separation (_hull_ground_state); a grid that is mirror symmetric along
+    a non-wrapping axis, or square, non-wrapping, with constant equal
+    conductances and symmetric under the x<->y transpose, by shift-invert
+    Lanczos on the subspace invariant under those symmetries, with the
+    folded operator assembled from one row per orbit (_orbits,
     _grid_operator; the four-notch box folds by all 8 symmetries of the
-    square); any other grid, and every k >= 2, by shift-invert Lanczos on
-    the whole mask.  Lanczos (numerics.sparse_smallest_eigenpairs) runs from
-    just below the larger of two lower bounds of lambda_1, the hull
-    eigenvalue and the column bound (_column_bound), and stops once its
-    Ritz pairs converge; the closer the shift, the fewer LU solves.
-    Returns the eigenvalues and the eigenfunctions as one (k, n0, n1) array,
-    each normalized in the `mass` weights.
+    square); any other grid by shift-invert Lanczos on the whole mask.
+    Lanczos (numerics.sparse_smallest_eigenpairs) runs from just below the
+    larger of two lower bounds of lambda_1, the hull eigenvalue and the
+    column bound (_column_bound), and stops once its Ritz pair converges;
+    the closer the shift, the fewer LU solves.  Returns (lambda_1, phi):
+    phi is one (n0, n1) array, positive on the mask and normalized in the
+    `mass` weights.
     """
     n0, n1 = mask.shape
     ids = np.flatnonzero(mask.ravel())
@@ -403,28 +389,24 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap, k):
         raise EmptyDomainError("no grid nodes inside the domain")
     d_half = 1.0 / np.sqrt(mass[ids // n1])
     lam_hull, u, mode = _hull_ground_state(cond_0, cond_1, mass, n1, wrap)
-    if k == 1 and len(ids) == mask.size:
-        lam, psi = np.array([lam_hull]), np.outer(u, mode).reshape(-1, 1)
+    if len(ids) == mask.size:
+        lam, psi = lam_hull, np.outer(u, mode).ravel()
     else:
         bound = max(lam_hull, _column_bound(mask, cond_0, cond_1, mass, wrap))
-        lam, psi = _sparse_eigenpairs(mask, cond_0, cond_1, mass, wrap, k,
-                                      shift=(1.0 - _HULL_SHIFT_MARGIN) * bound)
-    phis = np.zeros((k, n0 * n1))
-    phis[:, ids] = (d_half[:, None] * psi).T
-    if phis[0].sum() < 0:
-        phis[0] = -phis[0]
-    return lam, phis.reshape(k, n0, n1)
+        lam, psi = _sparse_ground_state(mask, cond_0, cond_1, mass, wrap,
+                                        shift=(1.0 - _HULL_SHIFT_MARGIN) * bound)
+    phi = np.zeros(n0 * n1)
+    phi[ids] = d_half * psi
+    if phi.sum() < 0:
+        phi = -phi
+    return lam, phi.reshape(n0, n1)
 
 
-def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> GridSpectrum:
-    """k smallest Dirichlet eigenpairs on a polar-grid domain.
+def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int) -> GridEigenpair:
+    """Principal Dirichlet eigenpair on a polar-grid domain.
 
     Vertex-centered discretization of (1/r) d_r(r d_r) + (1/r^2) d^2_theta in
-    self-adjoint form; eigenfunctions normalized in L^2(r dr dtheta).  For
-    k >= 2 on a rotationally symmetric domain the angular modes come in
-    degenerate pairs; only their eigenvalues are well defined, and the
-    returned eigenfunctions are a repeatable but arbitrary orthonormal basis
-    of each eigenspace.
+    self-adjoint form; the eigenfunction is normalized in L^2(r dr dtheta).
     """
     if Nr < 1 or Ntheta < 1:
         raise ValueError(f"need positive grid sizes, got Nr={Nr}, Ntheta={Ntheta}")
@@ -444,36 +426,39 @@ def solve_polar(domain: PolarDomain2D, Nr: int, Ntheta: int, k: int = 1) -> Grid
         raise ValueError("grid too coarse: fewer than 8 radial cells across min thickness")
     r = rlo + hr * np.arange(1, Nr)
     mask = (r[:, None] > rmins[None, :]) & (r[:, None] < rmaxs[None, :])
-    return solve_polar_mask(mask, (rlo, rhi), (domain.theta_lo, domain.theta_hi),
-                            domain.wrap, k)
+    return solve_polar_mask(mask, (rlo, rhi), (domain.theta_lo, domain.theta_hi), domain.wrap)
 
 
 def solve_polar_mask(mask: np.ndarray, r_range: tuple[float, float],
-                     theta_range: tuple[float, float], wrap: bool, k: int = 1) -> GridSpectrum:
-    """Same solver from an explicit node mask (see save_mask/load_mask)."""
+                     theta_range: tuple[float, float], wrap: bool) -> GridEigenpair:
+    """Same solver from an explicit node mask (see save_mask/load_mask); the
+    ranges must satisfy 0 <= r_lo < r_hi < inf and 0 < theta_hi - theta_lo <= 2 pi."""
     mask = np.asarray(mask, dtype=bool)
     n0, n1 = mask.shape
-    rlo, rhi = r_range
-    tlo, thi = theta_range
+    rlo, rhi = map(float, r_range)
+    tlo, thi = map(float, theta_range)
+    if not (0.0 <= rlo < rhi < math.inf and 0.0 < thi - tlo <= 2.0 * math.pi):
+        raise ValueError(f"need 0 <= r_lo < r_hi < inf and 0 < theta_hi - theta_lo <= 2 pi, "
+                         f"got r_range ({rlo!r}, {rhi!r}) and theta_range ({tlo!r}, {thi!r})")
     hr = (rhi - rlo) / (n0 + 1)
     ht = (thi - tlo) / (n1 if wrap else n1 + 1)
     r = rlo + hr * np.arange(1, n0 + 1)
     th = tlo + ht * (np.arange(n1) if wrap else np.arange(1, n1 + 1))
     r_faces = rlo + hr * (np.arange(n0 + 1) + 0.5)
     mass = r * hr * ht
-    lam, phis = _assemble_and_solve(mask, r_faces * ht / hr, hr / (r * ht), mass, wrap, k)
-    return GridSpectrum(
-        eigenvalues=lam, values=phis, axes=(r, th), mask=mask,
+    lam, phi = _assemble_and_solve(mask, r_faces * ht / hr, hr / (r * ht), mass, wrap)
+    return GridEigenpair(
+        eigenvalue=lam, phi=phi, axes=(r, th), mask=mask,
         cell_measure=mass[:, None] * mask, wrap=wrap,
-        meta={"hr": hr, "ht": ht, "r_range": r_range, "theta_range": theta_range},
+        meta={"hr": hr, "r_range": r_range, "theta_range": theta_range},
     )
 
 
-def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpectrum:
-    """k smallest Dirichlet eigenpairs of an indicator-defined planar domain.
+def solve_cartesian(domain: CartesianDomain2D, h: float) -> GridEigenpair:
+    """Principal Dirichlet eigenpair of an indicator-defined planar domain.
 
     Standard 5-point Laplacian on interior nodes of a uniform grid over the
-    bounding box; eigenfunctions normalized in L^2(dx)."""
+    bounding box; the eigenfunction is normalized in L^2(dx)."""
     x_lo, x_hi, y_lo, y_hi = domain.bbox
     # per-axis widths: cells stay within a rounding of the nominal h even
     # when the box sides are not integer multiples of it
@@ -496,13 +481,10 @@ def solve_cartesian(domain: CartesianDomain2D, h: float, k: int = 1) -> GridSpec
     mask = np.asarray(domain.indicator(X, Y), dtype=bool)
     n0 = len(x)
     mass = np.full(n0, hx * hy)
-    lam, phis = _assemble_and_solve(mask, np.full(n0 + 1, hy / hx), np.full(n0, hx / hy),
-                                    mass, False, k)
-    return GridSpectrum(
-        eigenvalues=lam, values=phis, axes=(x, y), mask=mask,
-        cell_measure=mass[:, None] * mask, wrap=False,
-        meta={"h": h, "hx": hx, "hy": hy, "bbox": domain.bbox},
-    )
+    lam, phi = _assemble_and_solve(mask, np.full(n0 + 1, hy / hx), np.full(n0, hx / hy),
+                                   mass, False)
+    return GridEigenpair(eigenvalue=lam, phi=phi, axes=(x, y), mask=mask,
+                         cell_measure=mass[:, None] * mask)
 
 
 def save_mask(path, mask: np.ndarray, r_range: tuple[float, float],
@@ -519,16 +501,32 @@ def save_mask(path, mask: np.ndarray, r_range: tuple[float, float],
 
 
 def load_mask(path):
-    """Read a node mask written by save_mask; returns (mask, r_range, theta_range)."""
+    """Read a node mask written by save_mask; returns (mask, r_range, theta_range).
+
+    The header must be followed by exactly its Nr rows of Ntheta cells, each
+    0 or 1 (blank lines may trail); a ValueError names the line that is not,
+    and its token.
+    """
     with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
+        header, *rows = [line.split() for line in fh] or [[]]
+    try:
+        if len(header) != 6:
+            raise ValueError(f"need 'Nr Ntheta r_lo r_hi th_lo th_hi', got {' '.join(header)!r}")
         n0, n1 = int(header[0]), int(header[1])
-        r_range = (float(header[2]), float(header[3]))
-        theta_range = (float(header[4]), float(header[5]))
-        rows = []
-        for _ in range(n0):
-            rows.append([int(v) for v in fh.readline().split()])
-    mask = np.asarray(rows, dtype=bool)
-    if mask.shape != (n0, n1):
-        raise ValueError(f"mask shape {mask.shape} disagrees with header {(n0, n1)}")
-    return mask, r_range, theta_range
+        r_lo, r_hi, th_lo, th_hi = (float(v) for v in header[2:])
+        if n0 < 1 or n1 < 1:
+            raise ValueError(f"grid sizes {n0} x {n1} are not positive")
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
+    while len(rows) > n0 and not rows[-1]:
+        rows.pop()
+    if len(rows) != n0:
+        raise ValueError(f"line {min(len(rows), n0) + 2}: the header declares {n0} rows, "
+                         f"the file has {len(rows)}")
+    for number, row in enumerate(rows, start=2):
+        bad = [cell for cell in row if cell not in ("0", "1")]
+        if bad:
+            raise ValueError(f"line {number}: cell {bad[0]!r} is not 0 or 1")
+        if len(row) != n1:
+            raise ValueError(f"line {number}: {len(row)} cells, the header declares {n1}")
+    return np.array(rows) == "1", (r_lo, r_hi), (th_lo, th_hi)

@@ -180,6 +180,9 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     pytest.param("solve", "base = nope\n", "key 'base'", id="config-value-not-a-choice"),
     pytest.param("perturb-annulus", "kind = annulus\neps = abc\n", "key 'eps'",
                  id="scenario-value-not-a-float"),
+    # the hull's window, theta1 widened by eta on both sides, would wind past 2 pi
+    pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\neta = 0.1\ntheta1 = 6.2\n",
+                 "theta_range (-0.1, 6.3)", id="scenario-window-beyond-2pi"),
 ])
 def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, named):
     path = tmp_path / "input.txt"

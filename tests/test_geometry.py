@@ -191,3 +191,33 @@ def test_projected_net_relaxed_constants():
         checks = geometry.verify_net(net, model)
         assert checks["projected_separated"], (eps, checks)
         assert checks["projected_covered"], (eps, checks)
+
+
+def test_column_search_tests_a_few_columns_per_ball(monkeypatch):
+    # the ball search reads only the columns near each end of an arc, so its
+    # cost does not grow with the angular resolution (a thin shell at small
+    # eps has hundreds of thousands of columns)
+    spec = thin_spec(1e-4)
+    model = geometry.annulus_model(spec, geometry.uniform_weight(spec), nr=8, ntheta=2**18)
+    n, ht = len(model.th), model.ht
+    distance = geometry.base_arc_distance
+    tested = []
+
+    def counted(t1, t2, wrap):
+        tested.append(np.size(t1))
+        return distance(t1, t2, wrap)
+
+    monkeypatch.setattr(geometry, "base_arc_distance", counted)
+    cases = [(math.pi, 0.1), (1.0, 1e-3), (3.0, 0.5 * ht),            # interior arcs
+             (0.01, 0.1), (2.0 * math.pi - 0.02, 0.05), (0.0, 3.5 * ht),  # across the seam
+             (1.0, math.pi - 2.5 * ht), (0.3, math.pi - 1e-4),           # nearly the whole cycle
+             (2.0, math.pi), (2.0, 4.0)]                                 # the whole cycle
+    per_call = []
+    for th0, radius in cases:
+        tested.clear()
+        start, count = model.columns(th0, radius)
+        per_call.append(sum(tested))
+        inside = np.flatnonzero(spec.a * distance(model.th, th0, True) < radius)
+        assert np.array_equal(np.sort((start + np.arange(count)) % n), inside)
+    # a ball wider than the circle takes no test at all
+    assert max(per_call) <= 64 and min(per_call[:-2]) > 0

@@ -194,7 +194,7 @@ def _rgi_reference(sol, wrap):
     from scipy.interpolate import RegularGridInterpolator
 
     r, th = sol.axes
-    vals = sol.values[0]
+    vals = sol.phi
     if wrap:
         th = np.concatenate([th, [th[0] + 2.0 * math.pi]])
         vals = np.concatenate([vals, vals[:, :1]], axis=1)
@@ -220,7 +220,7 @@ def test_interp_on_matches_regular_grid_interpolator(wrap):
     dom = spectral2d.PolarDomain2D(
         r_min=scenario.r_min(), r_max=scenario.r_max(), wrap=wrap,
         **({} if wrap else {"theta_lo": -0.05, "theta_hi": 2.05}))
-    sol = spectral2d.solve_polar(dom, 16, 96, k=1)
+    sol = spectral2d.solve_polar(dom, 16, 96)
     r, th = sol.axes
     # query axes: the grid's own nodes, then points around and beyond them
     rng = np.random.default_rng(7)
@@ -232,14 +232,14 @@ def test_interp_on_matches_regular_grid_interpolator(wrap):
     got = interp((rr, tt), select)
     assert np.array_equal(got, _rgi_reference(sol, wrap)(RR[select], TT[select]))
     every = interp((rr, tt), np.ones(RR.shape, dtype=bool)).reshape(RR.shape)
-    assert np.array_equal(every[:len(r), :len(th)], sol.values[0])
+    assert np.array_equal(every[:len(r), :len(th)], sol.phi)
     assert np.all(every[-1] == 0.0)
     if wrap:
         # theta outside [0, 2 pi) wraps onto the grid (up to the rounding of the shift)
         for turns in (-1.0, 2.0):
             shifted = interp((r, th + turns * 2.0 * math.pi), sol.mask | ~sol.mask)
-            assert (np.max(np.abs(shifted - sol.values[0].ravel()))
-                    <= 1e-12 * np.max(sol.values[0]))
+            assert (np.max(np.abs(shifted - sol.phi.ravel()))
+                    <= 1e-12 * np.max(sol.phi))
     else:
         assert np.all(every[:, (tt < th[0]) | (tt > th[-1])] == 0.0)
 
@@ -262,7 +262,7 @@ def test_interp_on_equals_pointwise_bilinear_on_the_audit_grids(monkeypatch, sce
     wrap = scenario.theta1 is None
     for sol, nodes in ((sol_b, sol_u), (sol_u, sol_a)):
         r, th = sol.axes
-        vals = sol.values[0]
+        vals = sol.phi
         R, TH = np.meshgrid(*nodes.axes, indexing="ij")
         if wrap:
             th = np.concatenate([th, [th[0] + 2.0 * math.pi]])

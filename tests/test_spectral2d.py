@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,51 +16,51 @@ from annulab import bases, numerics, perturb, radial, spectral2d
 
 def test_polar_exact_annulus_against_radial_oracle():
     dom = spectral2d.annulus_domain(1.0, 1.5)
-    sol = spectral2d.solve_polar(dom, 64, 256, k=1)
+    sol = spectral2d.solve_polar(dom, 64, 256)
     lam_oracle = radial.solve_radial(2, 1.0, 1.5, 0.0, N=4096)[0].lam
-    assert sol.eigenvalues[0] == pytest.approx(lam_oracle, rel=1e-3)
+    assert sol.eigenvalue == pytest.approx(lam_oracle, rel=1e-3)
 
 
 def test_polar_sector_against_separated_oracle():
     t1 = 3.0 * math.pi / 4.0
     dom = spectral2d.annulus_domain(1.0, 1.5, 0.0, t1, wrap=False)
-    sol = spectral2d.solve_polar(dom, 64, 192, k=1)
+    sol = spectral2d.solve_polar(dom, 64, 192)
     lam0 = bases.base_eigendata(bases.circle_arc(t1)).lambda0
     lam_oracle = radial.solve_radial(2, 1.0, 1.5, lam0, N=4096)[0].lam
-    assert sol.eigenvalues[0] == pytest.approx(lam_oracle, rel=1e-3)
+    assert sol.eigenvalue == pytest.approx(lam_oracle, rel=1e-3)
 
 
 def test_polar_dilation():
     dom1 = spectral2d.annulus_domain(1.0, 1.4)
     dom2 = spectral2d.annulus_domain(2.0, 2.8)
-    lam1 = spectral2d.solve_polar(dom1, 32, 128).eigenvalues[0]
-    lam2 = spectral2d.solve_polar(dom2, 32, 128).eigenvalues[0]
+    lam1 = spectral2d.solve_polar(dom1, 32, 128).eigenvalue
+    lam2 = spectral2d.solve_polar(dom2, 32, 128).eigenvalue
     assert lam2 == pytest.approx(lam1 / 4.0, rel=1e-12)
 
 
 def test_polar_grid_convergence_order():
     lam_exact = radial.solve_radial(2, 1.0, 1.5, 0.0, N=4096)[0].lam
-    e1 = abs(spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 16, 64).eigenvalues[0] - lam_exact)
-    e2 = abs(spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128).eigenvalues[0] - lam_exact)
+    e1 = abs(spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 16, 64).eigenvalue - lam_exact)
+    e2 = abs(spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128).eigenvalue - lam_exact)
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
 
 def test_polar_positivity_and_normalization():
     sol = spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.3), 24, 96)
-    phi = sol.values[0]
+    phi = sol.phi
     assert np.all(phi[sol.mask] > 0)
     assert float(np.sum(phi**2 * sol.cell_measure)) == pytest.approx(1.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.3), 16, 64, k=3),
+    lambda: spectral2d.solve_polar(PERTURBED_ANNULUS, 16, 64),
     lambda: spectral2d.solve_cartesian(box_domain(1.0, 0.5), 1.0 / 16.0),
-], ids=["polar-k3", "cartesian-k1"])
-def test_grid_spectrum_values_are_one_array(solve):
+], ids=["polar", "cartesian"])
+def test_grid_eigenpair_phi_is_one_array_zero_off_the_mask(solve):
     sol = solve()
-    assert type(sol.values) is np.ndarray
-    assert sol.values.shape == (len(sol.eigenvalues), *sol.mask.shape)
-    assert np.all(sol.values[:, ~sol.mask] == 0.0)
+    assert type(sol.eigenvalue) is float
+    assert type(sol.phi) is np.ndarray and sol.phi.shape == sol.mask.shape
+    assert np.all(sol.phi[~sol.mask] == 0.0) and np.all(sol.phi[sol.mask] > 0.0)
 
 
 def box_domain(ax, ay):
@@ -72,25 +73,25 @@ def box_domain(ax, ay):
 def test_cartesian_unit_box():
     sol_c = spectral2d.solve_cartesian(box_domain(1.0, 1.0), 1.0 / 64.0)
     sol_f = spectral2d.solve_cartesian(box_domain(1.0, 1.0), 1.0 / 128.0)
-    lam = numerics.richardson(sol_c.eigenvalues[0], sol_f.eigenvalues[0])
+    lam = numerics.richardson(sol_c.eigenvalue, sol_f.eigenvalue)
     assert lam == pytest.approx(math.pi**2 / 2.0, rel=2e-3)
     # center value of the L2-normalized eigenfunction is 1
     x, y = sol_f.axes
     ix = np.argmin(np.abs(x))
     iy = np.argmin(np.abs(y))
-    assert sol_f.values[0][ix, iy] == pytest.approx(1.0, rel=1e-2)
+    assert sol_f.phi[ix, iy] == pytest.approx(1.0, rel=1e-2)
 
 
 def test_cartesian_slab():
     sol_c = spectral2d.solve_cartesian(box_domain(1.0, 0.1), 1.0 / 64.0)
     sol_f = spectral2d.solve_cartesian(box_domain(1.0, 0.1), 1.0 / 128.0)
-    lam = numerics.richardson(sol_c.eigenvalues[0], sol_f.eigenvalues[0])
+    lam = numerics.richardson(sol_c.eigenvalue, sol_f.eigenvalue)
     assert lam == pytest.approx(math.pi**2 / 4.0 + 25.0 * math.pi**2, rel=2e-3)
 
 
 def test_domain_monotonicity():
-    lam_small = spectral2d.solve_cartesian(box_domain(0.8, 0.8), 1.0 / 64.0).eigenvalues[0]
-    lam_big = spectral2d.solve_cartesian(box_domain(1.0, 1.0), 1.0 / 64.0).eigenvalues[0]
+    lam_small = spectral2d.solve_cartesian(box_domain(0.8, 0.8), 1.0 / 64.0).eigenvalue
+    lam_big = spectral2d.solve_cartesian(box_domain(1.0, 1.0), 1.0 / 64.0).eigenvalue
     assert lam_big <= lam_small * (1.0 + 1e-3)
 
 
@@ -125,7 +126,7 @@ def test_mask_roundtrip_and_solver(tmp_path):
     mask, r_range, theta_range = spectral2d.load_mask(path)
     assert np.array_equal(mask, sol.mask)
     sol2 = spectral2d.solve_polar_mask(mask, r_range, theta_range, wrap=True)
-    assert sol2.eigenvalues[0] == pytest.approx(sol.eigenvalues[0], rel=1e-12)
+    assert sol2.eigenvalue == pytest.approx(sol.eigenvalue, rel=1e-12)
 
 
 def test_interior_mask_erosion():
@@ -134,6 +135,69 @@ def test_interior_mask_erosion():
     inner = sol.interior_mask(2)
     assert inner.sum() < sol.mask.sum()
     assert np.all(sol.mask[inner])
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_interior_mask_keeps_the_nodes_whose_cells_all_lie_inside(wrap):
+    # by the definition: a node survives m erosions when every node within m
+    # grid steps (around the seam when wrapping) lies in the mask
+    rng = np.random.default_rng(7)
+    mask = rng.random((9, 12)) < 0.8
+    sol = spectral2d.GridEigenpair(0.0, mask * 1.0, (np.arange(9), np.arange(12)), mask,
+                                   mask * 1.0, wrap=wrap)
+    for margin in range(4):
+        want = np.zeros_like(mask)
+        for i, j in zip(*np.nonzero(mask)):
+            cells = [(i + di, j + dj) for di in range(-margin, margin + 1)
+                     for dj in range(-margin, margin + 1) if abs(di) + abs(dj) <= margin]
+            want[i, j] = all(0 <= a < 9 and (wrap or 0 <= b < 12) and mask[a, b % 12]
+                             for a, b in cells)
+        assert np.array_equal(sol.interior_mask(margin), want)
+
+
+def _write_lines(tmp_path, *lines):
+    path = tmp_path / "mask.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize("lines, message", [
+    (("2 3 1.0 1.5 0.0 3.0", "0 1 0", "0 2 0"), "line 3: cell '2' is not 0 or 1"),
+    (("3 3 1.0 1.5 0.0 3.0", "0 1 0", "0 1 0"), "line 4: the header declares 3 rows, the file has 2"),
+    (("2 3 1.0 1.5 0.0 3.0", "0 1 0", "0 1"), "line 3: 2 cells, the header declares 3"),
+    (("2 3 1.0 1.5 0.0 3.0", "0 1 0", "0 1 0", "1 1 1"),
+     "line 4: the header declares 2 rows, the file has 3"),
+    (("2 3 1.0 1.5 0.0", "0 1 0", "0 1 0"), "line 1: need 'Nr Ntheta r_lo r_hi th_lo th_hi'"),
+    (("2 x 1.0 1.5 0.0 3.0", "0 1 0", "0 1 0"), "line 1: invalid literal for int.*'x'"),
+    (("0 3 1.0 1.5 0.0 3.0",), "line 1: grid sizes 0 x 3 are not positive"),
+], ids=["cell-2", "short-file", "ragged-row", "extra-row", "short-header", "bad-size",
+        "empty-grid"])
+def test_load_mask_names_the_line_and_token(tmp_path, lines, message):
+    with pytest.raises(ValueError, match=message):
+        spectral2d.load_mask(_write_lines(tmp_path, *lines))
+
+
+def test_load_mask_accepts_trailing_blank_lines(tmp_path):
+    mask, r_range, theta_range = spectral2d.load_mask(
+        _write_lines(tmp_path, "2 3 1.0 1.5 0.0 3.0", "0 1 0", "1 1 0", "", "  "))
+    assert np.array_equal(mask, [[False, True, False], [True, True, False]])
+    assert r_range == (1.0, 1.5) and theta_range == (0.0, 3.0)
+
+
+@pytest.mark.parametrize("r_range, theta_range", [
+    ((1.5, 1.0), (0.0, math.pi)), ((1.0, 1.0), (0.0, math.pi)), ((-0.5, 1.0), (0.0, math.pi)),
+    ((1.0, math.inf), (0.0, math.pi)), ((math.nan, 1.5), (0.0, math.pi)),
+    ((1.0, 1.5), (1.0, 1.0)), ((1.0, 1.5), (1.0, 0.5)), ((1.0, 1.5), (0.0, 2.0 * math.pi + 1e-9)),
+    ((1.0, 1.5), (0.0, math.nan)),
+], ids=["r-reversed", "r-empty", "r-negative", "r-infinite", "r-nan", "theta-empty",
+        "theta-reversed", "theta-beyond-2pi", "theta-nan"])
+def test_polar_mask_refuses_ranges_outside_the_plane_with_one_error(r_range, theta_range):
+    mask = np.ones((12, 16), dtype=bool)
+    mask[0, 0] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need 0 <= r_lo < r_hi < inf"):
+            spectral2d.solve_polar_mask(mask, r_range, theta_range, wrap=False)
 
 
 @pytest.fixture
@@ -215,11 +279,10 @@ def _oracle_ground_state(mask, cond_0, cond_1, mass, wrap):
 
 
 def _assert_matches_oracle(args, result):
-    mask, cond_0, cond_1, mass, wrap, _ = args
-    lam_o, phi_o = _oracle_ground_state(mask, cond_0, cond_1, mass, wrap)
-    lam, phis = result
-    assert lam[0] == pytest.approx(lam_o, rel=1e-12)
-    assert np.max(np.abs(phis[0] - phi_o)) <= 1e-10 * np.max(np.abs(phi_o))
+    lam_o, phi_o = _oracle_ground_state(*args)
+    lam, phi = result
+    assert lam == pytest.approx(lam_o, rel=1e-12)
+    assert np.max(np.abs(phi - phi_o)) <= 1e-10 * np.max(np.abs(phi_o))
 
 
 def notched_box_domain(notch, notch_y=None):
@@ -232,7 +295,7 @@ def notched_box_domain(notch, notch_y=None):
 
 
 def _notched_box():
-    return spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0).eigenvalues[0]
+    return spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 32.0).eigenvalue
 
 
 PERTURBED_ANNULUS = spectral2d.PolarDomain2D(
@@ -242,7 +305,7 @@ PERTURBED_ANNULUS = spectral2d.PolarDomain2D(
 
 
 def _perturbed_annulus():
-    return spectral2d.solve_polar(PERTURBED_ANNULUS, 48, 256).eigenvalues[0]
+    return spectral2d.solve_polar(PERTURBED_ANNULUS, 48, 256).eigenvalue
 
 
 def _perturbed_sector():
@@ -251,7 +314,7 @@ def _perturbed_sector():
         r_max=lambda th: 1.5 + 0.1 * np.sin(3.0 * th),
         theta_lo=0.0, theta_hi=0.75 * math.pi, wrap=False,
     )
-    return spectral2d.solve_polar(dom, 48, 128).eigenvalues[0]
+    return spectral2d.solve_polar(dom, 48, 128).eigenvalue
 
 
 def _sphere_rectangle():
@@ -271,10 +334,10 @@ def test_hull_eigenvalue_bounds_lambda1(hull_eigenvalues, solve):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: spectral2d.solve_cartesian(box_domain(1.0, 0.5), 1.0 / 32.0).eigenvalues[0],
-    lambda: spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128).eigenvalues[0],
+    lambda: spectral2d.solve_cartesian(box_domain(1.0, 0.5), 1.0 / 32.0).eigenvalue,
+    lambda: spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128).eigenvalue,
     lambda: spectral2d.solve_polar(
-        spectral2d.annulus_domain(1.0, 1.5, 0.0, math.pi, wrap=False), 32, 64).eigenvalues[0],
+        spectral2d.annulus_domain(1.0, 1.5, 0.0, math.pi, wrap=False), 32, 64).eigenvalue,
     _sphere_rectangle,
 ], ids=["box", "annulus", "sector", "sphere-rectangle"])
 def test_hull_eigenvalue_is_lambda1_on_a_full_grid(grid_solves, sparse_solves, solve):
@@ -329,7 +392,7 @@ def test_column_bound_is_the_hull_eigenvalue_on_a_full_wrapping_grid(n0, n1):
 def test_column_bound_is_the_hull_eigenvalue_on_a_full_annulus(grid_solves):
     spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.5), 32, 128)
     [(args, _)] = grid_solves
-    mask, cond_0, cond_1, mass, wrap, _ = args
+    mask, cond_0, cond_1, mass, wrap = args
     lam_hull = spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0]
     bound = spectral2d._column_bound(mask, cond_0, cond_1, mass, wrap)
     assert bound == pytest.approx(lam_hull, rel=1e-12)
@@ -391,13 +454,13 @@ def test_mirror_basis_is_orthonormal_over_orbits(monkeypatch, solve, orbits):
 
     def keep_args(*args):
         grids.append(args)
-        return np.ones(1), [np.zeros(args[0].shape)]
+        return 1.0, np.zeros(args[0].shape)
 
     monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
     solve()
     [args] = grids
     mask = args[0]
-    reps, oid, size = spectral2d._orbits(*args[:5])
+    reps, oid, size = spectral2d._orbits(*args)
     S = _orbit_basis(oid, size)
     assert S.shape == (mask.sum(), len(reps))
     assert abs(S.T @ S - sparse.identity(S.shape[1])).max() <= 1e-15
@@ -666,7 +729,7 @@ def test_asymmetric_mask_solves_unfolded(grid_solves, sparse_solves):
     assert op.dimension == mask.sum()
     phi = np.zeros(mask.shape)
     phi[mask] = psi[:, 0] / np.sqrt(_node_mass(mask, mass))
-    assert np.array_equal(result[1][0], phi if phi.sum() > 0 else -phi)
+    assert np.array_equal(result[1], phi if phi.sum() > 0 else -phi)
     _assert_matches_oracle(args, result)
 
 
@@ -678,7 +741,7 @@ def test_notched_box_masks_are_mirror_symmetric(monkeypatch, depth):
 
     def keep_mask(mask, *args):
         masks.append(mask)
-        return np.ones(1), [np.zeros(mask.shape)]
+        return 1.0, np.zeros(mask.shape)
 
     monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_mask)
     spectral2d.solve_cartesian(four_notch_box_domain(float(depth)), 1.0 / 300.0)
@@ -687,10 +750,26 @@ def test_notched_box_masks_are_mirror_symmetric(monkeypatch, depth):
     assert np.array_equal(mask, mask.T)
 
 
-def test_notched_grid_matches_dense_eigh(sparse_solves):
-    sol = spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 16.0, k=3)
-    dense = eigh(sparse_solves[0][0].matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
-    assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
+def _three_smallest_unfolded(args):
+    """The three smallest eigenpairs of a grid's whole-mask operator by block
+    Lanczos from the shift _assemble_and_solve uses, with the operator."""
+    mask, cond_0, cond_1, mass, wrap = args
+    L = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
+    op = numerics.SparseSymmetricOperator.from_matrix(L)
+    bound = max(spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0],
+                spectral2d._column_bound(*args))
+    shift = (1.0 - spectral2d._HULL_SHIFT_MARGIN) * bound
+    return numerics.sparse_smallest_eigenpairs(op, 3, shift), op
+
+
+def test_notched_grid_matches_dense_eigh(grid_solves):
+    # the whole-mask operator, not its fold: the x <-> y transpose maps this
+    # grid onto itself, and modes antisymmetric under it are among the three
+    spectral2d.solve_cartesian(notched_box_domain(0.5), 1.0 / 16.0)
+    [(args, _)] = grid_solves
+    (lam, _), op = _three_smallest_unfolded(args)
+    dense = eigh(op.matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    assert lam == pytest.approx(dense, rel=1e-10)
 
 
 def test_masked_wrapped_grid_matches_oracle(grid_solves):
@@ -703,11 +782,23 @@ def test_masked_wrapped_grid_matches_oracle(grid_solves):
 
 
 def test_masked_wrapped_grid_k3_matches_dense_eigh(grid_solves):
-    sol = spectral2d.solve_polar(PERTURBED_ANNULUS, 16, 64, k=3)
+    spectral2d.solve_polar(PERTURBED_ANNULUS, 16, 64)
     [(args, _)] = grid_solves
-    K, M = _oracle_operator(*args[:5])
+    (lam, _), _ = _three_smallest_unfolded(args)
+    K, M = _oracle_operator(*args)
     dense = eigh(K.toarray(), M.toarray(), eigvals_only=True, subset_by_index=(0, 2))
-    assert sol.eigenvalues == pytest.approx(dense, rel=1e-10)
+    assert lam == pytest.approx(dense, rel=1e-10)
+
+
+def test_block_lanczos_finds_the_degenerate_pair_of_an_exact_annulus(grid_solves):
+    # the angular modes cos(theta) and sin(theta) share the second eigenvalue
+    spectral2d.solve_polar(spectral2d.annulus_domain(1.0, 1.3), 16, 64)
+    [(args, _)] = grid_solves
+    (lam, vecs), op = _three_smallest_unfolded(args)
+    dense = eigh(op.matrix.toarray(), eigvals_only=True, subset_by_index=(0, 2))
+    assert lam == pytest.approx(dense, rel=1e-10)
+    assert lam[2] - lam[1] <= 1e-10 * lam[2] < lam[1] - lam[0]
+    assert np.allclose(vecs.T @ vecs, np.eye(3), rtol=0.0, atol=1e-10)
 
 
 def test_mask_connected_only_across_theta_zero_is_solved(grid_solves):
@@ -715,7 +806,7 @@ def test_mask_connected_only_across_theta_zero_is_solved(grid_solves):
     mask = np.ones((15, 64), dtype=bool)
     mask[:, 30:34] = False
     sol = spectral2d.solve_polar_mask(mask, (1.0, 1.5), (0.0, 2.0 * math.pi), wrap=True)
-    assert np.all(sol.values[0][mask] > 0)
+    assert np.all(sol.phi[mask] > 0)
     _assert_matches_oracle(*grid_solves[0])
     with pytest.raises(spectral2d.DisconnectedDomainError):
         spectral2d.solve_polar_mask(mask, (1.0, 1.5), (0.0, math.pi), wrap=False)
@@ -730,11 +821,11 @@ def test_notched_box_assembly_heap_peak(monkeypatch):
 
     def keep_args(*args):
         grids.append(args)
-        return np.ones(1), np.zeros((1, *args[0].shape))
+        return 1.0, np.zeros(args[0].shape)
 
     monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
     spectral2d.solve_cartesian(four_notch_box_domain(0.05), 1.0 / 256.0)
-    [(mask, cond_0, cond_1, mass, wrap, _)] = grids
+    [(mask, cond_0, cond_1, mass, wrap)] = grids
     tracemalloc.start()
     try:
         orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
