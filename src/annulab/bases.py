@@ -43,7 +43,6 @@ __all__ = [
     "base_spectrum",
     "sine_modes",
     "solve_sphere_rectangle",
-    "dist_to_equator",
     "orthant_norm_quadrature",
 ]
 
@@ -174,12 +173,6 @@ class BaseSpectrum:
     levels: tuple
     next_lambda0: float
     table: ModeTable
-
-
-def dist_to_equator(points: np.ndarray, i: int) -> np.ndarray:
-    """Great-circle distance from unit vectors to the equator {x_i = 0}."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.arcsin(np.clip(np.abs(points[:, i]), 0.0, 1.0))
 
 
 def _orthant_axis_integral(sin_pow: int, cos_pow: int, lo: float, hi: float) -> float:

@@ -178,12 +178,10 @@ def _cmd_bounds(args):
 
 
 def _cmd_caricature(args):
-    if args.kind == "thin":
-        fn = estimates.thin_annulus_caricature(args.n, args.a, args.b)
-    else:
-        fn = estimates.wide_annulus_caricature(args.n, args.a, args.b)
+    profile = (estimates.thin_annulus_caricature if args.kind == "thin"
+               else estimates.wide_annulus_caricature)
     radii = args.points or list(np.linspace(args.a, args.b, 17)[1:-1])
-    vals = estimates.caricature_eval(fn, np.asarray(radii))
+    vals = profile(args.n, args.a, args.b, radii)
     rows = [{"r": r, "value": float(v)} for r, v in zip(radii, vals)]
     return rows, [_check("caricature_eval", "report-only", kind=args.kind)], {}
 

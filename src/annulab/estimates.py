@@ -2,10 +2,10 @@
 
 A "caricature" is an explicit expression known to be two-sided comparable to
 a principal Dirichlet eigenfunction; this module evaluates the catalog of
-such profiles (thin/non-thin annuli, boxes, separated cosine products,
-orthant products, coordinate triangles on S^2), the matching two-sided
-eigenvalue bounds for annuli, and runs the numeric audits that confront
-profiles and bounds with computed eigendata.
+such profiles (thin/non-thin annuli, boxes, separated cosines, orthant
+products, coordinate triangles on S^2), each a function of its parameters
+and then its points, the matching two-sided eigenvalue bounds for annuli,
+and runs the numeric audits that confront them with computed eigendata.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from . import radial
 
 __all__ = [
     "BoundsReport",
-    "CaricatureFn",
     "thin_annulus_caricature",
     "wide_annulus_caricature",
     "box_caricature",
     "separated_cosine_caricature",
     "orthant_product_caricature",
     "coordinate_triangle_caricature",
-    "caricature_eval",
     "comparability_audit",
     "annulus_eigenvalue_coefficients",
     "annulus_eigenvalue_bounds",
@@ -56,54 +54,70 @@ class BoundsReport:
         return BoundsReport(name, value, lower, upper, passed, slack, extra or {})
 
 
-@dataclass(frozen=True)
-class CaricatureFn:
-    """An explicit comparison profile; evaluate through caricature_eval."""
+def _shell_points(r, a, b, closed=False) -> np.ndarray:
+    """Radii as a float array, refused unless a < r < b (a <= r <= b if closed)."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(((r >= a) & (r <= b)) if closed else ((r > a) & (r < b))):
+        raise ValueError(f"point outside the annulus ({a}, {b})")
+    return r
 
-    kind: str
-    params: dict
 
-
-def thin_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
-    """Tent profile for annuli with a/b in (1/2, 1):
+def thin_annulus_caricature(n: int, a: float, b: float, r) -> np.ndarray:
+    """Tent profile for annuli with a/b in (1/2, 1) at radii a < r < b:
     (1/a^(n/2+1)) min(|x|-a, b-|x|) / (b/a - 1)^(3/2)."""
     radial.require_dimension(n)
     radial.require_shell(a, b)
-    return CaricatureFn("thin_annulus", {"n": n, "a": a, "b": b})
+    r = _shell_points(r, a, b)
+    return np.minimum(r - a, b - r) / ((b / a - 1.0) ** 1.5 * a ** (n / 2.0 + 1.0))
 
 
-def wide_annulus_caricature(n: int, a: float, b: float) -> CaricatureFn:
-    """Profile for annuli with a/b <= 1/2; harmonic-in-|x| inner factor."""
+def wide_annulus_caricature(n: int, a: float, b: float, r) -> np.ndarray:
+    """Profile for annuli with a/b <= 1/2 at radii a < r < b; its inner factor
+    is harmonic in |x|: log(r/a) for n = 2, 1 - (a/r)^(n-2) above."""
     radial.require_dimension(n)
     radial.require_shell(a, b)
-    kind = "wide_annulus_2d" if n == 2 else "wide_annulus_nd"
-    return CaricatureFn(kind, {"n": n, "a": a, "b": b})
+    r = _shell_points(r, a, b)
+    if n == 2:
+        return np.log(r / a) * (1.0 - r / b) / (b * math.log(1.0 + b / (4.0 * a)))
+    return (1.0 - (a / r) ** (n - 2)) * (1.0 - r / b) / b ** (n / 2.0)
 
 
-def box_caricature(half_widths) -> CaricatureFn:
-    """Exact principal eigenfunction of a centered box: prod cos(pi x_i / 2 a_i) / sqrt(a_i)."""
-    return CaricatureFn("box", {"half_widths": tuple(float(a) for a in half_widths)})
+def box_caricature(half_widths, x) -> np.ndarray:
+    """Exact principal eigenfunction of a centered box, prod cos(pi x_i / 2 a_i) / sqrt(a_i),
+    at points x of shape (..., n) strictly inside it."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    half = np.asarray(half_widths, dtype=float)
+    if np.any(np.abs(x) >= half):
+        raise ValueError("point outside the box")
+    return np.prod(np.cos(math.pi * x / (2.0 * half)) / np.sqrt(half), axis=-1)
 
 
-def separated_cosine_caricature(n: int, a: float, b: float, base_phi0=None) -> CaricatureFn:
-    """Separated profile r^(-(n-1)/2) sqrt(2/(b-a)) cos(pi(r-(a+b)/2)/(b-a)) g(theta).
+def separated_cosine_caricature(n: int, a: float, b: float, r) -> np.ndarray:
+    """Radial factor r^(-(n-1)/2) sqrt(2/(b-a)) cos(pi(r-(a+b)/2)/(b-a)) of the
+    separated profile, at radii a <= r <= b.
 
-    The radial factor is the exact transformed principal mode when the
-    centrifugal coefficient vanishes (n = 3), so the profile is then the
-    shell eigenfunction itself up to grid error.  base_phi0 defaults to the
-    constant; pass the base eigenfunction for a non-trivial product.
+    It is the exact transformed principal mode when the centrifugal
+    coefficient vanishes (n = 3), so its product with the base eigenfunction
+    g(theta) is then the shell eigenfunction itself up to grid error.
     """
-    return CaricatureFn(
-        "separated_cosine", {"n": n, "a": a, "b": b, "base_phi0": base_phi0}
+    radial.require_dimension(n)
+    radial.require_shell(a, b)
+    r = _shell_points(r, a, b, closed=True)
+    return (
+        r ** (-(n - 1) / 2.0)
+        * math.sqrt(2.0 / (b - a))
+        * np.cos(math.pi * (r - (a + b) / 2.0) / (b - a))
     )
 
 
-def orthant_product_caricature(k: int) -> CaricatureFn:
-    """Product of great-circle distances to the k bounding equators."""
-    return CaricatureFn("orthant_product", {"k": k})
+def orthant_product_caricature(k: int, x) -> np.ndarray:
+    """Product of great-circle distances from unit vectors x (..., n) to the
+    k bounding equators {x_i = 0}, i < k."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.prod(np.arcsin(np.clip(np.abs(x[:, :k]), 0.0, 1.0)), axis=1)
 
 
-def coordinate_triangle_caricature(theta1: float) -> CaricatureFn:
+def coordinate_triangle_caricature(theta1: float, theta, phi) -> np.ndarray:
     """Profile for the S^2 triangle 0 < theta < theta1, 0 < phi < pi/2.
 
     The two equator-corner angles are right angles, so their factors drop
@@ -111,78 +125,14 @@ def coordinate_triangle_caricature(theta1: float) -> CaricatureFn:
     diameter power, with d1, d2 the meridian distances and d3 the equator
     distance.  Evaluate-only: no eigen-oracle is attached.
     """
-    return CaricatureFn("coordinate_triangle", {"theta1": theta1})
-
-
-def caricature_eval(fn: CaricatureFn, point) -> np.ndarray:
-    """Evaluate a caricature.
-
-    Point conventions: radial annulus kinds take |x| (scalar or array);
-    separated_cosine takes (r, theta_point); box takes arrays of shape
-    (..., n); orthant_product takes unit vectors (..., n);
-    coordinate_triangle takes (theta, phi).
-    """
-    p = fn.params
-    if fn.kind == "thin_annulus":
-        r = np.asarray(point, dtype=float)
-        n, a, b = p["n"], p["a"], p["b"]
-        _require_inside(r, a, b)
-        return np.minimum(r - a, b - r) / ((b / a - 1.0) ** 1.5 * a ** (n / 2.0 + 1.0))
-    if fn.kind == "wide_annulus_nd":
-        r = np.asarray(point, dtype=float)
-        n, a, b = p["n"], p["a"], p["b"]
-        _require_inside(r, a, b)
-        return (1.0 - (a / r) ** (n - 2)) * (1.0 - r / b) / b ** (n / 2.0)
-    if fn.kind == "wide_annulus_2d":
-        r = np.asarray(point, dtype=float)
-        a, b = p["a"], p["b"]
-        _require_inside(r, a, b)
-        return np.log(r / a) * (1.0 - r / b) / (b * math.log(1.0 + b / (4.0 * a)))
-    if fn.kind == "box":
-        x = np.atleast_2d(np.asarray(point, dtype=float))
-        half = np.asarray(p["half_widths"])
-        if np.any(np.abs(x) >= half):
-            raise ValueError("point outside the box")
-        vals = np.prod(np.cos(math.pi * x / (2.0 * half)) / np.sqrt(half), axis=-1)
-        return vals
-    if fn.kind == "separated_cosine":
-        r, theta = point
-        r = np.asarray(r, dtype=float)
-        n, a, b = p["n"], p["a"], p["b"]
-        _require_inside(r, a, b, closed=True)
-        radial_part = (
-            r ** (-(n - 1) / 2.0)
-            * math.sqrt(2.0 / (b - a))
-            * np.cos(math.pi * (r - (a + b) / 2.0) / (b - a))
-        )
-        g = p["base_phi0"]
-        return radial_part * (g(theta) if g is not None else 1.0)
-    if fn.kind == "orthant_product":
-        x = np.atleast_2d(np.asarray(point, dtype=float))
-        k = p["k"]
-        return np.prod(np.arcsin(np.clip(np.abs(x[:, :k]), 0.0, 1.0)), axis=1)
-    if fn.kind == "coordinate_triangle":
-        theta, phi = point
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        t1 = p["theta1"]
-        d1 = np.arcsin(np.clip(np.sin(phi) * np.sin(theta), -1.0, 1.0))
-        d2 = np.arcsin(np.clip(np.sin(phi) * np.sin(t1 - theta), -1.0, 1.0))
-        d3 = math.pi / 2.0 - phi
-        diam = max(math.pi / 2.0, min(t1, math.pi))
-        expo = math.pi / t1 - 2.0
-        return d1 * d2 * d3 * (d1 + d2) ** expo / diam ** (2.0 + math.pi / t1)
-    raise ValueError(f"unknown caricature kind {fn.kind!r}")
-
-
-def _require_inside(r, a, b, closed=False):
-    r = np.asarray(r)
-    if closed:
-        ok = np.all((r >= a) & (r <= b))
-    else:
-        ok = np.all((r > a) & (r < b))
-    if not ok:
-        raise ValueError(f"point outside the annulus ({a}, {b})")
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    d1 = np.arcsin(np.clip(np.sin(phi) * np.sin(theta), -1.0, 1.0))
+    d2 = np.arcsin(np.clip(np.sin(phi) * np.sin(theta1 - theta), -1.0, 1.0))
+    d3 = math.pi / 2.0 - phi
+    diam = max(math.pi / 2.0, min(theta1, math.pi))
+    expo = math.pi / theta1 - 2.0
+    return d1 * d2 * d3 * (d1 + d2) ** expo / diam ** (2.0 + math.pi / theta1)
 
 
 def comparability_audit(phi_values, caricature_values):

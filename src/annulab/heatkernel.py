@@ -45,6 +45,7 @@ __all__ = [
     "equilibration_audit",
     "box_kernel_bounds_check",
     "gaussian_hke_audit",
+    "default_pair_sample",
 ]
 
 TAIL_RELATIVE_LIMIT = 1e-8

@@ -15,7 +15,7 @@ functions are truncated cosine series `const | k:amp:phase | ...`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "check_box_conditions",
     "box_perturbation_audit",
     "annulus_perturbation_audit",
+    "widening_exponent_sweep",
     "parse_key_values",
     "parse_scenario",
     "load_scenario",
@@ -75,18 +76,22 @@ class PerturbationScenario:
     # regime parameters (recorded, checked where meaningful)
     C1: float = 1.0
     C2: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind == "annulus":
             if self.eps <= 0:
                 raise ValueError("annulus scenario needs eps > 0")
+            for key in ("a_eps", "b_eps", "eta"):
+                if not getattr(self, key) >= 0.0:
+                    raise ValueError(f"scenario key {key!r}: need >= 0, got {getattr(self, key)}")
             if self.a_eps > self.C1 * self.eps**3 + 1e-15 or \
                self.b_eps > self.C2 * self.eps**3 + 1e-15:
                 raise ValueError(
                     "widening exceeds the cubic regime: need a_eps <= C1 eps^3 "
                     "and b_eps <= C2 eps^3"
                 )
+            if self.theta1 is not None and self.theta1 + 2.0 * self.eta > 2.0 * math.pi:
+                raise ValueError("scenario keys 'theta1' and 'eta': need theta1 + 2 eta <= 2 pi")
             if self.rmin_const == 0.0:
                 self.rmin_const = 1.0 - self.a_eps
             if self.rmax_const == 0.0:
@@ -242,33 +247,31 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     eta), U bounded by the scenario's radial functions.  Reports
     (i) max_U phi_U/phi_B, (ii) min over the trimmed A of phi_U/phi_A,
     (iii) the spread of phi_U over the tent-profile product on the core
-    region, and the eigenvalue ordering.
+    region, and the eigenvalue ordering.  A scenario whose A subset U subset
+    B fails on U's theta nodes (to 1e-12 in r) is refused before any solve.
     """
     if scenario.kind != "annulus":
         raise ValueError("need an annulus scenario")
     eps, a_eps, b_eps, eta = scenario.eps, scenario.a_eps, scenario.b_eps, scenario.eta
     Nr, Nt = grids
     full = scenario.theta1 is None
-    if full:
-        dom_a = spectral2d.annulus_domain(1.0, 1.0 + eps)
-        dom_b = spectral2d.annulus_domain(1.0 - a_eps, 1.0 + eps + b_eps)
-        dom_u = spectral2d.PolarDomain2D(
-            r_min=scenario.r_min(), r_max=scenario.r_max(), wrap=True
-        )
-        g_base = bases.base_eigendata(bases.full_sphere(2))
-        window_a = (0.0, 2.0 * math.pi)
-    else:
-        t1 = scenario.theta1
-        dom_a = spectral2d.annulus_domain(1.0, 1.0 + eps, 0.0, t1, wrap=False)
-        dom_b = spectral2d.annulus_domain(
-            1.0 - a_eps, 1.0 + eps + b_eps, -eta, t1 + eta, wrap=False
-        )
-        dom_u = spectral2d.PolarDomain2D(
-            r_min=scenario.r_min(), r_max=scenario.r_max(),
-            theta_lo=-eta, theta_hi=t1 + eta, wrap=False,
-        )
-        g_base = bases.base_eigendata(bases.circle_arc(t1))
-        window_a = (0.0, t1)
+    window_a = (0.0, 2.0 * math.pi if full else scenario.theta1)
+    lo, hi = (0.0, 2.0 * math.pi) if full else (-eta, scenario.theta1 + eta)
+    dom_a = spectral2d.annulus_domain(1.0, 1.0 + eps, *window_a, wrap=full)
+    dom_b = spectral2d.annulus_domain(1.0 - a_eps, 1.0 + eps + b_eps, lo, hi, wrap=full)
+    dom_u = spectral2d.PolarDomain2D(r_min=scenario.r_min(), r_max=scenario.r_max(),
+                                     theta_lo=lo, theta_hi=hi, wrap=full)
+    base = bases.full_sphere(2) if full else bases.circle_arc(scenario.theta1)
+    g_base = bases.base_eigendata(base)
+
+    # U's theta nodes as solve_polar places them, to rounding (none if Nt < 1)
+    th = lo + (hi - lo) * np.arange(0 if full else 1, Nt) / Nt
+    rmin, rmax, tol = dom_u.r_min(th), dom_u.r_max(th), 1e-12
+    on_a = (th >= window_a[0]) & (th <= window_a[1])
+    if not np.all((rmin[on_a] <= 1.0 + tol) & (rmax[on_a] >= 1.0 + eps - tol)):
+        raise ValueError("sandwich violated on grid: A escapes U")
+    if not np.all((rmin >= 1.0 - a_eps - tol) & (rmax <= 1.0 + eps + b_eps + tol)):
+        raise ValueError("sandwich violated on grid: U escapes B")
 
     sol_a = spectral2d.solve_polar(dom_a, Nr, Nt)
     sol_b = spectral2d.solve_polar(dom_b, Nr, Nt)

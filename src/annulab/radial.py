@@ -32,6 +32,8 @@ __all__ = [
     "AnnularDomainSpec",
     "RadialEigenResult",
     "RadialTable",
+    "require_dimension",
+    "require_shell",
     "radial_potential_coefficient",
     "solve_radial",
     "solve_radial_weighted",

@@ -29,6 +29,7 @@ __all__ = [
     "log_gamma",
     "bessel_j",
     "bessel_j_log",
+    "bessel_j_log_grid",
     "bessel_j_integral",
     "first_positive_zero",
 ]

@@ -92,7 +92,7 @@ def test_criterion_05_caricature_comparability():
             res = radial.solve_radial(n, a, b, 0.0, N=2048)[0]
             keep = (res.grid > a + 0.05 * (b - a)) & (res.grid < b - 0.05 * (b - a))
             g0 = 1.0 / math.sqrt(bases.surface_measure(n))
-            car = estimates.caricature_eval(fn(n, a, b), res.grid[keep])
+            car = fn(n, a, b, res.grid[keep])
             sup, inf = estimates.comparability_audit(res.f[keep] * g0, car)
             spread = sup / inf
             details.append(f"n={n} ({a},{b}): {spread:.2f}")
@@ -100,8 +100,7 @@ def test_criterion_05_caricature_comparability():
     # exact separated cosine at n = 3
     res = radial.solve_radial(3, 1.0, 1.4, 0.0, N=4096)[0]
     keep = (res.grid > 1.02) & (res.grid < 1.38)
-    fn = estimates.separated_cosine_caricature(3, 1.0, 1.4)
-    car = estimates.caricature_eval(fn, (res.grid[keep], None))
+    car = estimates.separated_cosine_caricature(3, 1.0, 1.4, res.grid[keep])
     g0 = 1.0 / math.sqrt(4.0 * math.pi)
     sup, inf = estimates.comparability_audit(res.f[keep] * g0, car * g0)
     cos_spread = sup / inf

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from annulab import bases, numerics
+from annulab import bases, estimates, numerics
 
 
 def orthant_norm_closed_form(n, k):
@@ -72,10 +72,7 @@ def test_orthant_caricature_comparability():
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         keep = np.all(pts[:, :k] > 0.05, axis=1)
         pts = pts[keep]
-        prod = np.ones(len(pts))
-        for i in range(k):
-            prod *= bases.dist_to_equator(pts, i)
-        ratio = data.phi0(pts) / prod
+        ratio = data.phi0(pts) / estimates.orthant_product_caricature(k, pts)
         assert ratio.max() / ratio.min() <= 10.0, (n, k, ratio.max() / ratio.min())
 
 

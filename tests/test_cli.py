@@ -182,7 +182,7 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
                  id="scenario-value-not-a-float"),
     # the hull's window, theta1 widened by eta on both sides, would wind past 2 pi
     pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\neta = 0.1\ntheta1 = 6.2\n",
-                 "theta_range (-0.1, 6.3)", id="scenario-window-beyond-2pi"),
+                 "'theta1' and 'eta'", id="scenario-window-beyond-2pi"),
 ])
 def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, named):
     path = tmp_path / "input.txt"
@@ -194,6 +194,31 @@ def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, name
     assert run(["--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+@pytest.mark.parametrize("lines, named", [
+    pytest.param("eta = -0.05\ntheta1 = 3.0\n", "key 'eta'", id="negative-eta"),
+    pytest.param("a_eps = -0.01\n", "key 'a_eps'", id="negative-a-eps"),
+    pytest.param("rmin = 1.05\n", "A escapes U", id="inner-shell-outside-u"),
+    pytest.param("rmax = 1.5\n", "U escapes B", id="u-outside-hull"),
+    pytest.param("theta1 = 6.2\neta = 0.1\n", "'theta1' and 'eta'", id="hull-window-beyond-2pi"),
+])
+@pytest.mark.parametrize("grids", [(), ("--nr", "24", "--ntheta", "96")],
+                         ids=["default-grids", "24x96"])
+def test_shell_scenario_outside_its_sandwich_is_bad_input(tmp_path, capsys, monkeypatch,
+                                                          lines, named, grids):
+    # A within U within B is checked before any grid is solved
+    monkeypatch.setattr(annulab.spectral2d, "solve_polar", None)
+    path = tmp_path / "shell.scenario"
+    path.write_text("kind = annulus\neps = 0.3\n" + lines)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--out", str(tmp_path / "out"), "perturb-annulus", "--scenario", str(path),
+                    *grids])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):

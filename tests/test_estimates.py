@@ -7,37 +7,64 @@ from annulab import bases, estimates, radial, spectral2d
 
 
 def test_thin_caricature_value():
-    fn = estimates.thin_annulus_caricature(2, 1.0, 1.1)
     # min(0.05, 0.05) / 0.1^1.5 at the midpoint, n/2+1 power of a=1 is 1
-    assert estimates.caricature_eval(fn, 1.05) == pytest.approx(0.05 / 0.1**1.5, rel=1e-12)
+    value = estimates.thin_annulus_caricature(2, 1.0, 1.1, 1.05)
+    assert value == pytest.approx(0.05 / 0.1**1.5, rel=1e-12)
 
 
 def test_wide_caricature_values():
-    fn3 = estimates.wide_annulus_caricature(3, 0.1, 1.0)
-    assert estimates.caricature_eval(fn3, 0.5) == pytest.approx(0.4, rel=1e-12)
-    fn2 = estimates.wide_annulus_caricature(2, 0.1, 1.0)
+    assert estimates.wide_annulus_caricature(3, 0.1, 1.0, 0.5) == pytest.approx(0.4, rel=1e-12)
     expected = math.log(5.0) * 0.5 / math.log(3.5)
-    assert estimates.caricature_eval(fn2, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert estimates.wide_annulus_caricature(2, 0.1, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_box_caricature_center_value():
-    fn = estimates.box_caricature((1.0, 1.0))
-    assert estimates.caricature_eval(fn, np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0)
+    assert estimates.box_caricature((1.0, 1.0), np.array([[0.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_caricature_outside_raises():
     with pytest.raises(ValueError):
-        estimates.caricature_eval(estimates.thin_annulus_caricature(2, 1.0, 1.1), 1.2)
+        estimates.thin_annulus_caricature(2, 1.0, 1.1, 1.2)
     with pytest.raises(ValueError):
-        estimates.caricature_eval(estimates.box_caricature((1.0, 1.0)), np.array([[1.5, 0.0]]))
+        estimates.box_caricature((1.0, 1.0), np.array([[1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("profile, inside, value, boundary, refused", [
+    pytest.param(lambda r: estimates.thin_annulus_caricature(2, 2.0, 3.0, r),
+                 2.25, math.sqrt(2.0) / 8.0, (2.0, 3.0), True, id="thin"),
+    pytest.param(lambda r: estimates.wide_annulus_caricature(4, 0.5, 2.0, r),
+                 1.0, 3.0 / 32.0, (0.5, 2.0), True, id="wide"),
+    pytest.param(lambda x: estimates.box_caricature((1.0, 2.0), x), (0.5, 1.0),
+                 math.sqrt(2.0) / 4.0, ((1.0, 0.0), (-0.5, -2.0)), True, id="box"),
+    pytest.param(lambda r: estimates.separated_cosine_caricature(3, 1.0, 2.0, r),
+                 1.5, 2.0 * math.sqrt(2.0) / 3.0, (1.0, 2.0), False, id="separated-cosine"),
+    pytest.param(lambda x: estimates.orthant_product_caricature(2, x),
+                 (math.sqrt(0.5), 0.5, 0.5), math.pi**2 / 24.0,
+                 ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)), False, id="orthant"),
+    pytest.param(lambda p: estimates.coordinate_triangle_caricature(math.pi / 2.0, *p),
+                 (math.pi / 4.0, math.pi / 4.0), 1.0 / (9.0 * math.pi),
+                 ((0.0, 0.8), (0.7, math.pi / 2.0)), False, id="triangle"),
+])
+def test_profile_point_domains(profile, inside, value, boundary, refused):
+    # a hand-computed value inside; the tent, the harmonic profile and the
+    # box refuse their boundary points, the others take them and vanish there
+    assert np.asarray(profile(inside)).item() == pytest.approx(value, rel=1e-13)
+    for point in boundary:
+        if refused:
+            with pytest.raises(ValueError, match="outside the"):
+                profile(point)
+        else:
+            assert abs(np.asarray(profile(point)).item()) < 1e-15
 
 
 @pytest.mark.parametrize("a, b", [(-1.0, 1.5), (0.0, 1.5), (1.5, 1.0), (1.0, math.inf),
                                   (1.0, math.nan)])
 @pytest.mark.parametrize("entry", [
-    estimates.thin_annulus_caricature, estimates.wide_annulus_caricature,
+    lambda n, a, b: estimates.thin_annulus_caricature(n, a, b, 1.0),
+    lambda n, a, b: estimates.wide_annulus_caricature(n, a, b, 1.0),
+    lambda n, a, b: estimates.separated_cosine_caricature(n, a, b, 1.0),
     estimates.annulus_eigenvalue_bounds, lambda n, a, b: radial.solve_radial(n, a, b, 0.0),
-], ids=["thin", "wide", "bounds", "solve-radial"])
+], ids=["thin", "wide", "separated-cosine", "bounds", "solve-radial"])
 def test_shell_entry_points_refuse_radii_outside_0_a_b_inf(entry, a, b):
     with pytest.raises(ValueError, match="need 0 < a < b finite"):
         entry(2, a, b)
@@ -49,8 +76,7 @@ def test_separated_cosine_exact_at_n3():
     res = radial.solve_radial(3, 1.0, 1.4, 0.0, N=2048)[0]
     keep = (res.grid > 1.0 + 0.02) & (res.grid < 1.4 - 0.02)
     g0 = 1.0 / math.sqrt(4.0 * math.pi)
-    fn = estimates.separated_cosine_caricature(3, 1.0, 1.4)
-    car = estimates.caricature_eval(fn, (res.grid[keep], None)) * g0
+    car = estimates.separated_cosine_caricature(3, 1.0, 1.4, res.grid[keep]) * g0
     phi = res.f[keep] * g0
     sup, inf = estimates.comparability_audit(phi, car)
     assert sup / inf == pytest.approx(1.0, abs=1e-3)
@@ -63,7 +89,7 @@ def test_thin_caricature_comparable(n):
     keep = (res.grid > a + 0.05 * (b - a)) & (res.grid < b - 0.05 * (b - a))
     g0 = 1.0 / math.sqrt(bases.surface_measure(n))
     phi = res.f[keep] * g0
-    car = estimates.caricature_eval(estimates.thin_annulus_caricature(n, a, b), res.grid[keep])
+    car = estimates.thin_annulus_caricature(n, a, b, res.grid[keep])
     sup, inf = estimates.comparability_audit(phi, car)
     assert sup / inf <= 10.0
     assert inf > 0
@@ -76,7 +102,7 @@ def test_wide_caricature_comparable(n):
     keep = (res.grid > a + 0.05 * (b - a)) & (res.grid < b - 0.05 * (b - a))
     g0 = 1.0 / math.sqrt(bases.surface_measure(n))
     phi = res.f[keep] * g0
-    car = estimates.caricature_eval(estimates.wide_annulus_caricature(n, a, b), res.grid[keep])
+    car = estimates.wide_annulus_caricature(n, a, b, res.grid[keep])
     sup, inf = estimates.comparability_audit(phi, car)
     assert sup / inf <= 10.0
 
@@ -91,15 +117,14 @@ def test_box_caricature_matches_grid_eigenfunction():
     x, y = sol.axes
     X, Y = np.meshgrid(x, y, indexing="ij")
     pts = np.stack([X[inner], Y[inner]], axis=1)
-    car = estimates.caricature_eval(estimates.box_caricature((1.0, 1.0)), pts)
+    car = estimates.box_caricature((1.0, 1.0), pts)
     sup, inf = estimates.comparability_audit(sol.phi[inner], car)
     assert sup / inf <= 1.0 + 5e-2
 
 
 def test_caricature_boundary_vanishing_linear():
-    fn = estimates.thin_annulus_caricature(2, 1.0, 1.2)
     eps = np.array([1e-3, 1e-4, 1e-5])
-    near_a = estimates.caricature_eval(fn, 1.0 + eps)
+    near_a = estimates.thin_annulus_caricature(2, 1.0, 1.2, 1.0 + eps)
     assert np.allclose(near_a / eps, near_a[0] / eps[0], rtol=1e-9)
 
 
@@ -195,27 +220,15 @@ def test_coordinate_triangle_caricature_pairs_with_rectangle_solver():
     _, th, ph, g = bases.solve_sphere_rectangle(t1, (1e-9, math.pi / 2.0), 96)
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     keep = (TH > 0.08) & (TH < t1 - 0.08) & (PH > 0.08) & (PH < math.pi / 2.0 - 0.08)
-    fn = estimates.coordinate_triangle_caricature(t1)
-    car = estimates.caricature_eval(fn, (TH[keep], PH[keep]))
+    car = estimates.coordinate_triangle_caricature(t1, TH[keep], PH[keep])
     sup, inf = estimates.comparability_audit(g[keep], car)
     assert sup / inf <= 10.0
     assert inf > 0
 
 
 def test_coordinate_triangle_caricature_vanishes_on_sides():
-    fn = estimates.coordinate_triangle_caricature(math.pi / 2.0)
-    interior = estimates.caricature_eval(fn, (np.array([0.7]), np.array([0.8])))[0]
+    interior = estimates.coordinate_triangle_caricature(math.pi / 2.0, 0.7, 0.8)
     assert interior > 0
-    near_side = estimates.caricature_eval(fn, (np.array([1e-6]), np.array([0.8])))[0]
+    near_side = estimates.coordinate_triangle_caricature(math.pi / 2.0, 1e-6, 0.8)
     assert near_side < 1e-4 * interior
 
-
-def test_orthant_product_caricature_comparable():
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((4000, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    keep = np.all(pts[:, :2] > 0.05, axis=1)
-    data = bases.base_eigendata(bases.orthant_intersection(3, 2))
-    car = estimates.caricature_eval(estimates.orthant_product_caricature(2), pts[keep])
-    sup, inf = estimates.comparability_audit(data.phi0(pts[keep]), car)
-    assert sup / inf <= 10.0
