@@ -232,3 +232,14 @@ def test_coordinate_triangle_caricature_vanishes_on_sides():
     near_side = estimates.coordinate_triangle_caricature(math.pi / 2.0, 1e-6, 0.8)
     assert near_side < 1e-4 * interior
 
+
+
+def test_orthant_product_caricature_comparable():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((4000, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    keep = np.all(pts[:, :2] > 0.05, axis=1)
+    data = bases.base_eigendata(bases.orthant_intersection(3, 2))
+    car = estimates.orthant_product_caricature(2, pts[keep])
+    sup, inf = estimates.comparability_audit(data.phi0(pts[keep]), car)
+    assert sup / inf <= 10.0
