@@ -128,7 +128,11 @@ def _edge_form_gap(p, q, cond, mass, form: str) -> float:
     else:
         op = numerics.SparseSymmetricOperator.from_matrix(L)
         shift = -1e-6 * float(np.max(L.diagonal()))
-        (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift=shift)
+        # the even-numbered nodes less those joined to another: independent
+        red = np.arange(m) % 2 == 0
+        joined = red[p] & red[q]
+        red[p[joined]] = red[q[joined]] = False
+        (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift, np.flatnonzero(red))
     _kernel_check(mu1, mu2, form)
     return float(mu2)
 

@@ -240,7 +240,13 @@ def _orthant_data(base: BaseDomain) -> BaseEigenData:
 
 def _arc_data(base: BaseDomain) -> BaseEigenData:
     t1 = base.theta1
-    lam0 = (math.pi / t1) ** 2
+    try:
+        lam0 = (math.pi / t1) ** 2
+    except OverflowError:
+        lam0 = math.inf  # pi / t1 is finite, its square is not
+    if lam0 == math.inf:
+        raise OverflowError(f"arc theta1 = {t1!r}: its eigenvalue (pi/theta1)^2 overflows "
+                            "a float")
     amp = math.sqrt(2.0 / t1)
 
     def phi0(theta):

@@ -62,13 +62,27 @@ def _shell_points(r, a, b, closed=False) -> np.ndarray:
     return r
 
 
+def _in_float_range(kind: str, a: float, b: float, profile):
+    """profile(a, b) with a and b as numpy floats, so that an overflow, a
+    division by zero or an invalid result anywhere in it, scale included,
+    raises; one FloatingPointError then names the profile and the shell,
+    in place of numpy's warnings and a nan or 0 result."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return profile(np.float64(a), np.float64(b))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"the {kind} profile on the shell ({a!r}, {b!r}) cannot "
+                                 f"be computed in floats: {exc}") from None
+
+
 def thin_annulus_caricature(n: int, a: float, b: float, r) -> np.ndarray:
     """Tent profile for annuli with a/b in (1/2, 1) at radii a < r < b:
     (1/a^(n/2+1)) min(|x|-a, b-|x|) / (b/a - 1)^(3/2)."""
     radial.require_dimension(n)
     radial.require_shell(a, b)
     r = _shell_points(r, a, b)
-    return np.minimum(r - a, b - r) / ((b / a - 1.0) ** 1.5 * a ** (n / 2.0 + 1.0))
+    return _in_float_range("thin-annulus", a, b, lambda a, b: np.minimum(r - a, b - r) / (
+        (b / a - 1.0) ** 1.5 * a ** (n / 2.0 + 1.0)))
 
 
 def wide_annulus_caricature(n: int, a: float, b: float, r) -> np.ndarray:
@@ -78,8 +92,10 @@ def wide_annulus_caricature(n: int, a: float, b: float, r) -> np.ndarray:
     radial.require_shell(a, b)
     r = _shell_points(r, a, b)
     if n == 2:
-        return np.log(r / a) * (1.0 - r / b) / (b * math.log(1.0 + b / (4.0 * a)))
-    return (1.0 - (a / r) ** (n - 2)) * (1.0 - r / b) / b ** (n / 2.0)
+        return _in_float_range("wide-annulus", a, b, lambda a, b: np.log(r / a) * (1.0 - r / b)
+                               / (b * math.log(1.0 + b / (4.0 * a))))
+    return _in_float_range("wide-annulus", a, b, lambda a, b: (1.0 - (a / r) ** (n - 2))
+                           * (1.0 - r / b) / b ** (n / 2.0))
 
 
 def box_caricature(half_widths, x) -> np.ndarray:

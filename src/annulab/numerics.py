@@ -139,8 +139,7 @@ class SparseSymmetricOperator:
 
     Symmetry is checked exactly at construction: the canonical CSR arrays
     (sorted indices, duplicates summed) must equal those of the transpose,
-    the values bit for bit.  The same arrays then also hold the matrix in
-    CSC form (`csc`), with no conversion.
+    the values bit for bit.
     """
 
     matrix: sparse.csr_matrix = field(repr=False)
@@ -160,12 +159,6 @@ class SparseSymmetricOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def csc(self) -> sparse.csc_matrix:
-        """The matrix in CSC form: for a symmetric matrix, the CSR arrays."""
-        A = self.matrix
-        return sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
     @classmethod
     def from_matrix(cls, mat: sparse.spmatrix) -> "SparseSymmetricOperator":
@@ -188,30 +181,38 @@ def symmetrized_operator(p, q, cond, diag, mass) -> sparse.csr_matrix:
         shape=(len(mass), len(mass)))
 
 
-def sparse_smallest_eigenpairs(
-    op: SparseSymmetricOperator,
-    k: int,
-    shift: float = 0.0,
-):
+def sparse_smallest_eigenpairs(op: SparseSymmetricOperator, k: int, shift: float, red):
     """k smallest eigenpairs of a sparse symmetric operator.
 
     Contract: `shift` lies strictly below the spectrum, so A - shift*I is
-    symmetric positive definite.  It is factored once (a copy of the
-    operator's CSC arrays with the shift subtracted on the diagonal), with
-    a symmetric minimum-degree ordering and diagonal pivots (stable for SPD
-    matrices), and the factorization serves every step of a shift-invert block Lanczos
-    (Golub & Underwood 1977) on (A - shift*I)^{-1}: block size k, so
-    eigenvalues of multiplicity up to k are found, and full
-    reorthogonalization.  Its k Ritz values theta of largest |theta| are
-    tested after every step and it stops once each has the residual
-    estimate |B_j y_last| <= _RITZ_TOL * |theta|, or when the basis spans
-    the whole space.  The closer `shift` sits below lambda_1, the fewer
-    steps are needed.  A returned eigenvalue at or below `shift` raises
-    NonConvergenceError; a shift inside the spectrum is caught whenever an
-    eigenvalue below it is among the k nearest.  Each eigenvalue is the
-    Rayleigh quotient v.Av / v.v of its returned vector, summed by numpy,
-    not shift + 1/theta, whose rounding of about eps |A| / lambda would
-    move it with the shift.
+    symmetric positive definite, and `red` indexes an independent set R of
+    unknowns: no nonzero of A joins two of them, so the block A_RR is
+    diagonal (a ValueError says when it is not).  R is eliminated exactly
+    before anything is factored (the first level of a red-black ordering).
+    With B the other unknowns and D = A_RR - shift*I, whose entries are
+    positive, the Schur complement
+
+        S = A_BB - shift*I - A_BR D^{-1} A_RB
+
+    is formed as A_BB - shift*I - C^T C with C = D^{-1/2} A_RB and factored
+    once, with a symmetric minimum-degree ordering and diagonal pivots
+    (stable for SPD matrices).  (A - shift*I)^{-1} b is then three steps:
+    y = b_B - A_BR D^{-1} b_R, x_B = S^{-1} y, and x_R = D^{-1} (b_R - A_RB
+    x_B).  An empty `red` factors A - shift*I itself.
+
+    The solves serve every step of a shift-invert block Lanczos (Golub &
+    Underwood 1977) on (A - shift*I)^{-1}: block size k, so eigenvalues of
+    multiplicity up to k are found, and full reorthogonalization.  Its k
+    Ritz values theta of largest |theta| are tested after every step and
+    it stops once each has the residual estimate |B_j y_last| <=
+    _RITZ_TOL * |theta|, or when the basis spans the whole space.  The
+    closer `shift` sits below lambda_1, the fewer steps are needed.  A
+    diagonal entry of A_RR or a returned eigenvalue at or below `shift`
+    raises NonConvergenceError; a shift inside the spectrum is caught
+    whenever an eigenvalue below it is among the k nearest.  Each
+    eigenvalue is the Rayleigh quotient v.Av / v.v of its returned vector,
+    summed by numpy, not shift + 1/theta, whose rounding of about eps |A| /
+    lambda would move it with the shift.
 
     Lanczos starts from a fixed pseudo-random block so that repeated calls
     return the same pairs (a constant start would be orthogonal to
@@ -221,12 +222,8 @@ def sparse_smallest_eigenpairs(
     n = op.dimension
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= dimension-1 = {n - 1}, got k={k}")
-    shifted = op.csc.copy()
-    shifted.setdiag(shifted.diagonal() - shift)
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    del shifted
-    theta, vecs = _block_lanczos(lu.solve, np.random.default_rng(0).standard_normal((k, n)).T)
+    apply = _shifted_inverse(op.matrix, shift, red)
+    theta, vecs = _block_lanczos(apply, np.random.default_rng(0).standard_normal((k, n)).T)
     vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))
     av = op.matrix @ vecs
     vals = np.array([np.sum(v * w) / np.sum(v * v) for v, w in zip(vecs.T, av.T)])
@@ -245,6 +242,48 @@ def sparse_smallest_eigenpairs(
                 f"eigenpair {i} (lambda={lam:.6g}) missed the residual target", res
             )
     return vals, vecs
+
+
+def _shifted_inverse(A, shift, red):
+    """b -> (A - shift*I)^{-1} b on n x b blocks, for the canonical CSR
+    matrix A of a SparseSymmetricOperator, with the unknowns `red`
+    eliminated before SuperLU factors the Schur complement on the rest (see
+    sparse_smallest_eigenpairs)."""
+    n = A.shape[0]
+    in_red = np.zeros(n, dtype=bool)
+    in_red[red] = True
+    red, black = np.flatnonzero(in_red), np.flatnonzero(~in_red)
+    rows = A[red]
+    a_rr = rows[:, red]
+    r, c = a_rr.nonzero()
+    if np.any(r != c):
+        raise ValueError(f"the eliminated unknowns are not independent: A joins unknowns "
+                         f"{red[r[r != c][0]]} and {red[c[r != c][0]]}")
+    pivots = a_rr.diagonal() - shift
+    if np.any(pivots <= 0.0):
+        raise NonConvergenceError(
+            f"a diagonal entry of the operator is not above the shift {shift:.6g}; "
+            "the shift must lie below the spectrum", np.nan)
+    scale = 1.0 / np.sqrt(pivots)
+    coupling = rows[:, black]
+    coupling.data *= np.repeat(scale, np.diff(coupling.indptr))
+    del rows, a_rr
+    schur = A[black][:, black] - coupling.T.tocsr() @ coupling
+    schur.setdiag(schur.diagonal() - shift)
+    lu = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    del schur
+    scale = scale[:, None]
+
+    def apply(b):
+        x = np.empty_like(b)
+        t = scale * b[red]
+        x_black = lu.solve(b[black] - coupling.T @ t)
+        x[black] = x_black
+        x[red] = scale * (t - coupling @ x_black)
+        return x
+
+    return apply
 
 
 def _block_lanczos(apply, start):

@@ -228,6 +228,32 @@ def test_hke_fit_tiny_eps_is_a_numerical_failure(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "wide", "--a", "1e-308", "--b", "1e308"],
+    ["--kind", "wide", "--n", "3", "--a", "1", "--b", "1e300"],
+    ["--kind", "thin", "--a", "1e-200", "--b", "1.5e-200"],
+], ids=["wide-ratio-overflows", "wide-scale-overflows", "thin-scale-underflows"])
+def test_caricature_out_of_float_range_is_a_numerical_failure(tmp_path, capsys, argv):
+    # flags inside their domains whose profile cannot be computed in floats:
+    # one line and exit 2, not numpy warnings and a CSV of nan or inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--out", str(tmp_path), "caricature", *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "profile" in err[0]
+    assert not caught and not (tmp_path / "caricature.csv").exists()
+
+
+def test_arc_eigenvalue_overflow_names_theta1(tmp_path, capsys):
+    # theta1 = 1e-300 lies in (0, 2 pi], but (pi/theta1)^2 is past the float range
+    path = tmp_path / "arc.scenario"
+    path.write_text("kind = annulus\neps = 0.3\ntheta1 = 1e-300\n")
+    assert run(["--out", str(tmp_path / "out"), "perturb-annulus", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "theta1 = 1e-300" in err[0] and "(pi/theta1)^2" in err[0]
+
+
 @pytest.mark.parametrize("eps", ["1e-6", "3e-6"])
 def test_too_thin_annulus_heat_kernel_is_a_numerical_failure(tmp_path, capsys, eps):
     # the radial solve cannot order the base levels of so thin a shell; the

@@ -134,6 +134,17 @@ def test_tridiag_stack_refuses_bad_input(diag, offdiag, k):
             solve(diag, offdiag, k)
 
 
+def even_independent(A):
+    """The even-numbered unknowns of A less those A joins to another
+    even-numbered one: an independent set (the grid parity of laplacian_2d
+    at even n, every other node of a path or an even cycle)."""
+    A = sparse.coo_matrix(A)
+    red = np.arange(A.shape[0]) % 2 == 0
+    joined = red[A.row] & red[A.col] & (A.row != A.col) & (A.data != 0)
+    red[A.row[joined]] = False
+    return np.flatnonzero(red)
+
+
 def laplacian_2d(n):
     I = sparse.identity(n - 1)
     op1, _ = dirichlet_tridiag(n)
@@ -145,14 +156,14 @@ def test_sparse_matches_tridiag():
     op1, _ = dirichlet_tridiag(128)
     vals_t, _ = numerics.tridiag_smallest_eigenpairs(*op1, 3)
     op = numerics.SparseSymmetricOperator.from_matrix(to_sparse(op1))
-    vals_s, _ = numerics.sparse_smallest_eigenpairs(op, 3, shift=0.0)
+    vals_s, _ = numerics.sparse_smallest_eigenpairs(op, 3, 0.0, even_independent(op.matrix))
     assert vals_s == pytest.approx(vals_t, rel=1e-10)
 
 
 def test_sparse_2d_unit_square():
     A = laplacian_2d(64)
     op = numerics.SparseSymmetricOperator.from_matrix(A)
-    vals, _ = numerics.sparse_smallest_eigenpairs(op, 1, shift=0.0)
+    vals, _ = numerics.sparse_smallest_eigenpairs(op, 1, 0.0, even_independent(A))
     # O(h^2) discretization error at h = 1/64
     assert vals[0] == pytest.approx(2.0 * math.pi**2, rel=1e-3)
 
@@ -165,7 +176,7 @@ def test_sparse_kronecker_sum_additivity():
     Ib = sparse.identity(B.shape[0])
     ksum = sparse.kron(A, Ib) + sparse.kron(Ia, B)
     lam_sum = numerics.sparse_smallest_eigenpairs(
-        numerics.SparseSymmetricOperator.from_matrix(ksum), 1)[0][0]
+        numerics.SparseSymmetricOperator.from_matrix(ksum), 1, 0.0, even_independent(ksum))[0][0]
     lam_a = numerics.tridiag_smallest_eigenpairs(*opa, 1)[0][0]
     lam_b = numerics.tridiag_smallest_eigenpairs(*opb, 1)[0][0]
     assert lam_sum == pytest.approx(lam_a + lam_b, rel=1e-8)
@@ -184,13 +195,6 @@ def test_sparse_rejects_a_matrix_one_ulp_off_its_transpose():
     A[0, 1] = np.nextafter(A[0, 1], 0.0)
     with pytest.raises(ValueError, match="not exactly symmetric"):
         numerics.SparseSymmetricOperator.from_matrix(A.tocsr())
-
-
-def test_sparse_operator_csc_twin_shares_the_csr_arrays():
-    A = laplacian_2d(8)
-    op = numerics.SparseSymmetricOperator.from_matrix(A)
-    assert op.csc.format == "csc" and np.shares_memory(op.csc.data, op.matrix.data)
-    assert (op.csc != A).nnz == 0
 
 
 def test_symmetrized_operator_is_exactly_symmetric_and_matches_dense():
@@ -230,7 +234,7 @@ def test_sparse_residual_target_enforced(monkeypatch):
     op = numerics.SparseSymmetricOperator.from_matrix(to_sparse(op1))
     monkeypatch.setattr(numerics, "_RESIDUAL_TOL", 1e-30)
     with pytest.raises(numerics.NonConvergenceError):
-        numerics.sparse_smallest_eigenpairs(op, 2, shift=0.0)
+        numerics.sparse_smallest_eigenpairs(op, 2, 0.0, even_independent(op.matrix))
 
 
 def test_sparse_shift_inside_spectrum_raises():
@@ -239,7 +243,23 @@ def test_sparse_shift_inside_spectrum_raises():
     lam1 = discrete_interval_eigenvalue(1, 64)
     lam2 = discrete_interval_eigenvalue(2, 64)
     with pytest.raises(numerics.NonConvergenceError, match="below the spectrum"):
-        numerics.sparse_smallest_eigenpairs(op, 2, shift=lam1 + 0.25 * (lam2 - lam1))
+        numerics.sparse_smallest_eigenpairs(op, 2, lam1 + 0.25 * (lam2 - lam1),
+                                            even_independent(op.matrix))
+
+
+def test_sparse_refuses_an_eliminated_set_that_is_not_independent():
+    # unknowns 0 and 1 are neighbors on the grid: their block is not diagonal
+    op = numerics.SparseSymmetricOperator.from_matrix(laplacian_2d(8))
+    with pytest.raises(ValueError, match="not independent"):
+        numerics.sparse_smallest_eigenpairs(op, 1, 0.0, [0, 1, 4])
+
+
+def test_sparse_refuses_a_shift_above_an_eliminated_diagonal_entry():
+    # a diagonal entry bounds lambda_1 from above, so the shift is inside the spectrum
+    A = laplacian_2d(8)
+    op = numerics.SparseSymmetricOperator.from_matrix(A)
+    with pytest.raises(numerics.NonConvergenceError, match="below the spectrum"):
+        numerics.sparse_smallest_eigenpairs(op, 1, A.diagonal().max(), even_independent(A))
 
 
 def test_sparse_eigenvalues_do_not_move_with_the_shift():
@@ -249,8 +269,9 @@ def test_sparse_eigenvalues_do_not_move_with_the_shift():
     ksum = (sparse.kron(opa, sparse.identity(opb.shape[0]))
             + sparse.kron(sparse.identity(opa.shape[0]), opb))
     op = numerics.SparseSymmetricOperator.from_matrix(ksum)
-    lam1 = numerics.sparse_smallest_eigenpairs(op, 1)[0][0]
-    vals = np.array([numerics.sparse_smallest_eigenpairs(op, 3, shift=s * lam1)[0]
+    red = even_independent(ksum)
+    lam1 = numerics.sparse_smallest_eigenpairs(op, 1, 0.0, red)[0][0]
+    vals = np.array([numerics.sparse_smallest_eigenpairs(op, 3, s * lam1, red)[0]
                      for s in (0.0, 0.9, 1.0 - 1e-6)])
     assert np.all(np.ptp(vals, axis=0) <= 1e-13 * vals[0])
 
@@ -265,7 +286,7 @@ def cycle_laplacian(n):
 def _assert_matches_dense(A, k, shift):
     """Eigenvalues, and the spans of eigenvectors of equal eigenvalue, as dense eigh."""
     op = numerics.SparseSymmetricOperator.from_matrix(A)
-    vals, vecs = numerics.sparse_smallest_eigenpairs(op, k, shift=shift)
+    vals, vecs = numerics.sparse_smallest_eigenpairs(op, k, shift, even_independent(A))
     dense_vals, dense_vecs = eigh(A.toarray(), subset_by_index=(0, k - 1))
     scale = np.max(np.abs(dense_vals))
     assert np.allclose(vals, dense_vals, rtol=0.0, atol=1e-10 * scale)

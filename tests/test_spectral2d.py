@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -759,7 +763,8 @@ def _three_smallest_unfolded(args):
     bound = max(spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0],
                 spectral2d._column_bound(*args))
     shift = (1.0 - spectral2d._HULL_SHIFT_MARGIN) * bound
-    return numerics.sparse_smallest_eigenpairs(op, 3, shift), op
+    return numerics.sparse_smallest_eigenpairs(
+        op, 3, shift, spectral2d._red_unknowns(mask, wrap, None)), op
 
 
 def test_notched_grid_matches_dense_eigh(grid_solves):
@@ -835,3 +840,154 @@ def test_notched_box_assembly_heap_peak(monkeypatch):
         tracemalloc.stop()
     assert mask.sum() == 287793 and L.shape == (36237, 36237)
     assert peak <= 24 * 2**20
+
+
+def _plain_shifted_solve(A, shift, b):
+    """(A - shift I)^{-1} b by SuperLU on the whole operator, with the
+    driver's settings: the solve the red-black elimination replaces."""
+    shifted = sparse.csc_matrix(A - shift * sparse.identity(A.shape[0]))
+    return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve(b)
+
+
+def _random_grid_of_width(seed, n1, wrap):
+    """A random mask on 23 x n1 nodes with random row profiles."""
+    rng = np.random.default_rng(seed)
+    n0 = 23
+    return (rng.random((n0, n1)) < 0.7, rng.uniform(0.5, 2.0, n0 + 1),
+            rng.uniform(0.5, 2.0, n0), rng.uniform(0.5, 2.0, n0), wrap)
+
+
+def _folded_box_grid(monkeypatch):
+    grids = []
+
+    def keep_args(*args):
+        grids.append(args)
+        return 1.0, np.zeros(args[0].shape)
+
+    monkeypatch.setattr(spectral2d, "_assemble_and_solve", keep_args)
+    spectral2d.solve_cartesian(four_notch_box_domain(0.05), 1.0 / 64.0)
+    monkeypatch.undo()
+    return grids[0]
+
+
+@pytest.mark.parametrize("case", ["wrap-even-n1", "wrap-odd-n1", "walled", "folded-box"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_red_black_solve_equals_the_plain_solve(monkeypatch, case, seed):
+    if case == "folded-box":
+        args = _folded_box_grid(monkeypatch)
+    else:
+        args = _random_grid_of_width(seed, 25 if case == "wrap-odd-n1" else 24, case != "walled")
+    mask, cond_0, cond_1, mass, wrap = args
+    orbits = spectral2d._orbits(*args)
+    assert (orbits is not None) == (case == "folded-box")
+    A = spectral2d._grid_operator(*args, orbits)
+    red = spectral2d._red_unknowns(mask, wrap, orbits)
+    n = A.shape[0]
+    assert 0.4 * n < len(red) < 0.6 * n
+    shift = 0.5 * spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0]
+    b = np.random.default_rng(seed).standard_normal((n, 2))
+    x = numerics._shifted_inverse(A, shift, red)(b)
+    plain = _plain_shifted_solve(A, shift, b)
+    assert np.linalg.norm(x - plain) <= 1e-12 * np.linalg.norm(plain)
+
+
+def test_red_black_solve_equals_the_plain_solve_on_small_random_grids():
+    # 3-13 nodes a side, odd and even, wrapping or walled, folded when a
+    # mirror or the transpose maps the grid onto itself
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        grid = _random_grid(rng)
+        mask, cond_0, cond_1, mass, wrap = grid
+        orbits = spectral2d._orbits(*grid)
+        A = spectral2d._grid_operator(*grid, orbits)
+        if A.shape[0] < 2:
+            continue
+        red = spectral2d._red_unknowns(mask, wrap, orbits)
+        shift = 0.5 * spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0]
+        b = rng.standard_normal((A.shape[0], 1))
+        x = numerics._shifted_inverse(A, shift, red)(b)
+        plain = _plain_shifted_solve(A, shift, b)
+        assert np.linalg.norm(x - plain) <= 1e-12 * np.linalg.norm(plain)
+
+
+def test_odd_wrapping_seam_drops_its_even_pairs():
+    # (i, 0) and (i, 24) are both even for even i and face each other across
+    # theta = 0; with them kept the set is not independent
+    mask, cond_0, cond_1, mass, wrap = _random_grid_of_width(0, 25, True)
+    mask[:, 0] = mask[:, -1] = True
+    A = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
+    red = spectral2d._red_unknowns(mask, wrap, None)
+    i, j = np.divmod(np.flatnonzero(mask), 25)
+    all_even = np.flatnonzero((i + j) % 2 == 0)
+    assert len(all_even) - len(red) == 2 * len(range(0, 23, 2))
+    with pytest.raises(ValueError, match="not independent"):
+        numerics._shifted_inverse(A, 0.0, all_even)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: spectral2d.solve_polar(PERTURBED_ANNULUS, 24, 128),
+    lambda: spectral2d.solve_polar(PERTURBED_ANNULUS, 24, 127),
+    _symmetric_notched_box,
+], ids=["wrap-even-n1", "wrap-odd-n1", "folded-box"])
+def test_red_black_eigenpair_equals_the_plain_one(monkeypatch, solve):
+    calls = []
+    solver = numerics.sparse_smallest_eigenpairs
+
+    def record(*args):
+        calls.append((args, solver(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(numerics, "sparse_smallest_eigenpairs", record)
+    solve()
+    [((op, k, shift, red), (lam, vec))] = calls
+    assert len(red) > 0.4 * op.dimension
+    lam_plain, vec_plain = solver(op, k, shift, [])
+    assert lam == pytest.approx(lam_plain, rel=1e-12, abs=0.0)
+    assert np.max(np.abs(vec - vec_plain)) <= 1e-12 * np.max(np.abs(vec_plain))
+
+
+def test_superlu_factors_the_odd_unknowns_alone(monkeypatch, grid_solves, sparse_solves):
+    shapes = []
+    factor = spla.splu
+
+    def record_splu(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", record_splu)
+    _perturbed_annulus()
+    [((mask, *_, wrap), _)] = grid_solves
+    [(op, _)] = sparse_solves
+    black = op.dimension - len(spectral2d._red_unknowns(mask, wrap, None))
+    assert shapes == [(black, black)] and 0.45 * op.dimension < black < 0.55 * op.dimension
+
+
+def test_red_black_solve_bytes_do_not_depend_on_blas_threads():
+    # the same right-hand side solved in fresh interpreters at one and two
+    # BLAS threads: the elimination, the Schur complement's factor and its
+    # solves all give the same bits
+    code = """
+import hashlib, numpy as np
+from annulab import numerics, spectral2d
+grids = []
+spectral2d._sparse_ground_state = lambda *args, shift: grids.append((args, shift)) or (1.0, 0.0)
+domain = spectral2d.PolarDomain2D(r_min=lambda th: 1.0 + 0.05 * np.sin(8.0 * th),
+                                  r_max=lambda th: 1.4 + 0.05 * np.cos(5.0 * th))
+spectral2d.solve_polar(domain, 48, 384)
+[((mask, cond_0, cond_1, mass, wrap), shift)] = grids
+A = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
+red = spectral2d._red_unknowns(mask, wrap, None)
+b = np.random.default_rng(5).standard_normal((A.shape[0], 2))
+print(hashlib.sha256(numerics._shifted_inverse(A, shift, red)(b).tobytes()).hexdigest())
+"""
+    src = str(Path(spectral2d.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=300)
+        assert cp.returncode == 0, cp.stderr
+        digests.append(cp.stdout.split()[-1])
+    assert digests[0] == digests[1]
