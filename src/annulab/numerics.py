@@ -182,13 +182,17 @@ def symmetrized_operator(p, q, cond, diag, mass) -> sparse.csr_matrix:
 
 
 def sparse_smallest_eigenpairs(op: SparseSymmetricOperator, k: int, shift: float, red):
-    """k smallest eigenpairs of a sparse symmetric operator.
+    """k smallest eigenpairs of a sparse symmetric operator, 1 <= k <=
+    dimension (k = dimension, a one-unknown operator included, gives them all).
 
     Contract: `shift` lies strictly below the spectrum, so A - shift*I is
     symmetric positive definite, and `red` indexes an independent set R of
     unknowns: no nonzero of A joins two of them, so the block A_RR is
-    diagonal (a ValueError says when it is not).  R is eliminated exactly
-    before anything is factored (the first level of a red-black ordering).
+    diagonal (a ValueError says when it is not).  On grids,
+    spectral2d._grid_operator reads R from the operator's own face list:
+    the unknowns of even parity that no face joins to another.  R is
+    eliminated exactly before anything is factored (the first level of a
+    red-black ordering).
     With B the other unknowns and D = A_RR - shift*I, whose entries are
     positive, the Schur complement
 
@@ -220,8 +224,8 @@ def sparse_smallest_eigenpairs(op: SparseSymmetricOperator, k: int, shift: float
     _RESIDUAL_TOL * max(|lambda|, lambda_max_computed).
     """
     n = op.dimension
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= dimension-1 = {n - 1}, got k={k}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= dimension = {n}, got k={k}")
     apply = _shifted_inverse(op.matrix, shift, red)
     theta, vecs = _block_lanczos(apply, np.random.default_rng(0).standard_normal((k, n)).T)
     vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))

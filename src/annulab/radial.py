@@ -167,6 +167,9 @@ def solve_radial(
         raise ValueError(f"need lambda0 >= 0, got {lambda0}")
     if N < 64:
         raise ValueError(f"grid too coarse: need N >= 64, got {N}")
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"need 1 <= k <= N - 1 = {N - 1} eigenpairs of the N = {N} grid, "
+                         f"got k = {k}")
     alpha = radial_potential_coefficient(n)
     vals, grid, f, ft = _radial_stack(n, a, b, [lambda0], [k], N)
     return [RadialEigenResult(lam=float(vals[j]), grid=grid, f=f[j], ftilde=ft[j],

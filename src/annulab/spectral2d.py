@@ -286,80 +286,63 @@ def _component_count(mask, wrap):
 
 
 def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
-    """The symmetrized masked operator from the faces at its unknowns: on
-    the whole mask, or folded onto `orbits` (from _orbits) when they are
-    given.  The row profiles are read at each face's row.
+    """The symmetrized masked operator and the unknowns the eigen driver
+    eliminates, both from one face list: the faces of each orbit
+    representative (from _orbits; of every mask node when `orbits` is None)
+    to its four neighbors, periodic along a wrapping axis 1.  A face to a
+    masked-out neighbor is a wall; conductances are read at the
+    representative's row.
 
-    Unfolded, each mask node owns its faces to the neighbors at i+1 and at
-    j+1 (mod n1 when wrapping), so every face comes once; the operator is
-    numerics.symmetrized_operator of that list.  Folded, the row of orbit a
-    is read from its representative p_a alone: its diagonal and its faces
-    to all four neighbors q, each giving sqrt(|a|/|b|) L[p_a, q] at (a, b)
-    with b the orbit of q.  L commutes with the symmetries, so that is the
-    operator restricted to the functions constant on orbits, in the
-    orthonormal orbit basis (1/sqrt|b| on the nodes of b); the full
-    operator is never built.  A face to an outside node is a wall, and
-    every face loads the diagonal, walls included.
+    The operator is numerics.symmetrized_operator of the orbit-summed form:
+    orbit a gets |a| times the representative's diagonal and mass, a face
+    into orbit b carries |a| times its conductance, and a face into a's own
+    orbit comes off the diagonal.  L commutes with the symmetries, so that
+    is L on the functions constant on orbits, in the orthonormal orbit
+    basis; the full operator is never built.  Of the faces between orbits
+    a < b, only those read at a are kept, so the matrix is exactly
+    symmetric.  The 5-point graph is bipartite, so the representatives of
+    even parity i + j are independent, less both ends of every kept face
+    that joins two of them (across the seam of a wrapping axis 1 with odd
+    n1, or moved by a fold).  Returns (L, red): the CSR operator and those
+    unknowns.
     """
     n0, n1 = mask.shape
     node = np.flatnonzero(mask)
-    idx = np.full(mask.size, -1, dtype=_index_dtype(mask))
-    idx[node] = np.arange(len(node), dtype=idx.dtype)
-    at = node if orbits is None else node[orbits[0]]
+    orbit = np.full(mask.size, -1, dtype=_index_dtype(mask))
+    if orbits is None:
+        at, size = node, np.ones(len(node))
+        orbit[node] = np.arange(len(node), dtype=orbit.dtype)
+    else:
+        reps, oid, size = orbits
+        at = node[reps]
+        orbit[node] = oid
     i, j = np.divmod(at, n1)
     # (whether the neighbor lies on the grid, its flat offset, the face
     # conductance by the row of `at`)
     steps = [(i < n0 - 1, n1, cond_0[1:]),
-             (wrap | (j < n1 - 1), np.where(j < n1 - 1, 1, 1 - n1), cond_1)]
-    if orbits is not None:
-        steps += [(i > 0, -n1, cond_0[:-1]),
-                  (wrap | (j > 0), np.where(j > 0, -1, n1 - 1), cond_1)]
+             (wrap | (j < n1 - 1), np.where(j < n1 - 1, 1, 1 - n1), cond_1),
+             (i > 0, -n1, cond_0[:-1]),
+             (wrap | (j > 0), np.where(j > 0, -1, n1 - 1), cond_1)]
     faces = []
     for on_grid, offset, cond in steps:
         pos = np.flatnonzero(on_grid)
-        q = idx[at[pos] + (offset[pos] if np.ndim(offset) else offset)]
-        inside = q >= 0
-        pos = pos[inside]
-        faces.append((pos, q[inside], cond[i[pos]]))
-    near, far, c = (np.concatenate(x) for x in zip(*faces))
-    del idx, j, steps, faces
-    diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[i]
-    if orbits is None:
-        return numerics.symmetrized_operator(near, far, c, diag, mass[i])
-    _, oid, size = orbits
-    d = 1.0 / np.sqrt(mass)
-    a, b = near, oid[far]
-    own = np.arange(len(at))
-    vals = np.concatenate([d[i] * diag * d[i],
-                           np.sqrt(size[a] / size[b]) * (d[i[near]] * -c * d[node[far] // n1])])
-    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
-                          shape=(len(at), len(at)))
-    # (a, b) and (b, a) are read from different representatives and agree up
-    # to rounding; their mean is exactly symmetric, as the operator requires
-    return (L + L.T) / 2.0
-
-
-def _red_unknowns(mask, wrap, orbits):
-    """The unknowns at nodes of even parity i + j, read at the orbit
-    representatives when the grid folds, less those with a face to another
-    even node: an independent set of the operator's unknowns, which the
-    eigen driver eliminates before it factors.
-
-    A face joins nodes of opposite parity, except across the seam of a
-    wrapping axis 1 with odd n1: (i, 0) and (i, n1 - 1) are both even for
-    even i, and both are dropped.  A fold reads a face from representative
-    p to the representative of its neighbor q; a mirror of even length
-    flips parity, but it moves q only when q is the mirror image of p, so
-    that face lands on the diagonal.
-    """
-    n1 = mask.shape[1]
-    node = np.flatnonzero(mask)
-    at = node if orbits is None else node[orbits[0]]
-    i, j = np.divmod(at, n1)
+        b = orbit[at[pos] + (offset[pos] if np.ndim(offset) else offset)]
+        # representative `pos` is orbit `pos`: a face into a lower orbit is
+        # kept there, and a wall (b = -1) only loads the diagonal
+        kept = b >= pos
+        pos = pos[kept]
+        faces.append((pos, b[kept], size[pos] * cond[i[pos]]))
+    a, b, c = (np.concatenate(x) for x in zip(*faces))
+    del orbit, steps, faces
+    own = a == b
+    diag = size * (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[i]
+    diag -= np.bincount(a[own], c[own], minlength=len(at))
+    a, b, c = a[~own], b[~own], c[~own]
+    L = numerics.symmetrized_operator(a, b, c, diag, size * mass[i])
     even = (i + j) % 2 == 0
-    if wrap and n1 % 2:
-        even &= ~(((j == 0) & mask[i, -1]) | ((j == n1 - 1) & mask[i, 0]))
-    return np.flatnonzero(even)
+    joined = even[a] & even[b]
+    even[a[joined]] = even[b[joined]] = False
+    return L, np.flatnonzero(even)
 
 
 def _sparse_ground_state(mask, cond_0, cond_1, mass, wrap, shift):
@@ -370,9 +353,9 @@ def _sparse_ground_state(mask, cond_0, cond_1, mass, wrap, shift):
     if count > 1:
         raise DisconnectedDomainError(f"masked grid splits into {count} components")
     orbits = _orbits(mask, cond_0, cond_1, mass, wrap)
-    L = _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
+    L, red = _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
-    lam, psi = numerics.sparse_smallest_eigenpairs(op, 1, shift, _red_unknowns(mask, wrap, orbits))
+    lam, psi = numerics.sparse_smallest_eigenpairs(op, 1, shift, red)
     if orbits is None:
         return float(lam[0]), psi[:, 0]
     _, oid, size = orbits
@@ -395,15 +378,16 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap):
     separation (_hull_ground_state); a grid that is mirror symmetric along
     a non-wrapping axis, or square, non-wrapping, with constant equal
     conductances and symmetric under the x<->y transpose, by shift-invert
-    Lanczos on the subspace invariant under those symmetries, with the
-    folded operator assembled from one row per orbit (_orbits,
-    _grid_operator; the four-notch box folds by all 8 symmetries of the
-    square); any other grid by shift-invert Lanczos on the whole mask.
-    Lanczos (numerics.sparse_smallest_eigenpairs) runs from just below the
-    larger of two lower bounds of lambda_1, the hull eigenvalue and the
-    column bound (_column_bound), and stops once its Ritz pair converges;
-    the closer the shift, the fewer LU solves.  The 5-point graph is
-    bipartite, so the unknowns of even parity i + j (_red_unknowns) have a
+    Lanczos on the subspace invariant under those symmetries (_orbits; the
+    four-notch box folds by all 8 symmetries of the square); any other grid
+    by shift-invert Lanczos on the whole mask.  Both read one face list,
+    the four faces of every orbit representative (of every mask node
+    unfolded), which gives the operator and the unknowns of even parity
+    i + j that no kept face joins (_grid_operator).  Lanczos
+    (numerics.sparse_smallest_eigenpairs) runs from just below the larger
+    of two lower bounds of lambda_1, the hull eigenvalue and the column
+    bound (_column_bound), and stops once its Ritz pair converges; the
+    closer the shift, the fewer LU solves.  The even unknowns have a
     diagonal block: the driver divides them out exactly and SuperLU factors
     the Schur complement on the odd unknowns alone, which has about half
     the unknowns and less fill than the shifted operator.  Returns (lambda_1, phi):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -53,6 +54,27 @@ def test_sector_csv_row(tmp_path):
     row = lines[2].split(",")
     pred = float(row[header.index("predicted_ratio")])
     assert pred == pytest.approx(4096.0)
+
+
+def test_solve_count_error_names_both_flags(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "solve", "--count", "2000", "--grid", "64"]) == 1
+    err = capsys.readouterr().err
+    assert "--count" in err and "--grid 64" in err and "63" in err
+
+
+@pytest.mark.parametrize("nodes", ["1", "4", "64"])
+def test_sector_fails_the_doubling_checks_of_flagged_rows(tmp_path, nodes):
+    # too few nodes: the refinement check flags every row, and the ratios
+    # read from those quadratures must not pass
+    code = run(["--out", str(tmp_path), "sector", "--beta", "0.2,0.125", "--nodes", nodes])
+    doc = read_summary(tmp_path, "sector")
+    checks = [(c["name"], c["status"]) for c in doc["checks"]]
+    assert checks[0][0] == "ratio_increasing"
+    assert checks[1:] == [("doubling_ratio_beta_0.2", "fail"), ("doubling_ratio_beta_0.125", "fail")]
+    assert code == 2
+    with open(tmp_path / "sector.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["flag"] for row in rows] == ["quadrature_not_converged"] * 2
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -138,6 +160,7 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["perturb-annulus", "--eps", "inf"], id="perturb-annulus-eps-inf"),
     pytest.param(["solve", "--nope"], id="solve-unknown-flag"),
     pytest.param(["pi-audit", "--window", "0.1"], id="pi-audit-window-one-token"),
+    pytest.param(["solve", "--count", "2000", "--grid", "64"], id="solve-count-past-grid"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]

@@ -317,6 +317,16 @@ def test_sparse_unit_square_finds_the_double_eigenvalue():
     _assert_matches_dense(laplacian_2d(16), 3, shift=0.0)
 
 
+def test_sparse_returns_every_eigenpair_when_k_is_the_dimension():
+    # block Lanczos stops once its basis spans the space: k = n is allowed
+    A = sparse.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -0.5], [0.0, -0.5, 1.5]]))
+    vals = _assert_matches_dense(A, 3, shift=0.0)
+    assert len(vals) == 3
+    op = numerics.SparseSymmetricOperator.from_matrix(A)
+    with pytest.raises(ValueError, match="1 <= k <= dimension = 3"):
+        numerics.sparse_smallest_eigenpairs(op, 4, 0.0, [])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(5, 80), st.integers(1, 4),
        st.sampled_from([1e-3, 0.5, 5.0]))

@@ -62,6 +62,14 @@ def test_higher_modes_interlace_and_grow():
         assert (j * math.pi) ** 2 - 0.25 <= lam <= (j * math.pi) ** 2
 
 
+def test_solve_radial_takes_k_up_to_the_interior_nodes_of_its_grid():
+    # the N = 64 grid has 63 interior nodes, so 63 eigenpairs at most
+    assert len(radial.solve_radial(2, 1.0, 2.0, 0.0, N=64, k=63)) == 63
+    for k in (0, 64, 2000):
+        with pytest.raises(ValueError, match=f"need 1 <= k <= N - 1 = 63 .* got k = {k}$"):
+            radial.solve_radial(2, 1.0, 2.0, 0.0, N=64, k=k)
+
+
 @pytest.mark.parametrize("base", [
     bases.circle_arc(math.pi),
     bases.circle_arc(3.0 * math.pi / 4.0),

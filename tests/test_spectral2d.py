@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -550,7 +551,7 @@ def test_folded_operator_equals_the_orbit_basis_projection(grid):
     d = sparse.diags(1.0 / np.sqrt(M.diagonal()))
     S = _orbit_basis(label, count)
     projected = (S.T @ (d @ K @ d) @ S).toarray()
-    folded = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, (reps, oid, size))
+    folded, _ = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, (reps, oid, size))
     assert (folded != folded.T).nnz == 0
     assert np.allclose(folded.toarray(), projected, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(projected)))
@@ -559,8 +560,11 @@ def test_folded_operator_equals_the_orbit_basis_projection(grid):
 def _face_list_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     """The grid operator assembled from the face list of the whole mask:
     every node's faces to i+1 and to j+1 (mod n1 when wrapping), then
-    numerics.symmetrized_operator of that list, or its fold read from every
-    end of a face that is an orbit representative."""
+    numerics.symmetrized_operator of that list, or of the form summed over
+    orbit pairs.  Folded, an orbit's diagonal and mass are the sums over its
+    nodes, the faces between two orbits sum their conductances, and a face
+    inside one orbit comes off its diagonal twice, once per entry.  Each sum
+    is correctly rounded (math.fsum), so it is exact when its terms are."""
     m = int(mask.sum())
     rows = np.nonzero(mask)[0]
     idx = -np.ones(mask.shape, dtype=np.int64)
@@ -575,19 +579,24 @@ def _face_list_operator(mask, cond_0, cond_1, mass, wrap, orbits):
     diag = (((cond_0[1:] + cond_0[:-1]) + cond_1) + cond_1)[rows]
     if orbits is None:
         return numerics.symmetrized_operator(p, q, c, diag, mass[rows])
-    reps, oid, size = orbits
-    d = 1.0 / np.sqrt(mass[rows])
-    is_rep = np.zeros(m, dtype=bool)
-    is_rep[reps] = True
-    at_p, at_q = is_rep[p], is_rep[q]
-    near, far, cf = (np.concatenate([x[at_p], y[at_q]]) for x, y in ((p, q), (q, p), (c, c)))
-    a, b = oid[near], oid[far]
-    own = np.arange(len(reps))
-    vals = np.concatenate([d[reps] * diag[reps] * d[reps],
-                           np.sqrt(size[a] / size[b]) * (d[near] * -cf * d[far])])
-    L = sparse.csr_matrix((vals, (np.concatenate([own, a]), np.concatenate([own, b]))),
-                          shape=(len(reps), len(reps)))
-    return (L + L.T) / 2.0
+    _, oid, size = orbits
+    diag_terms, mass_terms = [[] for _ in size], [[] for _ in size]
+    pair_terms = defaultdict(list)
+    for node, orbit in enumerate(oid):
+        diag_terms[orbit].append(diag[node])
+        mass_terms[orbit].append(mass[rows[node]])
+    for a, b, cf in zip(oid[p], oid[q], c):
+        if a == b:
+            diag_terms[a] += [-cf, -cf]
+        else:
+            pair_terms[min(a, b), max(a, b)].append(cf)
+    pairs = np.array(list(pair_terms), dtype=np.int64).reshape(-1, 2)
+
+    def fsum(groups):
+        return np.array([math.fsum(terms) for terms in groups])
+
+    return numerics.symmetrized_operator(pairs[:, 0], pairs[:, 1], fsum(pair_terms.values()),
+                                         fsum(diag_terms), fsum(mass_terms))
 
 
 def _assert_within_one_ulp(L, oracle):
@@ -607,7 +616,7 @@ def test_grid_operator_matches_the_face_list_oracle(grid):
     mask, cond_0, cond_1, mass, wrap, _ = grid
     orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
     for fold in (None, orbits):
-        _assert_within_one_ulp(spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, fold),
+        _assert_within_one_ulp(spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, fold)[0],
                                _face_list_operator(mask, cond_0, cond_1, mass, wrap, fold))
 
 
@@ -615,8 +624,36 @@ def test_grid_operator_matches_the_face_list_oracle_on_random_grids():
     rng = np.random.default_rng(23)
     for _ in range(200):
         grid = _random_grid(rng)
-        _assert_within_one_ulp(spectral2d._grid_operator(*grid, None),
+        _assert_within_one_ulp(spectral2d._grid_operator(*grid, None)[0],
                                _face_list_operator(*grid, None))
+
+
+@pytest.mark.parametrize("cells", [[(2, 3)], [(2, 2)], [(2, 3), (2, 4)]],
+                         ids=["one-odd-node", "one-even-node", "two-nodes"])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_polar_masks_of_one_or_two_nodes_match_the_closed_form(cells, wrap):
+    # a lone node keeps its diagonal, 2/hr^2 + 2/(r ht)^2; two nodes of one
+    # row share an angular face, which takes 1/(r ht)^2 off it
+    mask = np.zeros((5, 7), dtype=bool)
+    mask[tuple(np.transpose(cells))] = True
+    window = 2.0 * math.pi if wrap else math.pi
+    sol = spectral2d.solve_polar_mask(mask, (1.0, 2.0), (0.0, window), wrap)
+    hr, ht = 1.0 / 6.0, window / (7 if wrap else 8)
+    r = 1.0 + 3.0 * hr
+    expected = 2.0 / hr**2 + (3 - len(cells)) / (r * ht) ** 2
+    assert sol.eigenvalue == pytest.approx(expected, rel=1e-12)
+    assert np.all(sol.phi[mask] > 0.0) and np.all(sol.phi[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("y_hi, nodes", [(0.01, 1), (0.13, 2)])
+def test_cartesian_masks_of_one_or_two_nodes_match_the_closed_form(y_hi, nodes):
+    # h = 1/8: a lone node gives 4/h^2, two nodes along y share a face, 3/h^2
+    domain = spectral2d.CartesianDomain2D(
+        indicator=lambda X, Y: (np.abs(X) < 0.01) & (Y > -0.01) & (Y < y_hi),
+        bbox=(-1.0, 1.0, -1.0, 1.0))
+    sol = spectral2d.solve_cartesian(domain, 1.0 / 8.0)
+    assert sol.mask.sum() == nodes
+    assert sol.eigenvalue == pytest.approx((5 - nodes) * 64.0, rel=1e-12)
 
 
 def _node_graph_components(mask, wrap):
@@ -660,7 +697,7 @@ def test_mirror_image_pieces_raise_although_their_fold_is_connected(sparse_solve
     cond_0, cond_1, mass = np.linspace(1.0, 2.0, 10), 1.0 / r, r
     orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, False)
     assert orbits is not None and len(orbits[0]) == mask.sum() // 2
-    folded = spectral2d._grid_operator(mask, cond_0, cond_1, mass, False, orbits)
+    folded, _ = spectral2d._grid_operator(mask, cond_0, cond_1, mass, False, orbits)
     assert connected_components(folded, directed=False)[0] == 1
     assert spectral2d._component_count(mask, False) == 2
     with pytest.raises(spectral2d.DisconnectedDomainError, match="2 components"):
@@ -758,13 +795,12 @@ def _three_smallest_unfolded(args):
     """The three smallest eigenpairs of a grid's whole-mask operator by block
     Lanczos from the shift _assemble_and_solve uses, with the operator."""
     mask, cond_0, cond_1, mass, wrap = args
-    L = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
+    L, red = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
     op = numerics.SparseSymmetricOperator.from_matrix(L)
     bound = max(spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0],
                 spectral2d._column_bound(*args))
     shift = (1.0 - spectral2d._HULL_SHIFT_MARGIN) * bound
-    return numerics.sparse_smallest_eigenpairs(
-        op, 3, shift, spectral2d._red_unknowns(mask, wrap, None)), op
+    return numerics.sparse_smallest_eigenpairs(op, 3, shift, red), op
 
 
 def test_notched_grid_matches_dense_eigh(grid_solves):
@@ -819,9 +855,9 @@ def test_mask_connected_only_across_theta_zero_is_solved(grid_solves):
 
 def test_notched_box_assembly_heap_peak(monkeypatch):
     # the h = 1/256 perturb-box grid: 287,793 mask nodes fold onto 36,237
-    # unknowns.  The orbits and the folded operator peak at 19.1 MiB of
+    # unknowns.  The orbits and the folded operator peak at 15.9 MiB of
     # Python heap (tracemalloc; 54.9 MiB when every mask node's faces and a
-    # node-level connectivity graph were built); the bound leaves 25% margin
+    # node-level connectivity graph were built); the bound leaves 50% margin
     grids = []
 
     def keep_args(*args):
@@ -834,7 +870,7 @@ def test_notched_box_assembly_heap_peak(monkeypatch):
     tracemalloc.start()
     try:
         orbits = spectral2d._orbits(mask, cond_0, cond_1, mass, wrap)
-        L = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
+        L, _ = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, orbits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -881,8 +917,7 @@ def test_red_black_solve_equals_the_plain_solve(monkeypatch, case, seed):
     mask, cond_0, cond_1, mass, wrap = args
     orbits = spectral2d._orbits(*args)
     assert (orbits is not None) == (case == "folded-box")
-    A = spectral2d._grid_operator(*args, orbits)
-    red = spectral2d._red_unknowns(mask, wrap, orbits)
+    A, red = spectral2d._grid_operator(*args, orbits)
     n = A.shape[0]
     assert 0.4 * n < len(red) < 0.6 * n
     shift = 0.5 * spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0]
@@ -900,10 +935,9 @@ def test_red_black_solve_equals_the_plain_solve_on_small_random_grids():
         grid = _random_grid(rng)
         mask, cond_0, cond_1, mass, wrap = grid
         orbits = spectral2d._orbits(*grid)
-        A = spectral2d._grid_operator(*grid, orbits)
+        A, red = spectral2d._grid_operator(*grid, orbits)
         if A.shape[0] < 2:
             continue
-        red = spectral2d._red_unknowns(mask, wrap, orbits)
         shift = 0.5 * spectral2d._hull_ground_state(cond_0, cond_1, mass, mask.shape[1], wrap)[0]
         b = rng.standard_normal((A.shape[0], 1))
         x = numerics._shifted_inverse(A, shift, red)(b)
@@ -916,8 +950,7 @@ def test_odd_wrapping_seam_drops_its_even_pairs():
     # theta = 0; with them kept the set is not independent
     mask, cond_0, cond_1, mass, wrap = _random_grid_of_width(0, 25, True)
     mask[:, 0] = mask[:, -1] = True
-    A = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
-    red = spectral2d._red_unknowns(mask, wrap, None)
+    A, red = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
     i, j = np.divmod(np.flatnonzero(mask), 25)
     all_even = np.flatnonzero((i + j) % 2 == 0)
     assert len(all_even) - len(red) == 2 * len(range(0, 23, 2))
@@ -957,9 +990,9 @@ def test_superlu_factors_the_odd_unknowns_alone(monkeypatch, grid_solves, sparse
 
     monkeypatch.setattr(spla, "splu", record_splu)
     _perturbed_annulus()
-    [((mask, *_, wrap), _)] = grid_solves
+    [(args, _)] = grid_solves
     [(op, _)] = sparse_solves
-    black = op.dimension - len(spectral2d._red_unknowns(mask, wrap, None))
+    black = op.dimension - len(spectral2d._grid_operator(*args, None)[1])
     assert shapes == [(black, black)] and 0.45 * op.dimension < black < 0.55 * op.dimension
 
 
@@ -976,8 +1009,7 @@ domain = spectral2d.PolarDomain2D(r_min=lambda th: 1.0 + 0.05 * np.sin(8.0 * th)
                                   r_max=lambda th: 1.4 + 0.05 * np.cos(5.0 * th))
 spectral2d.solve_polar(domain, 48, 384)
 [((mask, cond_0, cond_1, mass, wrap), shift)] = grids
-A = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
-red = spectral2d._red_unknowns(mask, wrap, None)
+A, red = spectral2d._grid_operator(mask, cond_0, cond_1, mass, wrap, None)
 b = np.random.default_rng(5).standard_normal((A.shape[0], 2))
 print(hashlib.sha256(numerics._shifted_inverse(A, shift, red)(b).tobytes()).hexdigest())
 """
