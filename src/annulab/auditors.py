@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import geometry, numerics, radial, specfun
 
@@ -116,23 +115,20 @@ def _kernel_check(mu1: float, mu2: float, form: str) -> None:
 
 def _edge_form_gap(p, q, cond, mass, form: str) -> float:
     """mu_2 of K f = mu M f for the zero-flux form with conductances cond on
-    the edges (p, q): K has the row sums of its edges on the diagonal, so the
-    constants span its kernel, which mu_1 must confirm."""
+    the edges (p, q), by the sparse driver at every size: K has its row sums
+    on the diagonal, so the constants span its kernel, which mu_1 must confirm."""
     m = len(mass)
     if m < 2:
         return math.nan
     diag = np.bincount(np.concatenate([p, q]), np.concatenate([cond, cond]), minlength=m)
     L = numerics.symmetrized_operator(p, q, cond, diag, mass)
-    if m <= 400:
-        mu1, mu2 = eigh(L.toarray(), eigvals_only=True, subset_by_index=(0, 1))
-    else:
-        op = numerics.SparseSymmetricOperator.from_matrix(L)
-        shift = -1e-6 * float(np.max(L.diagonal()))
-        # the even-numbered nodes less those joined to another: independent
-        red = np.arange(m) % 2 == 0
-        joined = red[p] & red[q]
-        red[p[joined]] = red[q[joined]] = False
-        (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift, np.flatnonzero(red))
+    op = numerics.SparseSymmetricOperator.from_matrix(L)
+    shift = -1e-6 * float(np.max(L.diagonal()))
+    # the even-numbered nodes less those joined to another: independent
+    red = np.arange(m) % 2 == 0
+    joined = red[p] & red[q]
+    red[p[joined]] = red[q[joined]] = False
+    (mu1, mu2), _ = numerics.sparse_smallest_eigenpairs(op, 2, shift, np.flatnonzero(red))
     _kernel_check(mu1, mu2, form)
     return float(mu2)
 

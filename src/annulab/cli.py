@@ -3,7 +3,8 @@
 One subcommand per solver/audit; every run writes `<out>/<command>.csv`
 (17-significant-digit scientific notation, a `#` config-echo line, then the
 header row) and `<out>/<command>_summary.json` (schema-versioned, sorted
-keys).  Outputs are byte-identical for identical configs.
+keys).  Outputs are byte-identical for identical configs, in one process
+or across processes, at any BLAS thread count.
 `report` aggregates previously written JSON summaries into one pass/fail
 table.
 
@@ -322,10 +323,10 @@ def _cmd_box_kernel(args):
 
 
 def _cmd_hke_fit(args):
-    eps = args.eps
+    eps2 = numerics.finite_square(args.eps, "--eps")
     diam2 = math.pi**2
-    t_grid = [eps**2, 4 * eps**2, 0.1 * diam2, diam2]
-    spec, spectrum = _annulus_spectrum_for(eps, min(t_grid))
+    t_grid = [eps2, 4 * eps2, 0.1 * diam2, diam2]
+    spec, spectrum = _annulus_spectrum_for(args.eps, min(t_grid))
     weight = geometry.dirichlet_weight(spec)
     audit = heatkernel.gaussian_hke_audit(spec, t_grid, weight, spectrum)
     if audit.get("degenerate"):

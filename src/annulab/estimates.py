@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import radial
+from . import numerics, radial
 
 __all__ = [
     "BoundsReport",
@@ -179,7 +179,7 @@ def annulus_eigenvalue_coefficients(n: int, x: float) -> tuple[float, float]:
     q = (n - 1) * (n - 3) / 4.0
     pi2 = math.pi**2
     shrink = (1.0 - 1.0 / x) ** 2
-    grow = (x - 1.0) ** 2
+    grow = numerics.finite_square(x - 1.0, "the radius ratio less one, b/a - 1")
     if n >= 3:
         c1 = max(n * pi2 / 4.0 * shrink, pi2 + q * shrink)
         c2 = min((n * math.pi) ** 2, pi2 + q * grow)
@@ -194,8 +194,8 @@ def annulus_eigenvalue_bounds(n: int, a: float, b: float) -> BoundsReport:
     value is filled with the solver's answer for the pass flag."""
     radial.require_shell(a, b)
     c1, c2 = annulus_eigenvalue_coefficients(n, b / a)
-    lo = c1 / (b - a) ** 2
-    hi = c2 / (b - a) ** 2
+    width2 = numerics.finite_square(b - a, "the shell width b - a")
+    lo, hi = c1 / width2, c2 / width2
     lam = radial.solve_radial(n, a, b, 0.0, N=1024, k=1)[0].lam
     return BoundsReport.check(
         f"annulus eigenvalue n={n} a={a:g} b={b:g}", lam, lo, hi,

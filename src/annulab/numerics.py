@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import qr
 from scipy.linalg.lapack import dstebz, dstein
 
 __all__ = [
@@ -22,6 +21,7 @@ __all__ = [
     "tridiag_smallest_eigenpairs",
     "tridiag_smallest_eigenvalues",
     "sparse_smallest_eigenpairs",
+    "finite_square",
     "bilinear",
     "bilinear_on_grid",
     "integrate_samples",
@@ -186,56 +186,44 @@ def sparse_smallest_eigenpairs(op: SparseSymmetricOperator, k: int, shift: float
     dimension (k = dimension, a one-unknown operator included, gives them all).
 
     Contract: `shift` lies strictly below the spectrum, so A - shift*I is
-    symmetric positive definite, and `red` indexes an independent set R of
-    unknowns: no nonzero of A joins two of them, so the block A_RR is
-    diagonal (a ValueError says when it is not).  On grids,
-    spectral2d._grid_operator reads R from the operator's own face list:
-    the unknowns of even parity that no face joins to another.  R is
-    eliminated exactly before anything is factored (the first level of a
-    red-black ordering).
-    With B the other unknowns and D = A_RR - shift*I, whose entries are
-    positive, the Schur complement
+    SPD, and `red` indexes an independent set R of unknowns: no nonzero of A
+    joins two of them, so A_RR is diagonal (a ValueError says when it is
+    not; on grids, spectral2d._grid_operator reads R from its face list).
+    R is eliminated exactly, the first level of a red-black ordering: with
+    B the other unknowns and D = A_RR - shift*I, the Schur complement S =
+    A_BB - shift*I - C^T C, C = D^{-1/2} A_RB, is factored once with a
+    symmetric minimum-degree ordering and diagonal pivots (stable for SPD
+    matrices), and (A - shift*I)^{-1} b is y = b_B - A_BR D^{-1} b_R, x_B =
+    S^{-1} y, x_R = D^{-1} (b_R - A_RB x_B).  An empty `red` factors A -
+    shift*I itself.
 
-        S = A_BB - shift*I - A_BR D^{-1} A_RB
-
-    is formed as A_BB - shift*I - C^T C with C = D^{-1/2} A_RB and factored
-    once, with a symmetric minimum-degree ordering and diagonal pivots
-    (stable for SPD matrices).  (A - shift*I)^{-1} b is then three steps:
-    y = b_B - A_BR D^{-1} b_R, x_B = S^{-1} y, and x_R = D^{-1} (b_R - A_RB
-    x_B).  An empty `red` factors A - shift*I itself.
-
-    The solves serve every step of a shift-invert block Lanczos (Golub &
-    Underwood 1977) on (A - shift*I)^{-1}: block size k, so eigenvalues of
-    multiplicity up to k are found, and full reorthogonalization.  Its k
-    Ritz values theta of largest |theta| are tested after every step and
-    it stops once each has the residual estimate |B_j y_last| <=
-    _RITZ_TOL * |theta|, or when the basis spans the whole space.  The
-    closer `shift` sits below lambda_1, the fewer steps are needed.  A
-    diagonal entry of A_RR or a returned eigenvalue at or below `shift`
+    The solves drive a shift-invert block Lanczos (Golub & Underwood 1977;
+    _block_lanczos) of block size k, so multiplicities up to k are found,
+    from a fixed pseudo-random start block (a constant one would miss the
+    antisymmetric modes); the closer `shift` sits below lambda_1, the fewer
+    steps.  A diagonal entry of D or an eigenvalue at or below `shift`
     raises NonConvergenceError; a shift inside the spectrum is caught
-    whenever an eigenvalue below it is among the k nearest.  Each
-    eigenvalue is the Rayleigh quotient v.Av / v.v of its returned vector,
-    summed by numpy, not shift + 1/theta, whose rounding of about eps |A| /
-    lambda would move it with the shift.
-
-    Lanczos starts from a fixed pseudo-random block so that repeated calls
-    return the same pairs (a constant start would be orthogonal to
-    antisymmetric modes).  Each returned pair satisfies |Av - lambda v| <=
-    _RESIDUAL_TOL * max(|lambda|, lambda_max_computed).
+    whenever an eigenvalue below it is among the k nearest.  Eigenvalues are
+    Rayleigh quotients v.Av / v.v, which do not move with the shift's
+    rounding, and each pair has |Av - lambda v| <= _RESIDUAL_TOL * max(|lambda|,
+    lambda_max_computed).  Every sum over the n unknowns, here and in
+    Lanczos, is numpy's, never a BLAS reduction, whose order may follow the
+    thread count, so the pairs are the same to the bit at any BLAS thread
+    count (the one LAPACK call is eigh of the small projection).
     """
     n = op.dimension
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= dimension = {n}, got k={k}")
     apply = _shifted_inverse(op.matrix, shift, red)
     theta, vecs = _block_lanczos(apply, np.random.default_rng(0).standard_normal((k, n)).T)
-    vecs = _fix_signs(vecs / np.linalg.norm(vecs, axis=0))
+    vecs = _fix_signs(vecs / _norms(vecs))
     av = op.matrix @ vecs
     vals = np.array([np.sum(v * w) / np.sum(v * v) for v, w in zip(vecs.T, av.T)])
     order = np.argsort(vals)
     vals, vecs, av = vals[order], vecs[:, order], av[:, order]
     scale = np.max(np.abs(vals))
     for i, lam in enumerate(vals):
-        res = np.linalg.norm(av[:, i] - lam * vecs[:, i])
+        res = float(_norms(av[:, i] - lam * vecs[:, i]))
         if lam <= shift:
             raise NonConvergenceError(
                 f"eigenvalue {i} (lambda={lam:.6g}) is not above the shift {shift:.6g}; "
@@ -290,61 +278,83 @@ def _shifted_inverse(A, shift, red):
     return apply
 
 
-def _block_lanczos(apply, start):
-    """The k = start.shape[1] Ritz pairs of largest |theta| of the symmetric
-    map `apply` (n x b blocks to n x b blocks), by block Lanczos from `start`.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Column norms (a vector's as a 0-d array) by numpy's own sums."""
+    return np.sqrt(np.einsum("i...,i...->...", x, x))
 
-    The basis is kept in a preallocated array that doubles when full.  Each
-    new block is orthogonalized against the whole basis twice (classical
-    Gram-Schmidt; the first pass holds the three-term recurrence, its
-    coefficients on the newest block give the diagonal block A_j).  Stops
-    when each wanted pair has |B_j y_last| <= _RITZ_TOL * |theta| (B_j the
-    newest subdiagonal block, y_last the entries of the Ritz vector in the
-    block tridiagonal projection that belong to the newest block), or when
-    the basis spans all n dimensions; the block that would pass n columns
-    is cut to fit, so the last Ritz pairs are exact.  Returns (theta,
-    ritz_vectors)."""
+
+def _gram_schmidt(basis, m, w):
+    """Orthonormalize the columns of w against basis[:, :m] and each other,
+    into basis[:, m:]: classical Gram-Schmidt applied twice, column by column
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), with numpy's
+    einsum for every sum over n.  Returns (coef, r): coef = basis[:, :m]^T w
+    from the first pass, and r (kept x b, upper triangular) with w less its
+    part in basis[:, :m] equal to basis[:, m:m + kept] @ r.  A column with
+    no more than machine epsilon of its norm left is rounding and is
+    dropped, as is any column past n."""
+    n, b = w.shape
+    coef, r, kept = np.empty((m, b)), np.zeros((b, b)), 0
+    for j in range(b):
+        v = w[:, j].copy()
+        span = basis[:, :m + kept]
+        for sweep in range(2):
+            c = np.einsum("ij,i->j", span, v)
+            v -= np.einsum("ij,j->i", span, c)
+            if sweep == 0:
+                coef[:, j] = c[:m]
+            r[:kept, j] += c[m:]
+        norm = _norms(v)
+        if norm > np.finfo(float).eps * _norms(w[:, j]) and m + kept < n:
+            basis[:, m + kept] = v / norm
+            r[kept, j] = norm
+            kept += 1
+    return coef, r[:kept]
+
+
+def _block_lanczos(apply, start):
+    """The k = start.shape[1] Ritz pairs (theta, vectors) of largest |theta|
+    of the symmetric map `apply` (n x b blocks to n x b blocks), by block
+    Lanczos from `start` with full reorthogonalization: _gram_schmidt
+    orthonormalizes every block against the basis (a preallocated array that
+    doubles when full), and its first-pass coefficients on the newest block
+    give the diagonal block A_j.  Stops when each wanted pair has |B_j
+    y_last| <= _RITZ_TOL * |theta| (B_j the newest subdiagonal block, y_last
+    the Ritz vector's entries on the newest block), or when a new block
+    keeps no column: the basis then spans an invariant subspace (all n
+    dimensions at the latest), and the Ritz pairs are exact."""
     n, k = start.shape
     cap = min(n, 16 * k)
     basis = np.empty((n, cap), order="F")
     proj = np.zeros((cap, cap))
-    block, _ = qr(start, mode="economic", check_finite=False)
+    b = len(_gram_schmidt(basis, 0, start)[1])
     m = 0
     while True:
-        b = block.shape[1]
-        basis[:, m:m + b] = block
-        w = apply(block)
-        span = basis[:, :m + b]
-        coef = span.T @ w
-        w -= span @ coef
-        w -= span @ (span.T @ w)
-        proj[m:m + b, m:m + b] = (coef[m:] + coef[m:].T) / 2.0
-        m += b
-        block, coupling = qr(w, mode="economic", check_finite=False)
-        if b > 1:
-            # dividing by an ill-conditioned R (one column of w converged
-            # away) amplifies w's rounding along the basis; a pass restores
-            # the orthogonality
-            block -= span @ (span.T @ block)
-            block, again = qr(block, mode="economic", check_finite=False)
-            coupling = again @ coupling
-        theta, y = np.linalg.eigh(proj[:m, :m])
-        wanted = np.argsort(-np.abs(theta), kind="stable")[:k]
-        estimate = np.linalg.norm(coupling @ y[m - b:m, wanted], axis=0)
-        if np.all(estimate <= _RITZ_TOL * np.abs(theta[wanted])) or m == n:
-            return theta[wanted], span @ y[:, wanted]
-        if m + b > n:
-            # at most n - m directions are left: keep those of block @ coupling
-            u, sv, vt = np.linalg.svd(coupling)
-            block, coupling = block @ u[:, :n - m], sv[:n - m, None] * vt[:n - m]
-        if m + block.shape[1] > cap:
+        w = apply(basis[:, m:m + b])
+        if cap < n and m + 2 * b > cap:
             cap = min(n, 2 * cap)
             grown = np.empty((n, cap), order="F")
-            grown[:, :m] = span
+            grown[:, :m + b] = basis[:, :m + b]
             basis = grown
             proj = np.pad(proj, ((0, cap - len(proj)),) * 2)
+        coef, coupling = _gram_schmidt(basis, m + b, w)
+        proj[m:m + b, m:m + b] = (coef[m:] + coef[m:].T) / 2.0
+        m += b
+        theta, y = np.linalg.eigh(proj[:m, :m])
+        wanted = np.argsort(-np.abs(theta), kind="stable")[:k]
+        estimate = _norms(coupling @ y[m - b:m, wanted])
+        if np.all(estimate <= _RITZ_TOL * np.abs(theta[wanted])) or not len(coupling):
+            return theta[wanted], np.einsum("ij,jk->ik", basis[:, :m], y[:, wanted])
         proj[m:m + len(coupling), m - b:m] = coupling
         proj[m - b:m, m:m + len(coupling)] = coupling.T
+        b = len(coupling)
+
+
+def finite_square(x: float, name: str) -> float:
+    """x ** 2, or an OverflowError that names the quantity x past the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        raise OverflowError(f"{name} = {x!r}: its square overflows a float") from None
 
 
 def _cells(axis, p):

@@ -264,14 +264,22 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     base = bases.full_sphere(2) if full else bases.circle_arc(scenario.theta1)
     g_base = bases.base_eigendata(base)
 
-    # U's theta nodes as solve_polar places them, to rounding (none if Nt < 1)
-    th = lo + (hi - lo) * np.arange(0 if full else 1, Nt) / Nt
+    if Nr < 1 or Nt < 1:
+        raise ValueError(f"need positive grid sizes, got Nr={Nr}, Ntheta={Nt}")
+    # U's theta nodes and radial step as solve_polar takes them
+    th = lo + (hi - lo) / Nt * np.arange(0 if full else 1, Nt)
     rmin, rmax, tol = dom_u.r_min(th), dom_u.r_max(th), 1e-12
     on_a = (th >= window_a[0]) & (th <= window_a[1])
     if not np.all((rmin[on_a] <= 1.0 + tol) & (rmax[on_a] >= 1.0 + eps - tol)):
         raise ValueError("sandwich violated on grid: A escapes U")
     if not np.all((rmin >= 1.0 - a_eps - tol) & (rmax <= 1.0 + eps + b_eps + tol)):
         raise ValueError("sandwich violated on grid: U escapes B")
+    margin = 2.0 * ((rmax.max() - rmin.min()) / Nr) + eps**3
+    # A's radial nodes in interior_mask(2), as solve_polar places them
+    r_a = (1.0 + ((1.0 + eps) - 1.0) / Nr * np.arange(1, Nr))[2:-2]
+    if not np.any((r_a > 1.0 + max(a_eps, margin)) & (r_a < 1.0 + eps - max(b_eps, margin))):
+        raise ValueError(f"--eps {eps!r}: the margin 2*h_r + eps^3 = {margin:.6g} (or a widening) "
+                         f"trims every radial node of A = (1, 1 + eps) on {Nr} cells off the core")
 
     sol_a = spectral2d.solve_polar(dom_a, Nr, Nt)
     sol_b = spectral2d.solve_polar(dom_b, Nr, Nt)
@@ -279,9 +287,6 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
 
     lam_a, lam_u, lam_b = (s.eigenvalue for s in (sol_a, sol_u, sol_b))
     ordering_ok = lam_b <= lam_u * (1 + 1e-3) and lam_u <= lam_a * (1 + 1e-3)
-
-    hr = sol_u.meta["hr"]
-    margin = 2.0 * hr + eps**3
 
     # (i) upper: phi_U / phi_B over U's interior nodes
     phi_b_at = _interp_on(sol_b, full)

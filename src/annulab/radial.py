@@ -109,6 +109,7 @@ def _transformed_operator(n, a, b, lam0, N):
     alpha = radial_potential_coefficient(n)
     h = (b - a) / N
     r = a + h * np.arange(1, N)
+    numerics.finite_square(b, "the outer radius b")  # so every r^2 is finite
     diag = (alpha + np.asarray(lam0, dtype=float)[..., None]) / r**2
     diag += 2.0 / h**2
     return r, diag, np.full(N - 2, -1.0 / h**2)
@@ -235,7 +236,8 @@ def family_floor(spec: AnnularDomainSpec, j: int, lambda0: float) -> float:
     j = 1 on the lowest base level, bounds the shell's ground eigenvalue.
     """
     c = radial_potential_coefficient(spec.n) + lambda0
-    return (j * math.pi / (spec.b - spec.a)) ** 2 + min(c / spec.a**2, c / spec.b**2)
+    b2 = numerics.finite_square(spec.b, "the outer radius b")
+    return (j * math.pi / (spec.b - spec.a)) ** 2 + min(c / spec.a**2, c / b2)
 
 
 def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):

@@ -286,25 +286,21 @@ def _component_count(mask, wrap):
 
 
 def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
-    """The symmetrized masked operator and the unknowns the eigen driver
-    eliminates, both from one face list: the faces of each orbit
-    representative (from _orbits; of every mask node when `orbits` is None)
-    to its four neighbors, periodic along a wrapping axis 1.  A face to a
-    masked-out neighbor is a wall; conductances are read at the
-    representative's row.
-
-    The operator is numerics.symmetrized_operator of the orbit-summed form:
-    orbit a gets |a| times the representative's diagonal and mass, a face
-    into orbit b carries |a| times its conductance, and a face into a's own
-    orbit comes off the diagonal.  L commutes with the symmetries, so that
-    is L on the functions constant on orbits, in the orthonormal orbit
-    basis; the full operator is never built.  Of the faces between orbits
-    a < b, only those read at a are kept, so the matrix is exactly
-    symmetric.  The 5-point graph is bipartite, so the representatives of
-    even parity i + j are independent, less both ends of every kept face
-    that joins two of them (across the seam of a wrapping axis 1 with odd
-    n1, or moved by a fold).  Returns (L, red): the CSR operator and those
-    unknowns.
+    """(L, red): the symmetrized masked operator and the unknowns the eigen
+    driver eliminates, from one face list.  A folded grid reads the faces of
+    each orbit representative (_orbits) to its four neighbors; an unfolded
+    one reads each mask node's i + 1 and j + 1 faces and, when axis 1 wraps,
+    the face from column 0 across the seam: every face its lower node
+    keeps.  A face to a masked-out neighbor is a wall; conductances are read
+    at the representative's row.  L is numerics.symmetrized_operator of the
+    orbit-summed form: orbit a gets |a| times the representative's diagonal
+    and mass, a face into orbit b carries |a| times its conductance, and a
+    face into a's own orbit comes off the diagonal.  That is L on the
+    orbit-constant functions in their orthonormal basis, exactly symmetric,
+    since of the faces between orbits a < b only those read at a are kept.
+    red: the representatives of even parity i + j (the 5-point graph is
+    bipartite) less both ends of every kept face that joins two of them
+    (across the seam of a wrapping axis 1 with odd n1, or moved by a fold).
     """
     n0, n1 = mask.shape
     node = np.flatnonzero(mask)
@@ -318,11 +314,13 @@ def _grid_operator(mask, cond_0, cond_1, mass, wrap, orbits):
         orbit[node] = oid
     i, j = np.divmod(at, n1)
     # (whether the neighbor lies on the grid, its flat offset, the face
-    # conductance by the row of `at`)
+    # conductance by the row of `at`); unfolded, every i - 1 and j - 1 face
+    # but the seam's leads to a lower node, which keeps it
+    folded = orbits is not None
     steps = [(i < n0 - 1, n1, cond_0[1:]),
              (wrap | (j < n1 - 1), np.where(j < n1 - 1, 1, 1 - n1), cond_1),
-             (i > 0, -n1, cond_0[:-1]),
-             (wrap | (j > 0), np.where(j > 0, -1, n1 - 1), cond_1)]
+             (folded & (i > 0), -n1, cond_0[:-1]),
+             ((folded | (j == 0)) & (wrap | (j > 0)), np.where(j > 0, -1, n1 - 1), cond_1)]
     faces = []
     for on_grid, offset, cond in steps:
         pos = np.flatnonzero(on_grid)
@@ -366,33 +364,20 @@ def _assemble_and_solve(mask, cond_0, cond_1, mass, wrap):
     """Principal eigenpair of the masked 5-point operator in self-adjoint form.
 
     The one eigensolver for every structured grid: polar, Cartesian and
-    coordinate rectangles on S^2 (bases.solve_sphere_rectangle).  On each
-    of them the coefficients depend on the axis-0 coordinate alone, so they
-    come as row profiles: cond_0 (length n0+1) is the conductance of the
-    face below row i, between nodes (i-1, j) and (i, j), virtual boundary
-    rows included; cond_1 (length n0) that of every axis-1 face in row i,
-    wrapping faces and faces to the virtual boundary columns included; mass
-    (length n0) the node weight in row i.  Dirichlet walls sit at
-    masked-out neighbor nodes.  Each grid is solved in its smallest exact
-    form, chosen by structure alone: a mask that fills its hull by
-    separation (_hull_ground_state); a grid that is mirror symmetric along
-    a non-wrapping axis, or square, non-wrapping, with constant equal
-    conductances and symmetric under the x<->y transpose, by shift-invert
-    Lanczos on the subspace invariant under those symmetries (_orbits; the
-    four-notch box folds by all 8 symmetries of the square); any other grid
-    by shift-invert Lanczos on the whole mask.  Both read one face list,
-    the four faces of every orbit representative (of every mask node
-    unfolded), which gives the operator and the unknowns of even parity
-    i + j that no kept face joins (_grid_operator).  Lanczos
-    (numerics.sparse_smallest_eigenpairs) runs from just below the larger
-    of two lower bounds of lambda_1, the hull eigenvalue and the column
-    bound (_column_bound), and stops once its Ritz pair converges; the
-    closer the shift, the fewer LU solves.  The even unknowns have a
-    diagonal block: the driver divides them out exactly and SuperLU factors
-    the Schur complement on the odd unknowns alone, which has about half
-    the unknowns and less fill than the shifted operator.  Returns (lambda_1, phi):
-    phi is one (n0, n1) array, positive on the mask and normalized in the
-    `mass` weights.
+    coordinate rectangles on S^2 (bases.solve_sphere_rectangle), whose
+    coefficients depend on the axis-0 coordinate alone.  They come as row
+    profiles: cond_0 (length n0+1) the conductance of the face below row i,
+    virtual boundary rows included; cond_1 (length n0) that of every axis-1
+    face in row i, wrapping faces and faces to the virtual boundary columns
+    included; mass (length n0) the node weight in row i.  Dirichlet walls
+    sit at masked-out neighbor nodes.  A mask that fills its hull is solved
+    by separation (_hull_ground_state); a grid with a mirror or transpose
+    symmetry on its subspace of orbit-constant functions (_orbits); any
+    other on the whole mask.  The last two go through _grid_operator and
+    the sparse driver, shifted just below the larger of the hull eigenvalue
+    and the column bound (_column_bound).  Returns (lambda_1, phi): phi is
+    one (n0, n1) array, positive on the mask and normalized in the `mass`
+    weights.
     """
     n0, n1 = mask.shape
     ids = np.flatnonzero(mask.ravel())

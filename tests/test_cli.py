@@ -86,7 +86,8 @@ def test_unknown_subcommand_exit_code(tmp_path):
     assert run(["--out", str(tmp_path), "no-such-command"]) == 1
 
 
-@pytest.mark.parametrize("argv", [
+# every computing subcommand at a small size
+SMALL_RUNS = [
     ["solve", "--grid", "256", "--count", "2"],
     ["bounds"],
     ["caricature", "--kind", "wide"],
@@ -99,7 +100,10 @@ def test_unknown_subcommand_exit_code(tmp_path):
     ["sector", "--nodes", "512"],
     ["perturb-box", "--h", "0.03125"],
     ["perturb-annulus", "--nr", "24", "--ntheta", "128"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
 def test_outputs_deterministic(tmp_path, argv):
     # two runs in one process: no solver state may carry over between runs
     d1 = tmp_path / "run1"
@@ -109,6 +113,36 @@ def test_outputs_deterministic(tmp_path, argv):
     stem = argv[0].replace("-", "_")
     for name in (f"{stem}.csv", f"{stem}_summary.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every small run, the default shell audit, the h = 1/256 box and a
+    # discrete Poincare audit whose nets reach 250 nodes and more, each in a
+    # fresh interpreter at one and at two BLAS threads
+    runs = [*SMALL_RUNS, ["perturb-annulus"], ["perturb-box", "--h", "0.00390625"],
+            ["pi-audit", "--eps", "0.02", "--mode", "discrete"]]
+    code = """
+import hashlib, json, sys
+from pathlib import Path
+from annulab.cli import run
+out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+for i, argv in enumerate(runs):
+    assert run(["--out", str(out / str(i)), *argv]) == 0, argv
+    stem = argv[0].replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}_summary.json"):
+        print(i, name, hashlib.sha256((out / str(i) / name).read_bytes()).hexdigest())
+"""
+    src = str(Path(annulab.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cp = subprocess.run([sys.executable, "-c", code, str(tmp_path / threads), json.dumps(runs)],
+                            capture_output=True, text=True, env=env, timeout=600)
+        assert cp.returncode == 0, cp.stderr
+        digests.append([line for line in cp.stdout.splitlines() if not line.startswith("[")])
+    assert len(digests[0]) == 2 * len(runs)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,6 +195,7 @@ def test_outputs_deterministic(tmp_path, argv):
     pytest.param(["solve", "--nope"], id="solve-unknown-flag"),
     pytest.param(["pi-audit", "--window", "0.1"], id="pi-audit-window-one-token"),
     pytest.param(["solve", "--count", "2000", "--grid", "64"], id="solve-count-past-grid"),
+    pytest.param(["perturb-annulus", "--eps", "0.9"], id="perturb-annulus-eps-past-margin"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
     argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
@@ -241,6 +276,34 @@ def test_shell_scenario_outside_its_sandwich_is_bad_input(tmp_path, capsys, monk
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_perturb_annulus_wide_eps_names_the_flag_and_the_margin(tmp_path, capsys):
+    # eps = 0.9: the margin 2 h_r + eps^3 = 0.83 trims the whole shell (1, 1.9)
+    assert run(["--out", str(tmp_path), "perturb-annulus", "--eps", "0.9"]) == 1
+    [err] = capsys.readouterr().err.strip().splitlines()
+    assert "--eps" in err and "margin 2*h_r + eps^3 = 0.827249" in err
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["bounds", "--a", "1", "--b", "1e300"], "b/a - 1"),
+    (["vd-audit", "--eps", "1e300"], "outer radius b"),
+    (["pi-audit", "--eps", "1e300"], "outer radius b"),
+    (["hke-fit", "--eps", "1e300"], "--eps"),
+    (["heat-kernel", "--domain", "annulus", "--eps", "1e300"], "outer radius b"),
+    (["solve", "--b", "1e300"], "outer radius b"),
+], ids=["bounds", "vd-audit", "pi-audit", "hke-fit", "heat-kernel", "solve"])
+def test_square_past_the_float_range_is_one_numerical_failure_line(tmp_path, capsys, argv,
+                                                                   quantity):
+    # flags inside their domains whose square overflows a float: one line
+    # that names the quantity, not an errno tuple after a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert quantity in err[0] and "its square overflows a float" in err[0]
     assert not caught, [str(w.message) for w in caught]
 
 

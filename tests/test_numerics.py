@@ -342,6 +342,40 @@ def test_sparse_matches_dense_on_random_sparse_operators(seed, n, k, gap):
 
 
 
+def _orthonormal_columns(rng, n, m):
+    return np.linalg.qr(rng.standard_normal((n, m)))[0]
+
+
+def test_gram_schmidt_orthonormalizes_against_the_basis_and_within_the_block():
+    rng = np.random.default_rng(4)
+    n, m = 50, 5
+    basis = np.empty((n, m + 3), order="F")
+    basis[:, :m] = _orthonormal_columns(rng, n, m)
+    w = rng.standard_normal((n, 3))
+    # the third column lies in the span of the basis and the first column
+    w[:, 2] = basis[:, :m] @ rng.standard_normal(m) + 0.5 * w[:, 0]
+    coef, r = numerics._gram_schmidt(basis, m, w.copy())
+    assert r.shape == (2, 3) and np.allclose(r, np.triu(r))
+    q = basis[:, m:m + 2]
+    assert np.allclose(basis[:, :m + 2].T @ basis[:, :m + 2], np.eye(m + 2), rtol=0, atol=1e-15)
+    assert np.allclose(coef, basis[:, :m].T @ w, rtol=0, atol=1e-14)
+    rest = w - basis[:, :m] @ (basis[:, :m].T @ w)
+    assert np.allclose(q @ r, rest, rtol=0, atol=1e-14)
+
+
+def test_gram_schmidt_ends_the_basis_at_the_dimension():
+    # 4 of 6 dimensions taken: two of three new columns are kept, whatever
+    # is left of the third is rounding
+    rng = np.random.default_rng(5)
+    basis = np.empty((6, 6), order="F")
+    basis[:, :4] = _orthonormal_columns(rng, 6, 4)
+    coef, r = numerics._gram_schmidt(basis, 4, rng.standard_normal((6, 3)))
+    assert coef.shape == (4, 3) and r.shape == (2, 3)
+    assert np.allclose(basis.T @ basis, np.eye(6), rtol=0, atol=1e-15)
+    # a block with nothing outside a full basis keeps no column
+    assert numerics._gram_schmidt(basis, 6, rng.standard_normal((6, 2)))[1].shape == (0, 2)
+
+
 def test_bilinear_matches_regular_grid_interpolator_on_nodes_edges_and_outside():
     from scipy.interpolate import RegularGridInterpolator
 
