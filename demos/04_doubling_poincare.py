@@ -20,8 +20,8 @@ def shell(eps):
 print("== eps-net of the shell (1, 1.1), eps = 0.1 ==")
 spec = shell(0.1)
 weight = geometry.dirichlet_weight(spec)
-net = geometry.build_net(spec, 0.1, weight)
-model = geometry.annulus_model(spec, weight, resolve=0.1)
+model = geometry.annulus_model(spec, weight, *geometry.resolving_grid(spec, 0.1))
+net = geometry.build_net(model, 0.1)
 checks = geometry.verify_net(net, model)
 print(f"vertices: {net.size}, edges: {len(net.edges)}, max degree: {net.max_degree()}")
 print(f"separation >= eps: {checks['separated']}, covered within eps: {checks['covered']}")
@@ -44,9 +44,8 @@ spec = shell(0.25)
 w = geometry.dirichlet_weight(spec, N=512)
 centers = [(1.125, 0.3)]
 radii = [0.5, 1.0, 1.5]
-cont = auditors.poincare_profile(spec, w, centers, radii, mode="continuous_grid")
-disc = auditors.poincare_profile(spec, w, centers, radii,
-                                 mode="discrete_net", epsilon=0.25)
+cont = auditors.poincare_profile(spec, w, centers, radii, mode="continuous", epsilon=0.25)
+disc = auditors.poincare_profile(spec, w, centers, radii, mode="discrete", epsilon=0.25)
 for rc, rd in zip(cont.rows, disc.rows):
     print(f"r={rc['r']:4.2f}: continuum P = {rc['poincare']:.4f}   "
           f"net P = {rd['poincare']:.4f} (graph radius {rd['graph_radius']})")

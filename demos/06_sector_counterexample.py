@@ -19,7 +19,7 @@ for beta in (1.0 / 3.0, 0.2, 0.125):
     print(f"beta={beta:.4f}: alpha = {alpha:.6f}   (nu + 1.855757 nu^(1/3) = {pred:.6f})")
 
 print("\n== center-ball volumes and doubling ratios ==")
-report = auditors.sector_counterexample([1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 0.125])
+report = auditors.sector_counterexample([1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 0.125], nodes=4096)
 for row in report.rows:
     print(f"beta={row['beta']:.4f}: log V = {row['log_v_full']:8.3f} "
           f"(asymptote {row['log_v_predicted']:8.3f})  "

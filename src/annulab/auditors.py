@@ -3,7 +3,7 @@
 The doubling audit tabulates V(x, 2r) / V(x, r) for weighted ball measures;
 the Poincare audit defines the ball constant spectrally, P(x, r) = 1 /
 (r^2 mu_2) with mu_2 the smallest nonzero eigenvalue of the weighted
-zero-flux operator on the ball (continuous grid mode) or of the weighted
+zero-flux operator on the ball (continuous mode) or of the weighted
 net graph Laplacian (discrete mode).  The sector audit evaluates, fully in
 log space, the weighted volumes of center balls in a thin circular sector
 through Bessel functions of large order, where uniform doubling genuinely
@@ -78,14 +78,11 @@ def _center_row(c, r, **extra):
 
 
 def doubling_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunction,
-                     centers, radii, quad_grid: tuple[int, int] | None = None) -> AuditReport:
-    """Doubling audit on a planar shell; builds the quadrature model internally."""
-    min_r = min(radii)
-    if quad_grid is None:
-        model = geometry.annulus_model(spec, weight, resolve=min(min_r, spec.b - spec.a))
-    else:
-        model = geometry.annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
-    return doubling_profile_model(model, centers, radii)
+                     centers, radii) -> AuditReport:
+    """Doubling audit on a planar shell, on the quadrature model that
+    resolves the smallest radius (or the shell width, if less)."""
+    grid = geometry.resolving_grid(spec, min(min(radii), spec.b - spec.a))
+    return doubling_profile_model(geometry.annulus_model(spec, weight, *grid), centers, radii)
 
 
 def interval_doubling_brute_force(a: float, b: float, density, center: float,
@@ -219,23 +216,24 @@ def net_graph_gap(net: geometry.WeightedNet, vertex_ids: np.ndarray) -> float:
 
 
 def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunction,
-                     centers, radii, mode: str = "continuous_grid",
-                     epsilon: float | None = None) -> AuditReport:
+                     centers, radii, mode: str, epsilon: float) -> AuditReport:
     """Ball Poincare constants P(x, r) on a planar shell.
 
-    continuous_grid: P = 1/(r^2 mu_2) with mu_2 the weighted zero-flux gap of
-    the sigma-ball on the quadrature grid, from its separated 1-D problems
-    (separated_gap).  discrete_net: P = 1/(m^2 mu_2)
-    with the weighted net-graph form on the graph ball of radius m =
-    max(1, round(r / 2 eps)); m is then remeasured as the true graph radius,
-    so saturated balls are handled consistently.
+    continuous: P = 1/(r^2 mu_2) with mu_2 the weighted zero-flux gap of the
+    sigma-ball on the quadrature grid that resolves the smallest radius (or
+    the shell width, if less), from its separated 1-D problems
+    (separated_gap); epsilon is not used.  discrete: P = 1/(m^2 mu_2) with
+    the weighted net-graph form of the eps-net (build_net on the model that
+    resolves epsilon) on the graph ball of radius m = max(1, round(r / 2
+    eps)); m is then remeasured as the true graph radius, so saturated balls
+    are handled consistently.
     """
     rows = []
-    if mode not in ("continuous_grid", "discrete_net"):
+    if mode not in ("continuous", "discrete"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "continuous_grid":
-        model = geometry.annulus_model(spec, weight,
-                                       resolve=min(min(radii), spec.b - spec.a))
+    if mode == "continuous":
+        grid = geometry.resolving_grid(spec, min(min(radii), spec.b - spec.a))
+        model = geometry.annulus_model(spec, weight, *grid)
         # balls that share a column arc share its angular problem
         angular_gap = functools.lru_cache(maxsize=None)(functools.partial(_angular_gap, model))
         for c in centers:
@@ -247,11 +245,10 @@ def poincare_profile(spec: radial.AnnularDomainSpec, weight: geometry.WeightFunc
                 mu2 = separated_gap(model, ball_rows, arc, angular_gap)
                 rows.append(_center_row(c, r, mu2=mu2, poincare=1.0 / (r * r * mu2)))
     else:
-        if epsilon is None:
-            raise ValueError("discrete_net mode needs epsilon")
         from scipy.sparse.csgraph import shortest_path
 
-        net = geometry.build_net(spec, epsilon, weight)
+        grid = geometry.resolving_grid(spec, epsilon)
+        net = geometry.build_net(geometry.annulus_model(spec, weight, *grid), epsilon)
         adjacency = net.adjacency()
         wrap = spec.base.kind == "full_sphere"
         for c in centers:
@@ -313,7 +310,7 @@ def _log_midpoint_integral(nu: float, upper: float, nodes: int) -> float:
     return _log_midpoint_sum(*_log_integrand(nu, upper, nodes))
 
 
-def sector_counterexample(beta_values, nodes: int = 4096) -> AuditReport:
+def sector_counterexample(beta_values, nodes: int) -> AuditReport:
     """Weighted center-ball volumes of the unit circular sector of opening
     pi*beta, computed in log space, against their closed-form asymptotics.
 

@@ -303,7 +303,7 @@ def solve_sphere_rectangle(theta1: float, phi_range: tuple[float, float], N: int
     return lam, theta, phi, g.T
 
 
-def _rectangle_data(base: BaseDomain, N: int = 64) -> BaseEigenData:
+def _rectangle_data(base: BaseDomain, N: int) -> BaseEigenData:
     lam_c, *_ = solve_sphere_rectangle(base.theta1, base.phi_range, N)
     lam_f, theta, phi, g = solve_sphere_rectangle(base.theta1, base.phi_range, 2 * N)
     lam = numerics.richardson(lam_c, lam_f)

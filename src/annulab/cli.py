@@ -248,11 +248,8 @@ def _cmd_pi_audit(args):
     spec = _thin_spec(args.eps)
     weight = _weight_for(spec, args.weight)
     radii = _dyadic_radii(spec, args.eps)
-    mode = "continuous_grid" if args.mode == "continuous" else "discrete_net"
-    report = auditors.poincare_profile(
-        spec, weight, _audit_centers(spec, count=2), radii,
-        mode=mode, epsilon=args.eps,
-    )
+    report = auditors.poincare_profile(spec, weight, _audit_centers(spec, count=2), radii,
+                                       args.mode, args.eps)
     ok = lo <= report.summary["poincare_min"] and report.summary["poincare_max"] <= hi
     checks = [_check("poincare_window", "pass" if ok else "fail",
                      lo=lo, hi=hi,

@@ -218,7 +218,7 @@ def supnorm_bounds_check(lam: float, volume: float, phi_sup: float, n: int) -> B
     )
 
 
-def hadamard_scan(n: int, t_grid, N: int = 1024) -> list[dict]:
+def hadamard_scan(n: int, t_grid, N: int) -> list[dict]:
     """Normalized sensitivity of the annulus eigenvalue to the outer radius.
 
     For each t returns t^3 |dF/dt| with F(t) the principal eigenvalue of the

@@ -36,6 +36,7 @@ __all__ = [
     "dirichlet_weight",
     "base_arc_distance",
     "surrogate_distance",
+    "resolving_grid",
     "annulus_model",
     "interval_model",
     "build_net",
@@ -324,14 +325,10 @@ def _commensurate_columns(x: float) -> tuple[int, int]:
     return n_cols, 64
 
 
-def annulus_model(
-    spec: radial.AnnularDomainSpec,
-    weight: WeightFunction,
-    nr: int = 0,
-    ntheta: int = 0,
-    resolve: float = 0.0,
-) -> AnnulusModel:
-    """Build the quadrature model; pass resolve=eps to require >= 6 nodes per eps.
+def resolving_grid(spec: radial.AnnularDomainSpec, scale: float) -> tuple[int, int]:
+    """(nr, ntheta) of the coarsest model that resolves `scale`: steps h_r and
+    a h_theta of at most scale / 6 (6 nodes per scale), except along an
+    axis that is no longer than scale, with at least 8 rows and 16 columns.
 
     On full circles the angular count is made commensurate with the greedy
     eps-net stride so that nets close into even cycles; otherwise the seam
@@ -339,18 +336,28 @@ def annulus_model(
     edge threshold by a quantization sliver.
     """
     window = _check_planar(spec)
+
+    def cells(factor: float, length: float) -> int:
+        # the fewest cells with factor * (length / cells) <= scale / 6 in floats
+        n = math.ceil(6.0 * factor * length / scale)
+        return n + (factor * (length / n) > scale / 6.0)
+
+    nr = max(cells(1.0, spec.b - spec.a), 8)
+    if spec.base.kind == "full_sphere":
+        n_cols, stride = _commensurate_columns(spec.a * window / scale)
+        return nr, max(n_cols * stride, 16)
+    return nr, max(cells(spec.a, window), 16)
+
+
+def annulus_model(spec: radial.AnnularDomainSpec, weight: WeightFunction,
+                  nr: int, ntheta: int) -> AnnulusModel:
+    """The midpoint quadrature model on nr x ntheta cells (at least 4 x 8);
+    resolving_grid(spec, scale) gives the sizes that resolve a length scale."""
+    window = _check_planar(spec)
     wrap = spec.base.kind == "full_sphere"
-    thickness = spec.b - spec.a
-    if resolve > 0.0:
-        nr = max(nr, int(math.ceil(6.0 * thickness / resolve)), 8)
-        if wrap:
-            n_cols, stride = _commensurate_columns(spec.a * window / resolve)
-            ntheta = max(ntheta, n_cols * stride, 16)
-        else:
-            ntheta = max(ntheta, int(math.ceil(6.0 * spec.a * window / resolve)), 16)
     if nr < 4 or ntheta < 8:
         raise ValueError(f"grid too coarse: nr={nr}, ntheta={ntheta}")
-    hr = thickness / nr
+    hr = (spec.b - spec.a) / nr
     ht = window / ntheta
     r = spec.a + hr * (np.arange(nr) + 0.5)
     th = ht * (np.arange(ntheta) + 0.5)
@@ -372,7 +379,6 @@ class IntervalModel:
     h: float
     node_measure: np.ndarray
     density: np.ndarray
-    tag: str
 
     def ball_ids(self, center: float, radius: float) -> np.ndarray:
         return np.flatnonzero(np.abs(self.x - center) < radius)
@@ -388,11 +394,11 @@ class IntervalModel:
 
 
 def interval_model(a: float, b: float, density: Callable[[np.ndarray], np.ndarray],
-                   n_cells: int = 2048, tag: str = "custom") -> IntervalModel:
+                   n_cells: int = 2048) -> IntervalModel:
     h = (b - a) / n_cells
     x = a + h * (np.arange(n_cells) + 0.5)
     d = np.asarray(density(x), dtype=float)
-    return IntervalModel(a=a, b=b, x=x, h=h, node_measure=d * h, density=d, tag=tag)
+    return IntervalModel(a=a, b=b, x=x, h=h, node_measure=d * h, density=d)
 
 
 @dataclass
@@ -429,19 +435,17 @@ class WeightedNet:
         return int(np.bincount(self.edges.ravel(), minlength=self.size).max())
 
 
-def build_net(spec: radial.AnnularDomainSpec, epsilon: float, weight: WeightFunction,
-              quad_grid: tuple[int, int] | None = None) -> WeightedNet:
-    """Greedy maximal eps-separated net over the quadrature nodes.
+def build_net(model: AnnulusModel, epsilon: float) -> WeightedNet:
+    """Greedy maximal eps-separated net over the nodes of a quadrature model.
 
-    Nodes are scanned in lexicographic (radial-major) order, which makes the
-    net deterministic; a node is accepted when it is >= eps away from every
+    The model must resolve eps, as annulus_model(spec, weight,
+    *resolving_grid(spec, eps)) does; a coarser one is refused.  Nodes are
+    scanned in lexicographic (radial-major) order, which makes the net
+    deterministic; a node is accepted when it is >= eps away from every
     accepted point.  Edges connect net points at sigma-distance <= 2 eps,
     and each vertex weight is the weighted measure of its eps-ball.
     """
-    if quad_grid is None:
-        model = annulus_model(spec, weight, resolve=epsilon)
-    else:
-        model = annulus_model(spec, weight, nr=quad_grid[0], ntheta=quad_grid[1])
+    spec = model.spec
     # each direction must be resolved by >= 6 nodes per eps unless an
     # eps-ball already spans it entirely
     window = 2.0 * math.pi if model.wrap else (model.th[-1] - model.th[0] + model.ht)

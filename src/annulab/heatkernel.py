@@ -419,8 +419,8 @@ def gaussian_hke_audit(spec: radial.AnnularDomainSpec, t_grid: Sequence[float],
         return {"rows": [], "degenerate": True}
     ts, xs, ys = zip(*samples)
     ptilde = normalized_kernel_value(spectrum, list(ts), np.array(xs), np.array(ys))
-    model = geometry.annulus_model(spec, weight,
-                                   resolve=min(spec.b - spec.a, math.sqrt(min(t_grid))))
+    grid = geometry.resolving_grid(spec, min(spec.b - spec.a, math.sqrt(min(t_grid))))
+    model = geometry.annulus_model(spec, weight, *grid)
     rows = []
     for (t, x, y), ptil in zip(samples, ptilde.tolist()):
         rad = math.sqrt(t)

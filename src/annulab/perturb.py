@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def harmonic_series(const: float, harmonics=()):
+def harmonic_series(const: float, harmonics):
     """theta -> const + sum amp * cos(k theta + phase)."""
     harmonics = tuple(harmonics)
 
@@ -69,9 +69,9 @@ class PerturbationScenario:
     b_eps: float = 0.0
     eta: float = 0.0
     theta1: float | None = None  # None: full circle
-    rmin_const: float = 0.0
+    rmin_const: float | None = None  # None: the hull's inner radius 1 - a_eps
     rmin_harmonics: tuple = ()
-    rmax_const: float = 0.0
+    rmax_const: float | None = None  # None: the hull's outer radius 1 + eps + b_eps
     rmax_harmonics: tuple = ()
     # regime parameters (recorded, checked where meaningful)
     C1: float = 1.0
@@ -92,14 +92,20 @@ class PerturbationScenario:
                 )
             if self.theta1 is not None and self.theta1 + 2.0 * self.eta > 2.0 * math.pi:
                 raise ValueError("scenario keys 'theta1' and 'eta': need theta1 + 2 eta <= 2 pi")
-            if self.rmin_const == 0.0:
+            if self.rmin_const is None:
                 self.rmin_const = 1.0 - self.a_eps
-            if self.rmax_const == 0.0:
+            if self.rmax_const is None:
                 self.rmax_const = 1.0 + self.eps + self.b_eps
         elif self.kind == "box":
             if len(self.a_widths) != 2 or len(self.b_widths) != 2:
                 raise ValueError("box scenario needs two half widths in each of b1 and b2, "
                                  f"got {len(self.a_widths)} and {len(self.b_widths)}")
+            for key, widths in (("b1", self.a_widths), ("b2", self.b_widths)):
+                if not all(0.0 < w < math.inf for w in widths):
+                    raise ValueError(f"scenario key {key!r}: half widths must be positive "
+                                     f"and finite, got {' '.join(map(str, widths))}")
+            if not 0.0 <= self.notch < math.inf:
+                raise ValueError(f"scenario key 'notch': need finite >= 0, got {self.notch}")
             if any(a > b + 1e-15 for a, b in zip(self.a_widths, self.b_widths)):
                 raise ValueError("need B1 inside B2 componentwise")
         else:
@@ -240,7 +246,7 @@ def _interp_on(sol: spectral2d.GridEigenpair, wrap: bool):
 
 
 def annulus_perturbation_audit(scenario: PerturbationScenario,
-                               grids: tuple[int, int] = (48, 384)) -> dict:
+                               grids: tuple[int, int]) -> dict:
     """Eigenfunction ratio audit for a shell sandwich.
 
     A = (1, 1+eps) x window, B = (1-a_eps, 1+eps+b_eps) x (window widened by
@@ -329,8 +335,7 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     }
 
 
-def widening_exponent_sweep(eps: float, p_values=(2.0, 2.5, 3.0),
-                            grids: tuple[int, int] = (40, 256)) -> list[dict]:
+def widening_exponent_sweep(eps: float, p_values, grids: tuple[int, int]) -> list[dict]:
     """Exploratory sweep of the widening exponent: hull radii eps^p.
 
     The cubic exponent is the proven admissible scale; this sweep reports

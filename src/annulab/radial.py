@@ -281,12 +281,7 @@ def _product_spectrum(spec: AnnularDomainSpec, base, radial_counts, N: int):
     )
 
 
-def assemble_spectrum(
-    spec: AnnularDomainSpec,
-    M_base: int,
-    K_radial: int,
-    N: int = 512,
-):
+def assemble_spectrum(spec: AnnularDomainSpec, M_base: int, K_radial: int, N: int):
     """Product spectrum of a shell whose base has an enumerable spectrum.
 
     For each of the M_base lowest base levels (value lambda0, multiplicity
@@ -302,7 +297,7 @@ def assemble_spectrum(
                              [K_radial] * M_base, N)
 
 
-def spectrum_below(spec: AnnularDomainSpec, cutoff: float, N: int = 512):
+def spectrum_below(spec: AnnularDomainSpec, cutoff: float, N: int):
     """Product spectrum of every radial family whose floor lies below cutoff.
 
     Keeps each family (j, level) with family_floor(spec, j, lambda0) <

@@ -196,7 +196,7 @@ def test_criterion_09_poincare_stability():
         centers = [(1.0 + eps / 2.0, 0.3), (1.0 + eps / 10.0, 0.3 + math.pi)]
         radii = [r for r in _dyadic_radii(eps, lo_factor=0.5)]
         rep = auditors.poincare_profile(spec, w, centers, radii,
-                                        mode="continuous_grid")
+                                        mode="continuous", epsilon=eps)
         lo, hi = rep.summary["poincare_min"], rep.summary["poincare_max"]
         ok &= window[0] <= lo and hi <= window[1]
         details.append(f"eps={eps}: P in [{lo:.3f}, {hi:.3f}]")
@@ -209,9 +209,9 @@ def test_criterion_09_poincare_stability():
         radii = sorted({r for r in (2 * eps, 4 * eps, 8 * eps, 1.5)
                         if 2 * eps <= r <= 1.58})
         cont = auditors.poincare_profile(spec, w, centers, radii,
-                                         mode="continuous_grid")
+                                         mode="continuous", epsilon=eps)
         disc = auditors.poincare_profile(spec, w, centers, radii,
-                                         mode="discrete_net", epsilon=eps)
+                                         mode="discrete", epsilon=eps)
         for rc, rd in zip(cont.rows, disc.rows):
             if "poincare" in rc and "poincare" in rd:
                 qs.append(rd["poincare"] / rc["poincare"])
@@ -223,7 +223,7 @@ def test_criterion_09_poincare_stability():
 def test_criterion_10_sector_counterexample():
     t0 = time.time()
     betas = [1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 0.125]
-    report = auditors.sector_counterexample(betas)
+    report = auditors.sector_counterexample(betas, nodes=4096)
     elapsed = time.time() - t0
     rows = {round(r["beta"], 6): r for r in report.rows}
     r8 = rows[round(0.125, 6)]

@@ -17,7 +17,6 @@ def thin_spec(eps):
 def interval_sin2_model(n_cells=4096):
     return geometry.interval_model(
         0.0, 1.0, lambda x: 2.0 * np.sin(math.pi * x) ** 2, n_cells=n_cells,
-        tag="dirichlet_phi_squared",
     )
 
 
@@ -47,8 +46,8 @@ def test_doubling_ratios_at_least_one():
 def test_annulus_uniform_interior_ratio_near_four():
     spec = thin_spec(0.1)
     weight = geometry.uniform_weight(spec)
-    report = auditors.doubling_profile(
-        spec, weight, [(1.05, math.pi)], [0.01], quad_grid=(400, 16384)
+    report = auditors.doubling_profile_model(
+        geometry.annulus_model(spec, weight, 400, 16384), [(1.05, math.pi)], [0.01]
     )
     assert report.rows[0]["ratio"] == pytest.approx(4.0, rel=0.05)
 
@@ -133,8 +132,8 @@ def test_poincare_profile_matches_the_two_dimensional_oracle():
         for weight in (geometry.dirichlet_weight(spec, N=512), geometry.uniform_weight(spec)):
             centers = [(1.05, 0.0), (1.01, 1.0)]
             radii = [0.05, 0.2, 0.8, 3.2]
-            report = auditors.poincare_profile(spec, weight, centers, radii)
-            model = geometry.annulus_model(spec, weight, resolve=0.05)
+            report = auditors.poincare_profile(spec, weight, centers, radii, "continuous", 0.1)
+            model = geometry.annulus_model(spec, weight, *geometry.resolving_grid(spec, 0.05))
             for row in report.rows:
                 ids = model.ball_ids((row["center_r"], row["center_th"]), row["r"])
                 assert row["mu2"] == pytest.approx(auditors.zero_flux_gap(model, ids), rel=1e-10)
@@ -146,7 +145,7 @@ def test_poincare_continuous_thin_annulus_window():
     centers = [(1.05, 0.0), (1.02, 2.0)]
     radii = [0.05, 0.1, 0.5, 1.0, 3.2]
     report = auditors.poincare_profile(spec, weight, centers, radii,
-                                       mode="continuous_grid")
+                                       mode="continuous", epsilon=0.1)
     assert report.summary["skipped"] == 0
     assert 0.01 <= report.summary["poincare_min"]
     assert report.summary["poincare_max"] <= 1.0
@@ -158,9 +157,9 @@ def test_poincare_discrete_matches_continuous_within_factor_four():
     centers = [(1.125, 0.0)]
     radii = [1.0, 2.0, 3.2]
     cont = auditors.poincare_profile(spec, weight, centers, radii,
-                                     mode="continuous_grid")
+                                     mode="continuous", epsilon=0.25)
     disc = auditors.poincare_profile(spec, weight, centers, radii,
-                                     mode="discrete_net", epsilon=0.25)
+                                     mode="discrete", epsilon=0.25)
     for rc, rd in zip(cont.rows, disc.rows):
         assert "poincare" in rc and "poincare" in rd
         q = rd["poincare"] / rc["poincare"]
@@ -169,7 +168,7 @@ def test_poincare_discrete_matches_continuous_within_factor_four():
 
 def test_sector_counterexample_predictions():
     t0 = time.time()
-    report = auditors.sector_counterexample([1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 0.125])
+    report = auditors.sector_counterexample([1.0 / 3.0, 0.25, 0.2, 1.0 / 6.0, 0.125], nodes=4096)
     elapsed = time.time() - t0
     rows = {round(r["beta"], 6): r for r in report.rows}
     # beta = 0.2: predicted doubling ratio 4 * 2^10 = 4096
@@ -187,7 +186,7 @@ def test_sector_counterexample_predictions():
 def test_sector_contrast_with_thin_annulus():
     # at beta = 1/5 the sector's center-ball doubling ratio dwarfs anything
     # a thin annulus shows: non-uniformity of doubling in family form
-    sector = auditors.sector_counterexample([0.2]).rows[0]["doubling_ratio"]
+    sector = auditors.sector_counterexample([0.2], nodes=4096).rows[0]["doubling_ratio"]
     spec = thin_spec(0.1)
     weight = geometry.dirichlet_weight(spec, N=512)
     centers = [(1.05, 0.0), (1.01, 1.0)]
@@ -210,7 +209,7 @@ def test_sector_half_ball_shares_the_check_grid_to_the_bit(nodes):
 
 def test_sector_rejects_bad_beta():
     with pytest.raises(ValueError):
-        auditors.sector_counterexample([0.7])
+        auditors.sector_counterexample([0.7], nodes=4096)
 
 
 def test_poincare_uniform_weight_same_window():
@@ -221,7 +220,7 @@ def test_poincare_uniform_weight_same_window():
     centers = [(1.125, 0.3), (1.02, 0.3 + math.pi)]
     radii = [0.125, 0.5, 1.0, 3.2]
     rep = auditors.poincare_profile(spec, weight, centers, radii,
-                                    mode="continuous_grid")
+                                    mode="continuous", epsilon=0.25)
     assert rep.summary["skipped"] == 0
     assert 0.01 <= rep.summary["poincare_min"]
     assert rep.summary["poincare_max"] <= 1.0

@@ -196,9 +196,19 @@ for i, argv in enumerate(runs):
     pytest.param(["pi-audit", "--window", "0.1"], id="pi-audit-window-one-token"),
     pytest.param(["solve", "--count", "2000", "--grid", "64"], id="solve-count-past-grid"),
     pytest.param(["perturb-annulus", "--eps", "0.9"], id="perturb-annulus-eps-past-margin"),
+    # a "scenario:" item is the text of a scenario file
+    pytest.param(["perturb-annulus", "--scenario", "scenario:kind = annulus\neps = 0.3\n"
+                  "a_eps = 0.027\nb_eps = 0.027\nrmin = 0\n"], id="perturb-annulus-rmin-zero"),
 ])
 def test_input_errors_exit_one(tmp_path, capsys, argv):
-    argv = [str(tmp_path / a) if a.startswith("no-such") else a for a in argv]
+    def path_of(item):
+        if item.startswith("scenario:"):
+            path = tmp_path / "input.scenario"
+            path.write_text(item.removeprefix("scenario:"))
+            return str(path)
+        return str(tmp_path / item) if item.startswith("no-such") else item
+
+    argv = [path_of(a) for a in argv]
     # a warning would reach stderr ahead of the one error line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -234,6 +244,12 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
                  id="box-scenario-one-width"),
     pytest.param("perturb-box", "kind = box\nb1 = 1 1 1\nb2 = 1.05 1.05 1.05\n", "b1 and b2",
                  id="box-scenario-three-widths"),
+    pytest.param("perturb-box", "kind = box\nb1 = 1 1\nb2 = 1.05 1.05\nnotch = -0.05\n",
+                 "key 'notch'", id="box-scenario-negative-notch"),
+    pytest.param("perturb-box", "kind = box\nb1 = 1 1\nb2 = 1.05 1.05\nnotch = nan\n",
+                 "key 'notch'", id="box-scenario-nan-notch"),
+    pytest.param("perturb-box", "kind = box\nb1 = -1.0 1.0\nb2 = 1.05 1.05\n", "key 'b1'",
+                 id="box-scenario-negative-half-width"),
     pytest.param("solve", "n = abc\n", "key 'n'", id="config-value-not-an-int"),
     pytest.param("solve", "base = nope\n", "key 'base'", id="config-value-not-a-choice"),
     pytest.param("perturb-annulus", "kind = annulus\neps = abc\n", "key 'eps'",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annulab import bases, geometry, radial
@@ -43,7 +43,7 @@ def test_single_vertex_net_when_eps_beats_diameter():
     spec = radial.AnnularDomainSpec(2, 1.0, 2.0, bases.full_sphere(2))
     weight = geometry.dirichlet_weight(spec, N=512)
     # surrogate diameter of this shell is pi; any eps above it gives one vertex
-    net = geometry.build_net(spec, 3.2, weight, quad_grid=(24, 128))
+    net = geometry.build_net(geometry.annulus_model(spec, weight, 24, 128), 3.2)
     assert net.size == 1
     assert net.weights[0] == pytest.approx(1.0, abs=5e-3)
     assert len(net.edges) == 0
@@ -52,7 +52,8 @@ def test_single_vertex_net_when_eps_beats_diameter():
 def test_net_size_matches_packing_count():
     spec = thin_spec(0.1)
     weight = geometry.uniform_weight(spec)
-    net = geometry.build_net(spec, 0.05, weight)
+    grid = geometry.resolving_grid(spec, 0.05)
+    net = geometry.build_net(geometry.annulus_model(spec, weight, *grid), 0.05)
     target = 2.0 * math.pi / 0.05
     assert target / 4.0 <= net.size <= target * 4.0
     # the net graph is connected
@@ -66,8 +67,8 @@ def test_net_invariants_and_degree_bound():
     spec = thin_spec(0.1)
     weight = geometry.dirichlet_weight(spec, N=512)
     for eps in (0.4, 0.2, 0.1, 0.05):
-        model = geometry.annulus_model(spec, weight, resolve=eps)
-        net = geometry.build_net(spec, eps, weight)
+        model = geometry.annulus_model(spec, weight, *geometry.resolving_grid(spec, eps))
+        net = geometry.build_net(model, eps)
         checks = geometry.verify_net(net, model)
         assert checks["separated"], (eps, checks)
         assert checks["covered"], (eps, checks)
@@ -164,7 +165,8 @@ def test_phi2_ball_measure_dilation_invariant():
 def test_export_net_roundtrip_lines(tmp_path):
     spec = thin_spec(0.2)
     weight = geometry.uniform_weight(spec)
-    net = geometry.build_net(spec, 0.2, weight)
+    grid = geometry.resolving_grid(spec, 0.2)
+    net = geometry.build_net(geometry.annulus_model(spec, weight, *grid), 0.2)
     path = tmp_path / "net.txt"
     geometry.export_net(net, path)
     lines = path.read_text().splitlines()
@@ -177,7 +179,25 @@ def test_model_grid_too_coarse():
     spec = thin_spec(0.1)
     weight = geometry.uniform_weight(spec)
     with pytest.raises(ValueError):
-        geometry.build_net(spec, 0.05, weight, quad_grid=(8, 32))
+        geometry.build_net(geometry.annulus_model(spec, weight, 8, 32), 0.05)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(a=st.floats(0.1, 10.0), width=st.floats(1e-3, 10.0),
+       arc=st.one_of(st.none(), st.floats(0.05, 2.0 * math.pi)), scale=st.floats(1e-3, 10.0))
+# a h_theta = 3 (arc / 18) rounds one ulp above scale / 6 = arc / 6 unless counted in floats
+@example(a=3.0, width=1.0, arc=3.16796875, scale=3.16796875)
+def test_resolving_grid_resolves_its_scale(a, width, arc, scale):
+    # the steps build_net checks: 6 nodes per scale along every axis longer than it
+    base = bases.full_sphere(2) if arc is None else bases.circle_arc(arc)
+    spec = radial.AnnularDomainSpec(2, a, a + width, base)
+    model = geometry.annulus_model(spec, geometry.uniform_weight(spec),
+                                   *geometry.resolving_grid(spec, scale))
+    window = 2.0 * math.pi if arc is None else arc
+    if spec.b - spec.a > scale:
+        assert model.hr <= scale / 6.0
+    if spec.a * window > scale:
+        assert spec.a * model.ht <= scale / 6.0
 
 
 def test_projected_net_relaxed_constants():
@@ -186,8 +206,8 @@ def test_projected_net_relaxed_constants():
     for eps in (0.4, 0.2, 0.1):
         spec = thin_spec(eps)
         weight = geometry.dirichlet_weight(spec, N=512)
-        model = geometry.annulus_model(spec, weight, resolve=eps)
-        net = geometry.build_net(spec, eps, weight)
+        model = geometry.annulus_model(spec, weight, *geometry.resolving_grid(spec, eps))
+        net = geometry.build_net(model, eps)
         checks = geometry.verify_net(net, model)
         assert checks["projected_separated"], (eps, checks)
         assert checks["projected_covered"], (eps, checks)
