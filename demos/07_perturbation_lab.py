@@ -6,7 +6,11 @@ phi_U is trapped between multiples of phi_A and phi_B.  The audits solve
 all three domains on grids and report the actual ratio windows.
 """
 
-from annulab import perturb
+import json
+import os
+import tempfile
+
+from annulab import cli, perturb
 
 print("== box sandwich conditions ==")
 res = perturb.check_box_conditions((1.0, 1.0), (1.05, 1.05), C1=0.2, C2=1.1)
@@ -36,7 +40,7 @@ print(f"upper ratio {audit['upper_ratio']:.3f}, lower ratio {audit['lower_ratio'
 print(f"eigenvalue gap lam_A - lam_B = {audit['eigenvalue_gap']:.2f} "
       f"(bounded as eps -> 0)")
 
-print("\n== the same scenario from a config file ==")
+print("\n== the same scenario from a scenario file, through the command line ==")
 cfg = """
 kind = annulus
 eps = 0.3
@@ -45,5 +49,12 @@ b_eps = 0.027
 rmin = 0.9865 | 8:0.0135:0.0
 rmax = 1.3135 | 9:0.0135:0.7
 """
-sc = perturb.parse_scenario(cfg)
-print(f"parsed: eps={sc.eps}, rmin harmonics {sc.rmin_harmonics}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "shell.scenario")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(cfg)
+    code = cli.run(["--out", tmp, "perturb-annulus", "--scenario", path])
+    with open(os.path.join(tmp, "perturb_annulus_summary.json"), encoding="ascii") as fh:
+        results = json.load(fh)["results"]
+print(f"exit {code}: upper ratio {results['upper_ratio']:.3f}, "
+      f"lower ratio {results['lower_ratio']:.3f}, core spread {results['core_spread']:.2f}")

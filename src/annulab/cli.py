@@ -9,7 +9,8 @@ or across processes, at any BLAS thread count.
 table.
 
 Each flag's argparse `type` states its domain; `--config` entries are parsed
-as the flags they name.  Exit codes: 0 success; 1 bad input, one `error:`
+as the flags they name, and each `--scenario` key by a converter built the
+same way (_SCENARIO_KEYS).  Exit codes: 0 success; 1 bad input, one `error:`
 line; 2 numerical failure (one `numerical failure:` line) or failed check.
 """
 
@@ -86,6 +87,80 @@ def _list_of(item):
 
 
 _positive_list = _list_of(_positive)
+_nonnegative = _domain(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_finite = _domain(float, math.isfinite, "a finite number")
+_arc = _domain(float, lambda v: 0.0 < v <= 2.0 * math.pi, "a number in (0, 2 pi]")
+_half_widths = _domain(lambda text: tuple(_positive_list(text)), lambda v: len(v) == 2,
+                       "two positive finite numbers")
+
+
+def _cosine_series(text: str) -> tuple:
+    """`const | k:amp:phase | ...`: a finite constant, then cosine terms
+    with an integer k >= 0 and a finite amp and phase; (const, terms)."""
+    const, *terms = (part.strip() for part in text.split("|"))
+    harmonics = []
+    for term in filter(None, terms):
+        if term.count(":") != 2:
+            raise argparse.ArgumentTypeError(f"harmonic term {term!r} is not k:amp:phase")
+        k, amp, phase = term.split(":")
+        harmonics.append((_int_from(0)(k), _finite(amp), _finite(phase)))
+    return _finite(const), tuple(harmonics)
+
+
+# Scenario keys of each kind: the converter that states the key's domain,
+# then the PerturbationScenario fields its value fills (box C2 > 0: condition
+# 2 divides by it)
+_SCENARIO_KEYS = {
+    "box": {"b1": (_half_widths, "a_widths"), "b2": (_half_widths, "b_widths"),
+            "notch": (_nonnegative, "notch"), "C1": (_nonnegative, "C1"),
+            "C2": (_positive, "C2")},
+    "annulus": {"eps": (_shell_width, "eps"), "a_eps": (_nonnegative, "a_eps"),
+                "b_eps": (_nonnegative, "b_eps"), "eta": (_nonnegative, "eta"),
+                "theta1": (_arc, "theta1"),
+                "rmin": (_cosine_series, "rmin_const", "rmin_harmonics"),
+                "rmax": (_cosine_series, "rmax_const", "rmax_harmonics"),
+                "C1": (_nonnegative, "C1"), "C2": (_nonnegative, "C2")},
+}
+
+
+def _key_values(path: str, what: str) -> dict[str, str]:
+    """The `key = value` lines of a config or scenario file, `#` comments;
+    a `-` in a key reads as `_`.  A line that is not `key = value` and a
+    key given twice are refused with the line number; `what` names the file."""
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{what} line {number} is not `key = value`: {raw.strip()!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key in entries:
+                raise ValueError(f"{what} line {number}: key {key!r} is given twice")
+            entries[key] = val
+    return entries
+
+
+def _load_scenario(path: str) -> perturb.PerturbationScenario:
+    """A scenario file: `kind = box | annulus`, then that kind's keys, each
+    value parsed by its key's converter (_SCENARIO_KEYS)."""
+    entries = _key_values(path, "scenario")
+    kind = entries.pop("kind", None)
+    if kind not in _SCENARIO_KEYS:
+        raise ValueError("scenario must declare kind = box | annulus")
+    fields = {"kind": kind}
+    for key, text in entries.items():
+        if key not in _SCENARIO_KEYS[kind]:
+            raise ValueError(f"unknown {kind} scenario key {key!r}")
+        convert, *names = _SCENARIO_KEYS[kind][key]
+        try:
+            value = convert(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"scenario key {key!r}: {exc}") from None
+        fields.update(zip(names, value if len(names) > 1 else [value]))
+    return perturb.PerturbationScenario(**fields)
 
 
 class _Window(argparse.Action):
@@ -354,7 +429,7 @@ def _cmd_sector(args):
 
 def _cmd_perturb_box(args):
     if args.scenario:
-        scenario = perturb.load_scenario(args.scenario)
+        scenario = _load_scenario(args.scenario)
     else:
         scenario = perturb.PerturbationScenario(
             kind="box", a_widths=(1.0, 1.0), b_widths=(1.05, 1.05),
@@ -373,7 +448,7 @@ def _cmd_perturb_box(args):
 
 def _cmd_perturb_annulus(args):
     if args.scenario:
-        scenario = perturb.load_scenario(args.scenario)
+        scenario = _load_scenario(args.scenario)
     else:
         eps = args.eps
         scenario = perturb.PerturbationScenario(
@@ -383,7 +458,11 @@ def _cmd_perturb_annulus(args):
             rmax_const=1.0 + eps + eps**3 / 2.0,
             rmax_harmonics=((9, eps**3 / 2.0, 0.7),),
         )
-    audit = perturb.annulus_perturbation_audit(scenario, grids=(args.nr, args.ntheta))
+    try:
+        audit = perturb.annulus_perturbation_audit(scenario, grids=(args.nr, args.ntheta))
+    except perturb.TrimmedCoreError as exc:
+        eps = "scenario key 'eps'" if args.scenario else "argument --eps"
+        raise ValueError(f"{eps}: {exc}") from None
     ok = (audit["upper_ratio"] <= args.bound
           and audit["lower_ratio"] >= 1.0 / args.bound
           and audit["core_spread"] <= args.bound
@@ -525,11 +604,8 @@ def _apply_config_file(args, argv):
     again over them, so flags still win.  The defaults go into a parser
     built for this run alone, never into the shared one."""
     parser, subcommands = _build_parser()
-    with open(args.config, encoding="utf-8") as fh:
-        entries = perturb.parse_key_values(fh.read(), "config")
     sub = subcommands[args.command]
-    for key, val in entries.items():
-        key = key.replace("-", "_")
+    for key, val in _key_values(args.config, "config").items():
         if key == "out":
             parser.set_defaults(out=val)
             continue

@@ -8,8 +8,10 @@ lam(A).  For shells the admissible widening is cubic in the shell thickness:
 a_eps, b_eps <= const * eps^3, which keeps the eigenvalue gap of the
 sandwich bounded.
 
-Scenario configs load from a key = value text file; radial boundary
-functions are truncated cosine series `const | k:amp:phase | ...`.
+A scenario is plain data: its radial boundary functions are truncated cosine
+series const + sum amp cos(k theta + phase).  The scenario file format and
+each key's domain belong to the command line (annulab.cli); the scenario
+itself checks only the constraints that tie its fields together.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ __all__ = [
     "box_perturbation_audit",
     "annulus_perturbation_audit",
     "widening_exponent_sweep",
-    "parse_key_values",
-    "parse_scenario",
-    "load_scenario",
     "harmonic_series",
+    "TrimmedCoreError",
 ]
+
+
+class TrimmedCoreError(ValueError):
+    """The shell audit's margin trims every radial node of A off the core: eps is refused."""
 
 
 def harmonic_series(const: float, harmonics):
@@ -64,7 +68,7 @@ class PerturbationScenario:
     b_widths: tuple = ()
     notch: float = 0.0
     # annulus fields
-    eps: float = 0.0
+    eps: float | None = None  # required
     a_eps: float = 0.0
     b_eps: float = 0.0
     eta: float = 0.0
@@ -73,17 +77,14 @@ class PerturbationScenario:
     rmin_harmonics: tuple = ()
     rmax_const: float | None = None  # None: the hull's outer radius 1 + eps + b_eps
     rmax_harmonics: tuple = ()
-    # regime parameters (recorded, checked where meaningful)
+    # regime constants (each key's domain is stated by annulab.cli)
     C1: float = 1.0
     C2: float = 1.0
 
     def __post_init__(self):
         if self.kind == "annulus":
-            if self.eps <= 0:
-                raise ValueError("annulus scenario needs eps > 0")
-            for key in ("a_eps", "b_eps", "eta"):
-                if not getattr(self, key) >= 0.0:
-                    raise ValueError(f"scenario key {key!r}: need >= 0, got {getattr(self, key)}")
+            if self.eps is None:
+                raise ValueError("annulus scenario needs key 'eps'")
             if self.a_eps > self.C1 * self.eps**3 + 1e-15 or \
                self.b_eps > self.C2 * self.eps**3 + 1e-15:
                 raise ValueError(
@@ -97,17 +98,17 @@ class PerturbationScenario:
             if self.rmax_const is None:
                 self.rmax_const = 1.0 + self.eps + self.b_eps
         elif self.kind == "box":
-            if len(self.a_widths) != 2 or len(self.b_widths) != 2:
-                raise ValueError("box scenario needs two half widths in each of b1 and b2, "
-                                 f"got {len(self.a_widths)} and {len(self.b_widths)}")
             for key, widths in (("b1", self.a_widths), ("b2", self.b_widths)):
-                if not all(0.0 < w < math.inf for w in widths):
-                    raise ValueError(f"scenario key {key!r}: half widths must be positive "
-                                     f"and finite, got {' '.join(map(str, widths))}")
-            if not 0.0 <= self.notch < math.inf:
-                raise ValueError(f"scenario key 'notch': need finite >= 0, got {self.notch}")
+                if len(widths) != 2:
+                    raise ValueError(f"box scenario needs two half widths in key {key!r}, "
+                                     f"got {len(widths)}")
             if any(a > b + 1e-15 for a, b in zip(self.a_widths, self.b_widths)):
                 raise ValueError("need B1 inside B2 componentwise")
+            # the corner notches miss B1 exactly when one axis leaves room for them
+            room = max(b - a for a, b in zip(self.a_widths, self.b_widths))
+            if self.notch > room + 1e-15:
+                raise ValueError(f"scenario key 'notch': need notch <= max_i (b2_i - b1_i) "
+                                 f"= {room:.6g}, so that B1 stays inside U, got {self.notch!r}")
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
@@ -284,8 +285,9 @@ def annulus_perturbation_audit(scenario: PerturbationScenario,
     # A's radial nodes in interior_mask(2), as solve_polar places them
     r_a = (1.0 + ((1.0 + eps) - 1.0) / Nr * np.arange(1, Nr))[2:-2]
     if not np.any((r_a > 1.0 + max(a_eps, margin)) & (r_a < 1.0 + eps - max(b_eps, margin))):
-        raise ValueError(f"--eps {eps!r}: the margin 2*h_r + eps^3 = {margin:.6g} (or a widening) "
-                         f"trims every radial node of A = (1, 1 + eps) on {Nr} cells off the core")
+        raise TrimmedCoreError(f"the margin 2*h_r + eps^3 = {margin:.6g} (or a widening) trims "
+                               f"every radial node of A = (1, 1 + eps) at eps = {eps!r} on {Nr} "
+                               "cells off the core")
 
     sol_a = spectral2d.solve_polar(dom_a, Nr, Nt)
     sol_b = spectral2d.solve_polar(dom_b, Nr, Nt)
@@ -358,82 +360,3 @@ def widening_exponent_sweep(eps: float, p_values, grids: tuple[int, int]) -> lis
             "eigenvalue_gap": audit["eigenvalue_gap"],
         })
     return rows
-
-
-def parse_key_values(text: str, what: str) -> dict[str, str]:
-    """Stripped `key = value` pairs, `#` comments; `what` names the file in errors."""
-    fields = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{what} line {number} is not `key = value`: {raw.strip()!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        fields[key] = val
-    return fields
-
-
-def _parse_series(text: str):
-    parts = [p.strip() for p in text.split("|")]
-    const = float(parts[0])
-    harm = []
-    for p in parts[1:]:
-        if not p:
-            continue
-        if p.count(":") != 2:
-            raise ValueError(f"harmonic term {p!r} is not k:amp:phase")
-        k, amp, phase = p.split(":")
-        harm.append((int(k), float(amp), float(phase)))
-    return const, tuple(harm)
-
-
-def parse_scenario(text: str) -> PerturbationScenario:
-    """Parse a scenario from key = value lines (see load_scenario)."""
-    fields = parse_key_values(text, "scenario")
-    kind = fields.pop("kind", None)
-    if kind not in ("box", "annulus"):
-        raise ValueError("scenario must declare kind = box | annulus")
-    kwargs: dict = {"kind": kind}
-
-    def value(key, convert=float):
-        try:
-            return convert(fields.pop(key))
-        except ValueError as exc:
-            raise ValueError(f"scenario key {key!r}: {exc}") from None
-
-    if kind == "box":
-        for key in ("b1", "b2"):
-            if key not in fields:
-                raise ValueError(f"box scenario needs key {key!r} (half widths)")
-        def widths(text):
-            return tuple(float(w) for w in text.split())
-
-        kwargs["a_widths"] = value("b1", widths)
-        kwargs["b_widths"] = value("b2", widths)
-        for key in ("notch", "C1", "C2"):
-            if key in fields:
-                kwargs[key] = value(key)
-    else:
-        for key in ("eps", "a_eps", "b_eps", "eta", "C1", "C2", "theta1"):
-            if key in fields:
-                kwargs[key] = value(key)
-        if "rmin" in fields:
-            kwargs["rmin_const"], kwargs["rmin_harmonics"] = value("rmin", _parse_series)
-        if "rmax" in fields:
-            kwargs["rmax_const"], kwargs["rmax_harmonics"] = value("rmax", _parse_series)
-    if fields:
-        raise ValueError(f"unknown scenario keys: {sorted(fields)}")
-    return PerturbationScenario(**kwargs)
-
-
-def load_scenario(path) -> PerturbationScenario:
-    """Load a scenario config file.
-
-    Format: one `key = value` per line, `#` comments.  Keys: kind
-    (box|annulus); box: b1, b2 (half widths, space separated), notch, C1,
-    C2; annulus: eps, a_eps, b_eps, eta, theta1 (omit for the full circle),
-    rmin, rmax (cosine series `const | k:amp:phase | ...`).
-    """
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())

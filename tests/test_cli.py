@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import string
 import subprocess
@@ -13,6 +14,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,9 +242,9 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     pytest.param("perturb-box", "kind = box\nb1 = 1 1\n", "key 'b2'", id="box-scenario-without-b2"),
     pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\nrmin = 0.99 | 8:0.01\n",
                  "harmonic term '8:0.01'", id="short-harmonic-term"),
-    pytest.param("perturb-box", "kind = box\nb1 = 1.0\nb2 = 1.05\n", "b1 and b2",
+    pytest.param("perturb-box", "kind = box\nb1 = 1.0\nb2 = 1.05\n", "key 'b1'",
                  id="box-scenario-one-width"),
-    pytest.param("perturb-box", "kind = box\nb1 = 1 1 1\nb2 = 1.05 1.05 1.05\n", "b1 and b2",
+    pytest.param("perturb-box", "kind = box\nb1 = 1 1 1\nb2 = 1.05 1.05 1.05\n", "key 'b1'",
                  id="box-scenario-three-widths"),
     pytest.param("perturb-box", "kind = box\nb1 = 1 1\nb2 = 1.05 1.05\nnotch = -0.05\n",
                  "key 'notch'", id="box-scenario-negative-notch"),
@@ -257,6 +259,12 @@ def test_empty_list_error_names_the_flag(tmp_path, capsys):
     # the hull's window, theta1 widened by eta on both sides, would wind past 2 pi
     pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\neta = 0.1\ntheta1 = 6.2\n",
                  "'theta1' and 'eta'", id="scenario-window-beyond-2pi"),
+    # a repeated key is refused, not overridden by its last entry
+    pytest.param("solve", "n = 3\nn = 4\n", "config line 2: key 'n'", id="config-repeated-key"),
+    pytest.param("solve", "half-widths = 1\nhalf_widths = 2\n", "config line 2: key 'half_widths'",
+                 id="config-repeated-key-spelled-twice"),
+    pytest.param("perturb-annulus", "kind = annulus\neps = 0.3\n# eps again\neps = 0.2\n",
+                 "scenario line 4: key 'eps'", id="scenario-repeated-key"),
 ])
 def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, named):
     path = tmp_path / "input.txt"
@@ -268,6 +276,176 @@ def test_key_value_errors_name_the_culprit(tmp_path, capsys, command, text, name
     assert run(["--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def _domain_table() -> list[list[str]]:
+    """The (domain, flags, scenario keys) cells of each row of README's domain table."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index("| Domain | Flags | Scenario keys |") + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def test_domain_table_lists_every_flag_and_every_scenario_key():
+    rows = _domain_table()
+    parser, subcommands = annulab.cli._build_parser()
+    flags = {opt for p in (parser, *subcommands.values()) for action in p._actions
+             for opt in action.option_strings if opt not in ("-h", "--help")}
+    assert {f for _, cell, _ in rows for f in re.findall(r"`(--[a-z0-9-]+)`", cell)} == flags
+    # a scenario cell is `kind `key`, `key`` parts separated by semicolons
+    keys = set()
+    for *_, cell in rows:
+        for part in cell.split(";"):
+            kind, _, listed = part.strip().partition(" ")
+            if kind in annulab.cli._SCENARIO_KEYS:
+                keys |= {(kind, key) for key in re.findall(r"`(\w+)`", listed)}
+    assert keys == {(kind, key) for kind, table in annulab.cli._SCENARIO_KEYS.items()
+                    for key in table}
+    assert any(cell.startswith("`kind`") for *_, cell in rows)
+
+
+def _scenario_run(tmp_path, monkeypatch, command, text):
+    """The PerturbationScenario that a `command --scenario` run builds from
+    `text`: its audit is replaced by one that keeps the scenario and stops."""
+    seen = []
+
+    def keep(scenario, *args, **kwargs):
+        seen.append(scenario)
+        raise ValueError("audit not run")
+
+    audit = "box_perturbation_audit" if command == "perturb-box" else "annulus_perturbation_audit"
+    monkeypatch.setattr(annulab.perturb, audit, keep)
+    path = tmp_path / "input.scenario"
+    path.write_text(text)
+    assert run(["--out", str(tmp_path / "out"), command, "--scenario", str(path)]) == 1
+    return seen[0]
+
+
+def test_scenario_file_round_trip(tmp_path, monkeypatch):
+    text = """
+# sandwich config
+kind = annulus
+eps = 0.3
+a_eps = 0.027
+b_eps = 0.027
+eta = 0.05
+theta1 = 2.35619449019234
+rmin = 0.9865 | 3:0.0135:0.0
+rmax = 1.3135 | 5:0.0135:1.2
+"""
+    sc = _scenario_run(tmp_path, monkeypatch, "perturb-annulus", text)
+    assert sc == annulab.perturb.PerturbationScenario(
+        kind="annulus", eps=0.3, a_eps=0.027, b_eps=0.027, eta=0.05,
+        theta1=2.35619449019234, rmin_const=0.9865, rmin_harmonics=((3, 0.0135, 0.0),),
+        rmax_const=1.3135, rmax_harmonics=((5, 0.0135, 1.2),))
+    assert sc.r_min()(np.array([0.0]))[0] == pytest.approx(0.9865 + 0.0135)
+
+
+def test_scenario_file_box(tmp_path, monkeypatch):
+    sc = _scenario_run(tmp_path, monkeypatch, "perturb-box",
+                       "kind = box\nb1 = 1 1\nb2 = 1.05 1.05\nnotch = 0.05")
+    assert sc.kind == "box"
+    assert sc.a_widths == (1.0, 1.0) and sc.b_widths == (1.05, 1.05)
+    assert sc.notch == 0.05
+
+
+@pytest.mark.parametrize("text, named", [
+    ("kind = box\nb1 = 1 1\nb2 = 1 1\nbogus = 3\n", "key 'bogus'"),
+    ("kind = box\nb1 = 1 1\nb2 = 1 1\neps = 0.3\n", "key 'eps'"),
+    ("eps = 0.3\n", "kind = box | annulus"),
+], ids=["unknown-key", "annulus-key-in-a-box", "no-kind"])
+def test_scenario_file_refuses_unknown_keys(tmp_path, capsys, text, named):
+    path = tmp_path / "input.scenario"
+    path.write_text(text)
+    assert run(["--out", str(tmp_path / "out"), "perturb-box", "--scenario", str(path)]) == 1
+    [err] = capsys.readouterr().err.strip().splitlines()
+    assert err.startswith("error: ") and named in err
+
+
+# A scenario of each kind that breaks a constraint between its keys, and that
+# constraint's words: a key set to a value inside its domain leaves it broken
+BROKEN_SCENARIOS = {
+    "box": ({"b1": "1 1", "b2": "0.9 0.9"}, "need B1 inside B2"),
+    "annulus": ({"eps": "0.3", "a_eps": "0.05", "b_eps": "0.05"}, "cubic regime"),
+}
+# the (kind, key, value) cases of the sweep below whose value lies in the key's domain
+IN_DOMAIN = {("box", "notch", "0"), ("box", "C1", "0"),
+             *(("annulus", key, "0") for key in ("a_eps", "b_eps", "eta", "C1", "C2")),
+             *(("annulus", key, value) for key in ("rmin", "rmax") for value in ("-1", "0"))}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (kind, key, value) for kind, keys in annulab.cli._SCENARIO_KEYS.items() for key in keys
+    for value in ("nan", "inf", "-1", "0", "abc")])
+def test_every_scenario_key_states_its_domain(tmp_path, capsys, monkeypatch, kind, key, value):
+    # refused while the file is read, naming the key, or else inside the
+    # key's domain and refused by the scenario's broken constraint; no solve
+    # runs, and nothing warns
+    monkeypatch.setattr(annulab.spectral2d, "solve_polar", None)
+    monkeypatch.setattr(annulab.spectral2d, "solve_cartesian", None)
+    fields, constraint = BROKEN_SCENARIOS[kind]
+    fields = {"kind": kind, **fields, key: value}
+    path = tmp_path / "input.scenario"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--out", str(tmp_path / "out"), f"perturb-{kind}", "--scenario", str(path)])
+    assert code == 1
+    [err] = capsys.readouterr().err.strip().splitlines()
+    if (kind, key, value) in IN_DOMAIN:
+        assert err.startswith("error: ") and constraint in err
+    else:
+        assert err.startswith(f"error: scenario key {key!r}: needs ")
+    assert not caught, [str(w.message) for w in caught]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+# scenarios that are audited as written, and lines that each make one bad
+WORKING_SCENARIOS = {"box": {"b1": "1 1", "b2": "1.05 1.05", "notch": "0.05"},
+                     "annulus": {"eps": "0.3"}}
+
+
+@pytest.mark.parametrize("kind, lines, named", [
+    pytest.param("box", {"C1": "nan"}, "key 'C1'", id="box-C1-nan"),
+    pytest.param("box", {"C2": "nan"}, "key 'C2'", id="box-C2-nan"),
+    pytest.param("box", {"C2": "-1"}, "key 'C2'", id="box-C2-negative"),
+    # condition 2 divides by C2
+    pytest.param("box", {"C2": "0"}, "key 'C2'", id="box-C2-zero"),
+    # a notch deeper than b2 - b1 on both axes cuts into B1
+    pytest.param("box", {"notch": "2"}, "key 'notch'", id="box-notch-into-b1"),
+    # a NaN C1 would switch the cubic-regime check off
+    pytest.param("annulus", {"a_eps": "0.05", "C1": "nan"}, "key 'C1'", id="annulus-C1-nan"),
+    pytest.param("annulus", {"C2": "-1"}, "key 'C2'", id="annulus-C2-negative"),
+    pytest.param("annulus", {"eta": "inf"}, "key 'eta'", id="annulus-eta-inf"),
+    pytest.param("annulus", {"eps": "nan"}, "key 'eps'", id="annulus-eps-nan"),
+    pytest.param("annulus", {"eps": "inf"}, "key 'eps'", id="annulus-eps-inf"),
+    pytest.param("annulus", {"rmax": "1.3 | 9:nan:0.7"}, "key 'rmax'",
+                 id="annulus-rmax-nan-amplitude"),
+    pytest.param("annulus", {"rmax": "1.3 | -9:0.01:0.7"}, "key 'rmax'",
+                 id="annulus-rmax-negative-k"),
+    pytest.param("annulus", {"rmax": "1.3 | 9:0.01:inf"}, "key 'rmax'",
+                 id="annulus-rmax-infinite-phase"),
+    # the margin 2 h_r + eps^3 trims the whole shell (1, 1.9) off the core
+    pytest.param("annulus", {"eps": "0.9"}, "scenario key 'eps': the margin",
+                 id="annulus-eps-past-margin"),
+])
+def test_scenario_value_errors_name_the_key(tmp_path, capsys, monkeypatch, kind, lines, named):
+    # refused before any solve, in one line that names the key
+    monkeypatch.setattr(annulab.spectral2d, "solve_polar", None)
+    monkeypatch.setattr(annulab.spectral2d, "solve_cartesian", None)
+    fields = {"kind": kind, **WORKING_SCENARIOS[kind], **lines}
+    path = tmp_path / "input.scenario"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--out", str(tmp_path / "out"), f"perturb-{kind}", "--scenario", str(path)])
+    assert code == 1
+    [err] = capsys.readouterr().err.strip().splitlines()
+    assert err.startswith("error: ") and named in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("lines, named", [

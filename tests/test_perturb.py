@@ -129,42 +129,6 @@ def test_regime_flag_enforced():
         perturb.PerturbationScenario(kind="annulus", eps=0.1, a_eps=0.1, b_eps=0.0)
 
 
-def test_scenario_parse_roundtrip(tmp_path):
-    text = """
-# sandwich config
-kind = annulus
-eps = 0.3
-a_eps = 0.027
-b_eps = 0.027
-eta = 0.05
-theta1 = 2.35619449019234
-rmin = 0.9865 | 3:0.0135:0.0
-rmax = 1.3135 | 5:0.0135:1.2
-"""
-    path = tmp_path / "scenario.cfg"
-    path.write_text(text)
-    sc = perturb.load_scenario(path)
-    assert sc.kind == "annulus"
-    assert sc.eps == 0.3
-    assert sc.rmin_harmonics == ((3, 0.0135, 0.0),)
-    rmin = sc.r_min()
-    assert rmin(np.array([0.0]))[0] == pytest.approx(0.9865 + 0.0135)
-
-
-def test_scenario_parse_box():
-    sc = perturb.parse_scenario("kind = box\nb1 = 1 1\nb2 = 1.05 1.05\nnotch = 0.1")
-    assert sc.kind == "box"
-    assert sc.a_widths == (1.0, 1.0)
-    assert sc.notch == 0.1
-
-
-def test_scenario_parse_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        perturb.parse_scenario("kind = box\nb1 = 1 1\nb2 = 1 1\nbogus = 3")
-    with pytest.raises(ValueError):
-        perturb.parse_scenario("eps = 0.3")
-
-
 def test_widening_exponent_sweep_reports():
     rows = perturb.widening_exponent_sweep(0.25, p_values=(2.0, 2.5, 3.0),
                                            grids=(32, 192))
